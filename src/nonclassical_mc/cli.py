@@ -23,8 +23,9 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy import special
 
-from .engine import ProblemConfig, simulate
+from .engine import ProblemConfig, configured_workers, simulate
 from .kernels import CrossSectionSpec, ModelKind, make_model
 from .reference import (
     ConvergenceError,
@@ -34,7 +35,11 @@ from .reference import (
     solve_integral_equation,
 )
 
-__all__ = ["RunManifest", "cmd_curves", "cmd_simulate", "cmd_reference", "cmd_compare", "main"]
+__all__ = ["RunManifest", "cmd_curves", "cmd_simulate", "cmd_reference", "cmd_compare",
+           "allowed_over_3sigma", "compare_verdict", "main"]
+
+VERDICT_ALPHA = 0.01  # false-FAIL rate the 3-sigma leg allows on a correct run
+MIN_SCORES = 100  # scores a shell needs before its z-score counts
 
 _CONFIG_KEYS = {
     "model", "sigma_t", "sigma_s", "seed", "histories", "batches", "rmax",
@@ -247,38 +252,66 @@ def _oracle_shell_averages(manifest: RunManifest, kind: str, edges: np.ndarray) 
     return solution.shell_averages(edges)
 
 
-def cmd_compare(manifest: RunManifest) -> tuple[bool, str]:
-    """Monte Carlo vs oracle, shell by shell; PASS/FAIL by z-score budget.
+def allowed_over_3sigma(n_eligible: int, batches: int) -> int:
+    """Shells over |z| = 3 that a correct run exceeds with probability <= 1%.
 
-    PASS requires that among shells with at least 100 scores, at most 1%
-    exceed |z| = 3 and none exceeds |z| = 5.
+    On a correct run each shell's z-score is a Student t statistic with
+    batches - 1 degrees of freedom (the stderr comes from the batch spread),
+    so it passes 3 with probability p = P(|t| > 3). Taking shells as
+    independent, the count over 3 is Binomial(n_eligible, p); the allowance
+    is the smallest k with P(Binomial > k) <= VERDICT_ALPHA.
     """
+    p = 2.0 * special.stdtr(batches - 1, -3.0)
+    k = 0
+    while special.bdtrc(k, n_eligible, p) > VERDICT_ALPHA:
+        k += 1
+    return k
+
+
+def compare_verdict(z: np.ndarray, n_scores: np.ndarray, batches: int) -> tuple[bool, dict]:
+    """PASS/FAIL of per-shell z-scores, with the counts behind it.
+
+    Shells with at least MIN_SCORES scores and a finite z are eligible.
+    PASS needs at least one eligible shell, none over |z| = 5, and at most
+    allowed_over_3sigma(eligible, batches) over |z| = 3. On a correct run the
+    3-sigma leg FAILs with probability at most VERDICT_ALPHA (1%), and the
+    5-sigma leg with about eligible * P(|t| > 5) (2e-4 at the defaults of 64
+    shells and 100 batches).
+    """
+    eligible = (n_scores >= MIN_SCORES) & np.isfinite(z)
+    n_eligible = int(eligible.sum())
+    over3 = int(np.sum(np.abs(z[eligible]) > 3.0))
+    over5 = int(np.sum(np.abs(z[eligible]) > 5.0))
+    allowed = allowed_over_3sigma(n_eligible, batches)
+    passed = n_eligible > 0 and over5 == 0 and over3 <= allowed
+    return passed, {
+        "eligible_shells": n_eligible,
+        "shells_over_3sigma": over3,
+        "allowed_over_3sigma": allowed,
+        "shells_over_5sigma": over5,
+    }
+
+
+def cmd_compare(manifest: RunManifest) -> tuple[bool, str]:
+    """Monte Carlo vs oracle, shell by shell; PASS/FAIL by compare_verdict."""
     config = manifest.problem_config()
     oracle_kind = manifest.oracle_model or manifest.model
     result = simulate(config)
     f_oracle = _oracle_shell_averages(manifest, oracle_kind, result.r_edges)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (result.f_mean - f_oracle) / result.f_stderr
-    eligible = (result.n_scores >= 100) & np.isfinite(z)
-    n_eligible = int(eligible.sum())
-    over3 = int(np.sum(np.abs(z[eligible]) > 3.0))
-    over5 = int(np.sum(np.abs(z[eligible]) > 5.0))
-    passed = n_eligible > 0 and over5 == 0 and over3 <= 0.01 * n_eligible
+    passed, counts = compare_verdict(z, result.n_scores, result.batches)
     meta = _tally_metadata(manifest, result)
-    meta.update({
-        "command": "compare",
-        "oracle_model": oracle_kind,
-        "eligible_shells": n_eligible,
-        "shells_over_3sigma": over3,
-        "shells_over_5sigma": over5,
-        "verdict": "PASS" if passed else "FAIL",
-    })
+    meta.update({"command": "compare", "oracle_model": oracle_kind, **counts,
+                 "verdict": "PASS" if passed else "FAIL"})
     rows = zip(result.r_mid, result.f_mean, result.f_stderr, f_oracle, z)
     path = _write_csv(os.path.join(manifest.out, "compare.csv"), meta,
                       ["r_mid", "f_mc", "stderr", "f_oracle", "z_score"], rows)
     print(f"wrote {path}")
     print(f"verdict: {'PASS' if passed else 'FAIL'} "
-          f"({over3}/{n_eligible} eligible shells over 3 sigma, {over5} over 5 sigma)")
+          f"({counts['shells_over_3sigma']}/{counts['eligible_shells']} eligible shells "
+          f"over 3 sigma, {counts['allowed_over_3sigma']} allowed; "
+          f"{counts['shells_over_5sigma']} over 5 sigma)")
     return passed, path
 
 
@@ -357,6 +390,7 @@ def main(argv=None) -> int:
         manifest = _manifest_from_args(args)
         if args.command in ("simulate", "compare"):
             config = manifest.problem_config()  # reject bad configs before any work
+            configured_workers()  # and a bad worker count
             if args.command == "compare":
                 _validate_compare(manifest, config)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -8,8 +8,13 @@ coordinate reset to zero. Zero-length sp2 flights score in the shell
 containing the current position and still roll the absorption test.
 
 Histories are independent tasks: history h draws every variate from the
-counter-based stream (seed, h), so the result of a run is a pure function
-of (seed, histories, batches) no matter how batches are distributed over
+counter-based stream (seed, h), one Philox block per collision. Block j of
+the stream serves collision j: lanes 0-1 give the direction of flight j
+(the birth direction for j = 0, the post-scatter direction after that),
+lane 2 the flight variate, and lane 3 the analog capture test, or in
+implicit capture the roulette test (read only when the weight falls below
+the cutoff). The result of a run is therefore a pure function of
+(seed, histories, batches) no matter how batches are distributed over
 worker processes. Batches are the unit of parallel work and are always
 reduced in batch order, which keeps output bitwise reproducible for any
 worker count (set NONCLASSICAL_MC_WORKERS to override the default of all
@@ -42,6 +47,7 @@ __all__ = [
     "simulate",
     "scalar_flux_from_collisions",
     "batch_slices",
+    "configured_workers",
     "MAX_COLLISIONS",
 ]
 
@@ -248,16 +254,18 @@ def run_history(model: PathLengthModel, xs: CrossSectionSpec, stream: RandomStre
                 max_collisions: int = MAX_COLLISIONS) -> int:
     """Transport one history; returns the number of collisions scored.
 
-    The caller supplies a stream no other history uses. A non-finite
-    position aborts the history and is recorded as a diagnostic fault on
-    the tally, never silently dropped.
+    The caller supplies a stream no other history uses; flight j reads
+    block j of it whole (the lane roles are in the module docstring). A
+    non-finite position aborts the history and is recorded as a diagnostic
+    fault on the tally, never silently dropped.
     """
     if model.xs != xs:
         raise ValueError("model was built for a different medium than xs")
     c = xs.c
+    u = stream.block(0)
     particle = Particle(
         position=np.zeros(3),
-        direction=_directions(stream.next(), stream.next()),
+        direction=_directions(u[0], u[1]),
         weight=1.0,
     )
     collisions = 0
@@ -265,7 +273,7 @@ def run_history(model: PathLengthModel, xs: CrossSectionSpec, stream: RandomStre
     first_s2: float | None = None
     absorbed = 0.0
     while True:
-        s = sample_path(model, stream.next())
+        s = sample_path(model, float(u[2]))
         particle.position = particle.position + s * particle.direction
         radius = float(np.linalg.norm(particle.position))
         if not math.isfinite(radius):
@@ -278,21 +286,22 @@ def run_history(model: PathLengthModel, xs: CrossSectionSpec, stream: RandomStre
             zero_length += 1
         tally.score(batch, radius, particle.weight)
         if capture == "analog":
-            if stream.next() < 1.0 - c:
+            if u[3] < 1.0 - c:
                 absorbed += particle.weight
                 break
         else:
             absorbed += particle.weight * (1.0 - c)
             particle.weight *= c
             if particle.weight < WEIGHT_CUTOFF:
-                if stream.next() < ROULETTE_SURVIVAL:
+                if u[3] < ROULETTE_SURVIVAL:
                     particle.weight /= ROULETTE_SURVIVAL
                 else:
                     break
         if collisions >= max_collisions:
             tally.record_history(batch, collisions, zero_length, first_s2, absorbed, capped=True)
             return collisions
-        particle.direction = _directions(stream.next(), stream.next())
+        u = stream.block(collisions)
+        particle.direction = _directions(u[0], u[1])
     tally.record_history(batch, collisions, zero_length, first_s2, absorbed)
     return collisions
 
@@ -302,9 +311,12 @@ def _transport_batch(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
                      max_collisions: int) -> dict:
     """Run histories [start_id, start_id + n) in lockstep over collisions.
 
-    Consumes, per history, exactly the variates run_history would, in the
-    same order, from the same (seed, history id) stream; the two paths are
-    interchangeable and the tests assert it.
+    Each lockstep step makes one ``uniforms_at`` call: every live history
+    reads the Philox block whose counter is its collision count, from its
+    own (seed, history id) stream, and spends the four lanes on direction,
+    flight and capture as run_history does. The two paths are
+    interchangeable and the tests assert it. One block is used per
+    collision, plus one per faulted flight.
     """
     k_shells = edges.size - 1
     c = xs.c
@@ -315,25 +327,20 @@ def _transport_batch(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
         "faults": 0, "capped": 0,
     }
     ids = np.arange(start_id, start_id + n, dtype=np.uint64)
-    draw = np.zeros(n, dtype=np.uint64)
-    u1 = uniforms_at(seed, ids, draw); draw += 1
-    u2 = uniforms_at(seed, ids, draw); draw += 1
-    dirs = _directions(u1, u2)
     pos = np.zeros((n, 3))
     w = np.ones(n)
-    ncoll = np.zeros(n, dtype=np.int64)
+    ncoll = np.zeros(n, dtype=np.uint64)
     first = True
     while ids.size:
-        xi = uniforms_at(seed, ids, draw); draw += 1
-        s = sample_path(model, xi)
-        pos += s[:, None] * dirs
+        u = uniforms_at(seed, ids, ncoll)
+        s = sample_path(model, u[2])
+        pos += s[:, None] * _directions(u[0], u[1])
         radius = np.sqrt(np.einsum("ij,ij->i", pos, pos))
         ok = np.isfinite(radius)
         if not ok.all():
             out["faults"] += int((~ok).sum())
-            ids, draw, pos, dirs, w, ncoll = (
-                ids[ok], draw[ok], pos[ok], dirs[ok], w[ok], ncoll[ok])
-            s, radius = s[ok], radius[ok]
+            ids, pos, w, ncoll = ids[ok], pos[ok], w[ok], ncoll[ok]
+            u, s, radius = u[:, ok], s[ok], radius[ok]
             if not ids.size:
                 break
         if first:
@@ -348,8 +355,7 @@ def _transport_batch(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
         np.add.at(out["scores"], shell[hit], 1)
         ncoll += 1
         if capture == "analog":
-            xa = uniforms_at(seed, ids, draw); draw += 1
-            die = xa < (1.0 - c)
+            die = u[3] < (1.0 - c)
             out["absorbed"] += float(w[die].sum())
             alive = ~die
         else:
@@ -358,9 +364,7 @@ def _transport_batch(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
             alive = np.ones(ids.size, dtype=bool)
             need = w < WEIGHT_CUTOFF
             if need.any():
-                xr = uniforms_at(seed, ids[need], draw[need])
-                draw[need] += 1
-                survive = xr < ROULETTE_SURVIVAL
+                survive = u[3, need] < ROULETTE_SURVIVAL
                 boosted = w[need]
                 boosted[survive] = boosted[survive] / ROULETTE_SURVIVAL
                 w[need] = boosted
@@ -369,12 +373,7 @@ def _transport_batch(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
         out["capped"] += int(hit_cap.sum())
         alive &= ~hit_cap
         idx = np.nonzero(alive)[0]
-        ids, draw, pos, w, ncoll = ids[idx], draw[idx], pos[idx], w[idx], ncoll[idx]
-        if not ids.size:
-            break
-        u1 = uniforms_at(seed, ids, draw); draw += 1
-        u2 = uniforms_at(seed, ids, draw); draw += 1
-        dirs = _directions(u1, u2)
+        ids, pos, w, ncoll = ids[idx], pos[idx], w[idx], ncoll[idx]
     return out
 
 
@@ -394,12 +393,22 @@ def batch_slices(histories: int, batches: int) -> list[tuple[int, int]]:
     return slices
 
 
-def _worker_count(max_useful: int) -> int:
+def configured_workers() -> int:
+    """Worker processes from NONCLASSICAL_MC_WORKERS, else all CPUs.
+
+    Raises ValueError when the variable is set to anything but a positive
+    integer.
+    """
     raw = os.environ.get(WORKERS_ENV)
-    count = int(raw) if raw else (os.cpu_count() or 1)
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0  # reported below, like any other non-positive value
     if count < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer")
-    return min(count, max_useful)
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return count
 
 
 def simulate(config: ProblemConfig) -> TallyResult:
@@ -416,7 +425,7 @@ def simulate(config: ProblemConfig) -> TallyResult:
         (model, config.xs, config.seed, start, size, edges, config.capture, MAX_COLLISIONS)
         for start, size in batch_slices(config.histories, config.batches)
     ]
-    workers = _worker_count(len(tasks))
+    workers = min(configured_workers(), len(tasks))
     if workers <= 1:
         results = [_batch_task(task) for task in tasks]
     else:

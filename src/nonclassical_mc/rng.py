@@ -1,16 +1,18 @@
 """Counter-based random streams for reproducible parallel sampling.
 
-Each history owns a stream identified by (seed, stream_id). The j-th
-variate of a stream is a pure function of (seed, stream_id, j): it is lane 0
-of a Philox4x64-10 block keyed by (seed, stream_id) with block counter j.
-Because draws are random-access, any subset of histories can be advanced in
-vectorized blocks without touching the others, and results are independent
-of how work is split across workers.
+Each history owns a stream identified by (seed, stream_id). Block j of a
+stream is the Philox4x64-10 block keyed by (seed, stream_id) with counter
+j; its four 64-bit lanes give four uniform variates, so each block is a
+pure function of (seed, stream_id, j). Because blocks are random-access,
+any subset of histories can be advanced in vectorized steps without
+touching the others, and results are independent of how work is split
+across workers. The transport engine spends block j on collision j of a
+history (see ``engine``).
 
 The block function is the same Philox4x64-10 used by ``numpy.random.Philox``
-(verified bit-for-bit in the test suite); only the counter bookkeeping
-differs, since numpy consumes all four lanes of consecutive blocks while
-this module spends one whole block per variate for random access.
+(verified bit-for-bit in the test suite). Read as a sequence, variate i of
+a stream is lane i % 4 of block i // 4, which is numpy's lane order; only
+the counter placement differs (numpy starts at counter 1).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
-_BUFFER = 256  # draws generated per refill of a scalar stream
+_BUFFER_BLOCKS = 64  # blocks generated per refill of a scalar stream
 
 
 def _mulhilo(a, m):
@@ -70,16 +72,17 @@ def philox4x64_block(counter, key0, key1):
         return c0, c1, c2, c3
 
 
-def uniforms_at(seed: int, stream_ids, draw_indices):
-    """Uniform [0, 1) variates at arbitrary (stream, draw index) positions.
+def uniforms_at(seed: int, stream_ids, counters):
+    """All four lanes of the Philox blocks at (stream, counter) positions.
 
-    stream_ids and draw_indices broadcast; the output is float64 with the
-    same precision scheme numpy uses (top 53 bits of a 64-bit word).
+    stream_ids and counters broadcast to a shape S; the output is float64
+    of shape (4, *S), row k holding lane k. Each lane uses the same
+    precision scheme numpy uses (top 53 bits of a 64-bit word).
     """
     key1 = np.asarray(stream_ids, dtype=np.uint64)
-    ctr = np.asarray(draw_indices, dtype=np.uint64)
-    lane0, _, _, _ = philox4x64_block(ctr, np.uint64(seed & 0xFFFFFFFFFFFFFFFF), key1)
-    return (lane0 >> np.uint64(11)) * _INV53
+    ctr = np.asarray(counters, dtype=np.uint64)
+    lanes = np.stack(philox4x64_block(ctr, np.uint64(seed & 0xFFFFFFFFFFFFFFFF), key1))
+    return (lanes >> np.uint64(11)) * _INV53
 
 
 @dataclass
@@ -89,33 +92,46 @@ class RandomStream:
     The same (seed, stream_id) always replays the identical sequence, on any
     machine and regardless of what other streams are doing. Distinct
     stream_ids give statistically independent Philox streams.
+
+    ``block(j)`` reads block j whole, by random access. ``next`` and
+    ``uniform`` read the stream as a sequence instead: variate i is lane
+    i % 4 of block i // 4.
     """
 
     seed: int
     stream_id: int
     _cursor: int = field(default=0, repr=False)
-    _buf: np.ndarray | None = field(default=None, repr=False)
-    _buf_start: int = field(default=0, repr=False)
+    _blocks: np.ndarray | None = field(default=None, repr=False)
+    _first: int = field(default=0, repr=False)
 
     def __post_init__(self):
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_id = int(self.stream_id) & 0xFFFFFFFFFFFFFFFF
 
+    def _lanes(self, first: int, count: int) -> np.ndarray:
+        """Blocks first .. first + count - 1 as a (count, 4) array."""
+        idx = np.arange(first, first + count, dtype=np.uint64)
+        return uniforms_at(self.seed, self.stream_id, idx).T
+
+    def block(self, j: int) -> np.ndarray:
+        """The four lanes of block j (leaves the sequence cursor alone)."""
+        offset = j - self._first
+        if self._blocks is None or not 0 <= offset < len(self._blocks):
+            self._first = j
+            self._blocks = self._lanes(j, _BUFFER_BLOCKS)
+            offset = 0
+        return self._blocks[offset]
+
     def next(self) -> float:
         """Draw one uniform variate from [0, 1)."""
-        offset = self._cursor - self._buf_start
-        if self._buf is None or offset >= self._buf.size:
-            self._buf_start = self._cursor
-            idx = np.arange(self._cursor, self._cursor + _BUFFER, dtype=np.uint64)
-            self._buf = uniforms_at(self.seed, self.stream_id, idx)
-            offset = 0
+        j, lane = divmod(self._cursor, 4)
         self._cursor += 1
-        return float(self._buf[offset])
+        return float(self.block(j)[lane])
 
     def uniform(self, n: int) -> np.ndarray:
         """Draw the next n variates as an array (consumes n draws)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        idx = np.arange(self._cursor, self._cursor + n, dtype=np.uint64)
+        first, skip = divmod(self._cursor, 4)
         self._cursor += n
-        return uniforms_at(self.seed, self.stream_id, idx)
+        return self._lanes(first, -(-(skip + n) // 4)).ravel()[skip:skip + n]

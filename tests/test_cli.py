@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from nonclassical_mc.cli import main
+from nonclassical_mc.cli import allowed_over_3sigma, compare_verdict, main
 
 
 def read_csv(path):
@@ -158,6 +158,71 @@ class TestCompare:
         assert code == 0
 
 
+class TestVerdictRule:
+    SHELLS = 64
+    BATCHES = 100
+
+    def verdict(self, z, n_scores=None):
+        z = np.asarray(z, dtype=float)
+        if n_scores is None:
+            n_scores = np.full(z.size, 1000)
+        return compare_verdict(z, np.asarray(n_scores), self.BATCHES)
+
+    def test_allowance_at_defaults(self):
+        # P(|t_99| > 3) = 0.0034, so 64 shells allow 2: P(Binomial > 2) = 0.0014
+        assert allowed_over_3sigma(self.SHELLS, self.BATCHES) == 2
+        assert allowed_over_3sigma(10, self.BATCHES) == 1
+        assert allowed_over_3sigma(0, self.BATCHES) == 0
+        # fewer batches give fatter t tails and a larger allowance
+        assert allowed_over_3sigma(self.SHELLS, 10) > 2
+
+    def test_clean_run_passes(self):
+        passed, counts = self.verdict(np.zeros(self.SHELLS))
+        assert passed
+        assert counts == {"eligible_shells": 64, "shells_over_3sigma": 0,
+                          "allowed_over_3sigma": 2, "shells_over_5sigma": 0}
+
+    def test_3sigma_leg(self):
+        z = np.zeros(self.SHELLS)
+        z[[3, 40]] = [3.5, -4.2]
+        assert self.verdict(z)[0]
+        z[50] = 3.1
+        passed, counts = self.verdict(z)
+        assert not passed
+        assert counts["shells_over_3sigma"] == 3
+
+    def test_5sigma_leg(self):
+        z = np.zeros(self.SHELLS)
+        z[7] = -5.5
+        passed, counts = self.verdict(z)
+        assert not passed
+        assert counts["shells_over_5sigma"] == 1
+
+    def test_ineligible_shells_do_not_count(self):
+        z = np.zeros(self.SHELLS)
+        n_scores = np.full(self.SHELLS, 1000)
+        z[:10] = 9.0
+        n_scores[:10] = 99
+        z[10] = np.nan
+        passed, counts = self.verdict(z, n_scores)
+        assert passed
+        assert counts["eligible_shells"] == 53
+
+    def test_nothing_eligible_fails(self):
+        assert not self.verdict(np.zeros(4), np.zeros(4))[0]
+
+    def test_false_fail_rate_on_correct_runs(self):
+        # z drawn as the verdict sees them on a correct run: t statistics
+        # with batches - 1 degrees of freedom; the 3-sigma leg allows 1%
+        # false FAILs and the 5-sigma leg about 2e-4
+        rng = np.random.default_rng(2024)
+        runs = 20_000
+        z = rng.standard_t(self.BATCHES - 1, size=(runs, self.SHELLS))
+        fails = sum(not self.verdict(row)[0] for row in z)
+        rate = fails / runs
+        assert rate <= 0.01 + 0.0002 + 4.0 * math.sqrt(0.01 / runs)
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path, monkeypatch):
         config = {"model": "classical", "sigma_t": 1.0, "sigma_s": 0.0,
@@ -203,6 +268,16 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+    def test_bad_worker_count(self, tmp_path, monkeypatch, capsys, command, workers):
+        monkeypatch.setenv("NONCLASSICAL_MC_WORKERS", workers)
+        assert run_cli(command, "--histories", "2000", "--batches", "10",
+                       "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "NONCLASSICAL_MC_WORKERS must be a positive integer" in err
 
     def test_oracle_grid_too_short_for_shells(self, tmp_path):
         # rejected before any histories run

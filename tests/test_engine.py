@@ -213,6 +213,37 @@ class TestScalarVectorEquivalence:
         assert result.collisions_per_history == manual.collisions_per_history
 
 
+class TestStreamLayout:
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    def test_one_block_per_collision(self, capture, monkeypatch):
+        # every flight reads one Philox block, through one uniforms_at call
+        # per lockstep step; a faulted flight spends its block too
+        from nonclassical_mc import engine
+
+        real_uniforms, real_sample = engine.uniforms_at, engine.sample_path
+        counts = {"calls": 0, "blocks": 0, "steps": 0}
+
+        def counting_uniforms(seed, ids, counters):
+            out = real_uniforms(seed, ids, counters)
+            counts["calls"] += 1
+            counts["blocks"] += out.shape[1]
+            return out
+
+        def faulting_sample(model, xi):
+            counts["steps"] += 1
+            return np.where(xi > 0.995, np.inf, real_sample(model, xi))
+
+        monkeypatch.setattr(engine, "uniforms_at", counting_uniforms)
+        monkeypatch.setattr(engine, "sample_path", faulting_sample)
+        xs = CrossSectionSpec(1.0, 0.9)
+        model = make_model("sp2", xs)
+        out = _transport_batch(model, xs, 3, 0, 2000, np.linspace(0.0, 10.0, 65),
+                               capture, 100_000)
+        assert out["faults"] > 0
+        assert counts["blocks"] == out["collisions"] + out["faults"]
+        assert counts["calls"] == counts["steps"]
+
+
 class TestSimulate:
     def test_pure_absorber_is_exact(self):
         result = simulate(small_config(sigma_s=0.0, histories=5_000, batches=10))

@@ -36,6 +36,7 @@ class TestUniformsAt:
     def test_range_and_dtype(self):
         u = uniforms_at(1, np.arange(1000, dtype=np.uint64), np.uint64(0))
         assert u.dtype == np.float64
+        assert u.shape == (4, 1000)
         assert np.all((u >= 0.0) & (u < 1.0))
 
     def test_pure_function_of_coordinates(self):
@@ -51,11 +52,18 @@ class TestUniformsAt:
         assert not np.array_equal(one, two)
         assert not np.array_equal(one, other_seed)
 
+    def test_lanes_are_the_block_words(self):
+        counters = np.array([0, 5, 9], dtype=np.uint64)
+        u = uniforms_at(4, np.uint64(6), counters)
+        for lane, words in zip(u, philox4x64_block(counters, 4, 6)):
+            np.testing.assert_array_equal(lane, (words >> np.uint64(11)) * 2.0**-53)
+
     def test_statistical_sanity(self):
-        # 64 streams x 4096 draws: mean 1/2, var 1/12, lag-1 correlation ~ 0
+        # lane 0 of 64 streams x 4096 blocks: mean 1/2, var 1/12, lag-1
+        # correlation ~ 0
         ids = np.arange(64, dtype=np.uint64)[:, None]
         idx = np.arange(4096, dtype=np.uint64)[None, :]
-        u = uniforms_at(123, ids, idx)
+        u = uniforms_at(123, ids, idx)[0]
         n = u.size
         assert abs(u.mean() - 0.5) < 4.0 / np.sqrt(12.0 * n)
         assert abs(u.var() - 1.0 / 12.0) < 5e-4
@@ -67,6 +75,22 @@ class TestUniformsAt:
         assert abs(cross) < 4.0 / np.sqrt(4096)
 
 
+    def test_lanes_uncorrelated(self):
+        # the four lanes of a block feed one collision, so each pair must be
+        # uncorrelated over many (stream, counter) blocks; each lane is
+        # uniform on its own
+        ids = np.arange(256, dtype=np.uint64)[:, None]
+        idx = np.arange(1024, dtype=np.uint64)[None, :]
+        lanes = uniforms_at(321, ids, idx).reshape(4, -1)
+        n = lanes.shape[1]
+        for lane in lanes:
+            assert abs(lane.mean() - 0.5) < 5.0 / np.sqrt(12.0 * n)
+        corr = np.corrcoef(lanes)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert abs(corr[i, j]) < 5.0 / np.sqrt(n), (i, j, corr[i, j])
+
+
 class TestRandomStream:
     def test_replay_is_identical(self):
         first = RandomStream(seed=2024, stream_id=17)
@@ -74,17 +98,32 @@ class TestRandomStream:
         assert [first.next() for _ in range(300)] == [second.next() for _ in range(300)]
 
     def test_buffered_next_equals_random_access(self):
+        # variate i is lane i % 4 of block i // 4 (numpy's lane order)
         stream = RandomStream(seed=5, stream_id=11)
         drawn = np.array([stream.next() for _ in range(600)])
-        direct = uniforms_at(5, 11, np.arange(600, dtype=np.uint64))
+        direct = uniforms_at(5, 11, np.arange(150, dtype=np.uint64)).T.ravel()
         np.testing.assert_array_equal(drawn, direct)
 
     def test_uniform_block_continues_sequence(self):
         stream = RandomStream(seed=5, stream_id=11)
         head = [stream.next() for _ in range(3)]
         block = stream.uniform(10)
-        direct = uniforms_at(5, 11, np.arange(13, dtype=np.uint64))
+        direct = uniforms_at(5, 11, np.arange(4, dtype=np.uint64)).T.ravel()[:13]
         np.testing.assert_array_equal(np.concatenate([head, block]), direct)
+
+    def test_block_is_random_access(self):
+        stream = RandomStream(seed=5, stream_id=11)
+        for j in (3, 0, 200, 63, 64):
+            np.testing.assert_array_equal(stream.block(j), uniforms_at(5, 11, np.uint64(j)))
+        assert stream.next() == uniforms_at(5, 11, np.uint64(0))[0]
+
+    def test_sequence_matches_numpy_lane_order(self):
+        # numpy's Philox serves the lanes of counter k + 1 as raw words
+        # 4k .. 4k + 3, so its raw stream is our stream from block 1 on
+        raw = np.random.Philox(key=np.array([5, 11], dtype=np.uint64)).random_raw(8)
+        stream = RandomStream(seed=5, stream_id=11)
+        stream.uniform(4)
+        np.testing.assert_array_equal(stream.uniform(8), (raw >> np.uint64(11)) * 2.0**-53)
 
     def test_distinct_streams_are_uncorrelated(self):
         a = RandomStream(seed=77, stream_id=0).uniform(8192)
