@@ -1,11 +1,11 @@
-"""The deterministic oracle: source iteration on the radial integral equation.
+"""The deterministic oracle: a direct solve of the radial integral equation.
 
 The collision density obeys f = c K[f] + first flight, where K convolves
 with the flight kernel p(s)/(4 pi s^2) reduced to radial form. This script
-solves it for each law, verifies the diffusion case against its closed
-form, shows the geometric (ratio c) convergence of the iteration, and
-demonstrates how the sp2 law's same-point redeposition builds a point mass
-at the origin.
+solves it for each law with one LU factorization, verifies the diffusion
+case against its closed form, shows the residual and condition estimate of
+the solve as c -> 1, and demonstrates how the sp2 law's same-point
+redeposition builds a point mass at the origin.
 """
 
 import numpy as np
@@ -24,12 +24,11 @@ xs = CrossSectionSpec(sigma_t=1.0, sigma_s=0.5)
 grid = RadialGrid.uniform(12.0, 512)
 
 print("=== solve f = c K[f] + first flight on", grid.nodes.size, "radial nodes ===")
-print(f"  {'law':10s} {'iterations':>10s} {'residual':>10s} {'integral f dV':>14s} "
-      f"{'origin mass':>12s}")
+print(f"  {'law':10s} {'residual':>10s} {'integral f dV':>14s} {'origin mass':>12s}")
 for kind in ModelKind:
     model = make_model(kind, xs)
     sol = solve_integral_equation(model, xs, grid, tol=1e-10)
-    print(f"  {kind.value:10s} {sol.iterations:10d} {sol.residual:10.2e} "
+    print(f"  {kind.value:10s} {sol.residual:10.2e} "
           f"{sol.volume_integral():14.6f} {sol.origin_mass:12.6f}")
 print("  balance: integral f dV = 1/(1-c) = 2 for every law")
 print("  sp2 origin mass: (4/9)/(1 - 4c/9) - the atom redeposits at the source point")
@@ -41,12 +40,16 @@ window = (grid.nodes >= 0.5) & (grid.nodes <= 8.0)
 rel = np.abs(sol.f[window] / diffusion_point_source(xs, grid.nodes[window]) - 1.0)
 print(f"  max relative deviation on r in [0.5, 8]: {rel.max():.2e}")
 
-print("\n=== geometric convergence of the source iteration ===")
-tols = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
-iters = [solve_integral_equation(model, xs, grid, tol=t).iterations for t in tols]
-for t, it in zip(tols, iters):
-    print(f"  tol {t:8.0e} -> {it:3d} sweeps")
-print(f"  roughly log(tol)/log(c) sweeps, c = {xs.c}")
+print("\n=== direct solve as c -> 1 (sp3) ===")
+print(f"  {'c':>5s} {'residual':>10s} {'rcond':>8s} {'integral f dV':>14s} {'1/(1-c)':>8s}")
+for scattering in (0.5, 0.9, 0.99):
+    xs_c = CrossSectionSpec(sigma_t=1.0, sigma_s=scattering)
+    sol = solve_integral_equation(make_model("sp3", xs_c), xs_c, grid)
+    print(f"  {xs_c.c:5.2f} {sol.residual:10.2e} {sol.rcond:8.4f} "
+          f"{sol.volume_integral():14.6f} {1.0 / (1.0 - xs_c.c):8.1f}")
+print("  one LU factorization at every c; the residual stays at rounding level")
+print("  while rcond falls with 1 - c; the domain r <= 12 truncates the medium,")
+print("  so integral f dV falls short of 1/(1-c) as c -> 1")
 
 print("\n=== pure absorber: the solution is the bare flight kernel ===")
 xs0 = CrossSectionSpec(sigma_t=1.0, sigma_s=0.0)

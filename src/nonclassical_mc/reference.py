@@ -4,8 +4,9 @@ Two routes are provided against which Monte Carlo tallies are validated:
 
 * closed forms where they exist (diffusion collision density, the
   two-exponential scalar-flux Green function), and
-* a radial source-iteration solver for the collision-rate balance
-  f = c K[f] + first flight, valid for every path-length law.
+* a radial solver for the collision-rate balance f = c K[f] + first
+  flight, valid for every path-length law: the discretized equation is
+  solved directly by one LU factorization.
 
 The 3-D convolution with kernel p(|x - x'|) / (4 pi |x - x'|^2) reduces,
 for spherically symmetric fields, to the 1-D form
@@ -21,7 +22,7 @@ the diagonal instead of evaluating it at the singular node.
 The sp2 atom re-deposits a fraction 4/9 of each collision at the same
 location. The solver tracks the resulting point mass at the origin
 explicitly (it feeds the volumetric source) and folds the same-radius
-redeposition into the fixed-point update.
+redeposition into the diagonal of the solved matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, linalg, special
 
 from .kernels import (
     SP2_LAMBDA,
@@ -70,7 +71,8 @@ def exp_integral_E1(x):
 
 
 class ConvergenceError(RuntimeError):
-    """Source iteration failed to reach tolerance; carries the residual."""
+    """The oracle solve failed (singular matrix, or f not finite or not
+    within tolerance of the fixed point); carries the residual."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -184,37 +186,45 @@ def collision_matrix(kernel: RadialKernel, grid: RadialGrid) -> np.ndarray:
     Nodal trapezoid everywhere except the two cells adjacent to each row's
     diagonal, where the (possibly singular) P(|r - r'|) factor is replaced
     by its exact cell integral against the endpoint-averaged integrand.
+
+    On the uniform grid r_i = (i+1)h, |r_i - r_j| = |i-j|h and
+    r_i + r_j = (i+j+2)h, so P is evaluated once at kh, k = 1..2M, and
+    spread into a Toeplitz part P(|r - r'|) and a Hankel part P(r + r').
     """
     r = grid.nodes
     m = r.size
     h = grid.spacing
-    w = grid.weights
-    sep = np.abs(r[:, None] - r[None, :])
-    profile_sep = np.zeros((m, m))
-    off = sep > 0.0
-    profile_sep[off] = kernel.profile(sep[off])
-    coef = w[None, :] * profile_sep
+    p = kernel.profile(h * np.arange(1, 2 * m + 1))  # p[k - 1] = P(kh)
+    coef = linalg.toeplitz(np.concatenate(([0.0], p[:m - 1])))
+    coef -= linalg.hankel(p[1:m + 1], p[m:])
+    coef *= grid.weights
     ip = float(kernel.profile_integral(h))
-    p_h = float(kernel.profile(h))
     idx = np.arange(m)
     coef[idx, idx] += ip
     coef[m - 1, m - 1] -= 0.5 * ip  # last node has no right cell
-    near = 0.5 * ip - 0.5 * h * p_h
+    near = 0.5 * ip - 0.5 * h * p[0]
     coef[idx[:-1], idx[:-1] + 1] += near
     coef[idx[1:], idx[1:] - 1] += near
-    coef -= w[None, :] * kernel.profile(r[:, None] + r[None, :])
-    return coef * r[None, :] / (2.0 * r[:, None])
+    coef *= r
+    coef /= 2.0 * r[:, None]
+    return coef
 
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Collision density on the grid plus the origin point mass (sp2 only)."""
+    """Collision density on the grid plus the origin point mass (sp2 only).
+
+    residual is the relative fixed-point residual of f on the grid and
+    rcond LAPACK's estimate of the reciprocal 1-norm condition number of
+    the solved matrix (1 for a pure absorber, where no matrix is solved).
+    """
 
     grid: RadialGrid
     f: np.ndarray
     origin_mass: float
     iterations: int
     residual: float
+    rcond: float
 
     def volume_integral(self) -> float:
         """4 pi integral f r^2 dr over the grid plus the origin mass."""
@@ -255,13 +265,15 @@ class RadialSolution:
 
 def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
                             grid: RadialGrid, tol: float = 1e-10) -> RadialSolution:
-    """Source iteration for f = c K[f] + first flight, unit point source.
+    """Direct solve of f = c K[f] + first flight, unit point source.
 
-    Converges geometrically with ratio c; raises ConvergenceError with the
-    last residual if the iteration budget ceil(ln tol / ln c) + 50 is
-    exhausted. For the sp2 law the update is
-    f <- c [(4/9) f + K_cont[f]] + first flight, with the origin point mass
-    M = (4/9) / (1 - 4c/9) feeding the volumetric first-flight source.
+    One LU factorization solves (I(1 - c atom) - cK) f = first flight, so
+    the cost does not grow as c -> 1. For the sp2 law the atom term
+    c (4/9) f is the same-radius redeposition, and the origin point mass
+    M = (4/9) / (1 - 4c/9) feeds the volumetric first-flight source.
+    Raises ConvergenceError when the matrix is singular (rcond below machine
+    epsilon), f is not finite, or the fixed-point residual
+    max|c(atom f + K f) + src - f| / max|f| is not below tol.
     """
     if model.xs != xs:
         raise ValueError("model was built for a different medium than xs")
@@ -271,24 +283,27 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     k_first = kernel.point_kernel(grid.nodes)
     origin_mass = atom / (1.0 - atom * c)
     src = (c * origin_mass + 1.0) * k_first
-    f = src.copy()
     if c == 0.0:
-        return RadialSolution(grid, f, origin_mass, 0, 0.0)
-    kmat = collision_matrix(kernel, grid)
-    max_iter = math.ceil(math.log(tol) / math.log(c)) + 50
-    delta = math.inf
-    for iteration in range(1, max_iter + 1):
-        f_new = c * (atom * f + kmat @ f) + src
-        scale = float(np.max(np.abs(f_new)))
-        delta = float(np.max(np.abs(f_new - f)) / scale) if scale > 0.0 else math.inf
-        f = f_new
-        if delta < tol:
-            return RadialSolution(grid, f, origin_mass, iteration, delta)
-    raise ConvergenceError(
-        f"source iteration stalled at residual {delta:.3e} after {max_iter} sweeps "
-        f"(c={c}, tol={tol})",
-        residual=delta, iterations=max_iter,
-    )
+        return RadialSolution(grid, src, origin_mass, 0, 0.0, 1.0)
+    a = collision_matrix(kernel, grid)
+    a *= -c
+    diag = np.arange(a.shape[0])
+    a[diag, diag] += 1.0 - c * atom
+    getrf, getrs, gecon = linalg.get_lapack_funcs(("getrf", "getrs", "gecon"), (a,))
+    anorm = linalg.norm(a, 1, check_finite=False)
+    lu, piv, info = getrf(a)  # factors a copy; a stays for the residual
+    rcond = float(gecon(lu, anorm)[0]) if info == 0 else 0.0
+    if not rcond >= np.finfo(float).eps:
+        raise ConvergenceError(f"oracle matrix is singular (rcond {rcond:.3e}, c={c})",
+                               residual=math.inf, iterations=1)
+    f, _ = getrs(lu, piv, src)
+    residual = float(np.max(np.abs(src - a @ f)) / np.max(np.abs(f)))
+    if not (np.all(np.isfinite(f)) and residual < tol):
+        raise ConvergenceError(
+            f"oracle solve left residual {residual:.3e} (rcond {rcond:.3e}, c={c}, tol={tol})",
+            residual=residual, iterations=1,
+        )
+    return RadialSolution(grid, f, origin_mass, 1, residual, rcond)
 
 
 def diffusion_point_source(xs: CrossSectionSpec, r):

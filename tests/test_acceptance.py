@@ -195,7 +195,7 @@ class TestCriterion7MonteCarloVsSolverOracle:
                          "--shells", "64", "--oracle-tol", "1e-10",
                          "--oracle-nodes", "512", "--out", str(tmp_path)])
         ok = code == 0
-        report("7", ok, f"{kind} 1e6 histories vs source-iteration oracle: exit code {code}")
+        report("7", ok, f"{kind} 1e6 histories vs solver oracle: exit code {code}")
         assert ok
 
     def test_oracle_self_check_against_diffusion_closed_form(self):

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from nonclassical_mc.cli import allowed_over_3sigma, compare_verdict, main
+from nonclassical_mc.cli import allowed_over_3sigma, allowed_over_5sigma, compare_verdict, main
 
 
 def read_csv(path):
@@ -162,11 +162,11 @@ class TestVerdictRule:
     SHELLS = 64
     BATCHES = 100
 
-    def verdict(self, z, n_scores=None):
+    def verdict(self, z, n_scores=None, batches=BATCHES):
         z = np.asarray(z, dtype=float)
         if n_scores is None:
             n_scores = np.full(z.size, 1000)
-        return compare_verdict(z, np.asarray(n_scores), self.BATCHES)
+        return compare_verdict(z, np.asarray(n_scores), batches)
 
     def test_allowance_at_defaults(self):
         # P(|t_99| > 3) = 0.0034, so 64 shells allow 2: P(Binomial > 2) = 0.0014
@@ -180,7 +180,8 @@ class TestVerdictRule:
         passed, counts = self.verdict(np.zeros(self.SHELLS))
         assert passed
         assert counts == {"eligible_shells": 64, "shells_over_3sigma": 0,
-                          "allowed_over_3sigma": 2, "shells_over_5sigma": 0}
+                          "allowed_over_3sigma": 2, "shells_over_5sigma": 0,
+                          "allowed_over_5sigma": 0}
 
     def test_3sigma_leg(self):
         z = np.zeros(self.SHELLS)
@@ -197,6 +198,24 @@ class TestVerdictRule:
         passed, counts = self.verdict(z)
         assert not passed
         assert counts["shells_over_5sigma"] == 1
+
+    def test_5sigma_allowance(self):
+        # P(|t_9| > 5) = 7.4e-4: with no allowance a correct 64-shell run at
+        # 10 batches would FAIL the 5-sigma leg about 4.6% of the time
+        assert allowed_over_5sigma(self.SHELLS, 10) == 1
+        assert allowed_over_5sigma(self.SHELLS, 20) == 0
+        assert allowed_over_5sigma(self.SHELLS, self.BATCHES) == 0
+        assert allowed_over_5sigma(0, 10) == 0
+
+    def test_5sigma_leg_at_10_batches(self):
+        z = np.zeros(self.SHELLS)
+        z[7] = -5.5
+        passed, counts = self.verdict(z, batches=10)
+        assert passed
+        assert counts["shells_over_5sigma"] == 1
+        assert counts["allowed_over_5sigma"] == 1
+        z[20] = 6.0
+        assert not self.verdict(z, batches=10)[0]
 
     def test_ineligible_shells_do_not_count(self):
         z = np.zeros(self.SHELLS)
@@ -221,6 +240,35 @@ class TestVerdictRule:
         fails = sum(not self.verdict(row)[0] for row in z)
         rate = fails / runs
         assert rate <= 0.01 + 0.0002 + 4.0 * math.sqrt(0.01 / runs)
+
+    def test_false_fail_rate_at_10_batches(self):
+        # each leg allows 1% false FAILs, so together at most 2%
+        rng = np.random.default_rng(10)
+        runs = 20_000
+        z = rng.standard_t(9, size=(runs, self.SHELLS))
+        fails = sum(not self.verdict(row, batches=10)[0] for row in z)
+        rate = fails / runs
+        assert rate <= 0.02 + 4.0 * math.sqrt(0.02 / runs)
+
+
+class TestReference:
+    def test_schema_and_solve_report(self, tmp_path):
+        code = run_cli("reference", "--model", "sp3", "--sigma-t", "1", "--sigma-s", "0.99",
+                       "--out", str(tmp_path))
+        assert code == 0
+        metadata, header, col = read_csv(tmp_path / "reference.csv")
+        assert header == ["r", "f"]
+        assert int(metadata["iterations"]) == 1
+        assert float(metadata["residual"]) < float(metadata["tol"])
+        assert 0.0 < float(metadata["rcond"]) <= 1.0
+        assert np.all(col["f"] > 0.0)
+
+    def test_singular_oracle_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
+                            lambda kernel, g: np.eye(g.nodes.size) / 0.5)
+        assert run_cli("reference", "--model", "sp3", "--sigma-t", "1",
+                       "--sigma-s", "0.5", "--out", str(tmp_path)) == 3
+        assert "oracle solve failed" in capsys.readouterr().err
 
 
 class TestConfigHandling:

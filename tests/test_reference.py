@@ -31,6 +31,30 @@ def grid():
     return RadialGrid.uniform(12.0, 512)
 
 
+def dense_collision_matrix(kernel, grid):
+    """Independent oracle for collision_matrix: P evaluated at every |r - r'|
+    and r + r' of the M x M node pairs, no Toeplitz/Hankel structure."""
+    r = grid.nodes
+    m = r.size
+    h = grid.spacing
+    w = grid.weights
+    sep = np.abs(r[:, None] - r[None, :])
+    profile_sep = np.zeros((m, m))
+    off = sep > 0.0
+    profile_sep[off] = kernel.profile(sep[off])
+    coef = w[None, :] * profile_sep
+    ip = float(kernel.profile_integral(h))
+    p_h = float(kernel.profile(h))
+    idx = np.arange(m)
+    coef[idx, idx] += ip
+    coef[m - 1, m - 1] -= 0.5 * ip
+    near = 0.5 * ip - 0.5 * h * p_h
+    coef[idx[:-1], idx[:-1] + 1] += near
+    coef[idx[1:], idx[1:] - 1] += near
+    coef -= w[None, :] * kernel.profile(r[:, None] + r[None, :])
+    return coef * r[None, :] / (2.0 * r[:, None])
+
+
 class TestExpIntegral:
     def test_value_at_one(self):
         assert exp_integral_E1(1.0) == pytest.approx(0.219383934, abs=1e-9)
@@ -194,6 +218,14 @@ class TestRadialGrid:
             RadialGrid(nodes)
 
 
+class TestCollisionMatrix:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_structured_build_matches_dense(self, kind, grid):
+        kernel = RadialKernel(make_model(kind, CrossSectionSpec(1.0, 0.5)))
+        np.testing.assert_allclose(collision_matrix(kernel, grid),
+                                   dense_collision_matrix(kernel, grid), rtol=1e-13, atol=0.0)
+
+
 class TestSolver:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_pure_absorber_is_single_flight(self, kind, grid):
@@ -203,6 +235,7 @@ class TestSolver:
         np.testing.assert_array_equal(solution.f,
                                       RadialKernel(model).point_kernel(grid.nodes))
         assert solution.iterations == 0
+        assert solution.rcond == 1.0
 
     def test_diffusion_matches_closed_form(self, grid):
         xs = CrossSectionSpec(1.0, 0.5)
@@ -279,19 +312,62 @@ class TestSolver:
             solve_integral_equation(model, CrossSectionSpec(1.0, 0.4), grid)
 
     def test_nonconvergence_reports_residual(self, grid, monkeypatch):
-        # force a non-contractive operator so the iteration budget runs out
+        # K = I/c makes I - cK exactly zero: a singular operator the solve
+        # must refuse rather than return garbage
         xs = CrossSectionSpec(1.0, 0.5)
         model = make_model("diffusion", xs)
         m = grid.nodes.size
         monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
-                            lambda kernel, g: -2.0 * np.eye(m))
+                            lambda kernel, g: np.eye(m) / xs.c)
         with pytest.raises(ConvergenceError) as excinfo:
             solve_integral_equation(model, xs, grid, tol=1e-10)
         assert excinfo.value.residual > 1e-10
         assert excinfo.value.iterations > 0
 
+    def test_non_finite_operator_is_refused(self, grid, monkeypatch):
+        xs = CrossSectionSpec(1.0, 0.5)
+        m = grid.nodes.size
+        broken = np.zeros((m, m))
+        broken[3, 7] = np.nan
+        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
+                            lambda kernel, g: broken)
+        with pytest.raises(ConvergenceError):
+            solve_integral_equation(make_model("sp3", xs), xs, grid)
+
+    def test_unreachable_tolerance_reports_residual(self, grid):
+        # rounding bounds the residual near 1e-16; a tighter tol is refused
+        xs = CrossSectionSpec(1.0, 0.5)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_integral_equation(make_model("sp3", xs), xs, grid, tol=1e-30)
+        assert 1e-30 <= excinfo.value.residual < 1e-12
+        assert excinfo.value.iterations == 1
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_high_scattering_hits_discrete_fixed_point(self, kind, grid):
+        # the direct solve leaves no c/(1-c) amplification of the stopping
+        # tolerance: f satisfies the discrete equation to rounding
+        xs = CrossSectionSpec(1.0, 0.99)
+        model = make_model(kind, xs)
+        solution = solve_integral_equation(model, xs, grid)
+        kernel = RadialKernel(model)
+        kmat = dense_collision_matrix(kernel, grid)
+        c, atom, f = xs.c, model.atom_at_zero, solution.f
+        src = (c * solution.origin_mass + 1.0) * kernel.point_kernel(grid.nodes)
+        rhs = c * (atom * f + kmat @ f) + src
+        assert np.max(np.abs(rhs - f)) / np.max(np.abs(f)) < 1e-12
+        assert solution.iterations == 1
+        assert solution.residual < 1e-12
+
+    @pytest.mark.parametrize("scattering, expected", [(0.5, 0.31), (0.99, 0.0087)])
+    def test_condition_estimate(self, grid, scattering, expected):
+        # rcond falls with 1 - c, roughly in proportion
+        xs = CrossSectionSpec(1.0, scattering)
+        solution = solve_integral_equation(make_model("sp3", xs), xs, grid)
+        assert 0.0 < solution.rcond <= 1.0
+        assert solution.rcond == pytest.approx(expected, rel=0.1)
+
     def test_high_scattering_converges_within_budget(self, grid):
-        # the +50 slack in the iteration budget holds up as c -> 1
+        # the solve stays accurate as c -> 1
         xs = CrossSectionSpec(1.0, 0.99)
         model = make_model("diffusion", xs)
         solution = solve_integral_equation(model, xs, grid, tol=1e-10)
