@@ -15,10 +15,19 @@ lane 2 the flight variate, and lane 3 the analog capture test, or in
 implicit capture the roulette test (read only when the weight falls below
 the cutoff). The result of a run is therefore a pure function of
 (seed, histories, batches) no matter how batches are distributed over
-worker processes. Batches are the unit of parallel work and are always
-reduced in batch order, which keeps output bitwise reproducible for any
-worker count (set NONCLASSICAL_MC_WORKERS to override the default of all
-available CPUs).
+worker processes (set NONCLASSICAL_MC_WORKERS to override the default of
+all available CPUs).
+
+The unit of parallel work is a group of consecutive batches, run in one
+lockstep over collisions so that the per-step cost is shared and the step
+count follows the group's longest history. There are at least as many
+groups as workers, and enough that a group holds about LANES histories at
+most (a single batch where one batch is larger). The grouping thus
+depends on the worker count, but the output does not: every history of a
+group starts at step 0 and compaction keeps the live lanes in history
+order, so each (batch, shell) cell receives its additions in
+(collision index, history id) order whatever the batch's group-mates are,
+and per-batch results are reduced in batch order.
 
 Particles that leave the tally grid keep transporting (the medium is
 infinite) but score nothing; histories are never truncated spatially.
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -55,6 +65,7 @@ MAX_COLLISIONS = 100_000  # guards pathological configurations; unreachable for 
 WEIGHT_CUTOFF = 0.01
 ROULETTE_SURVIVAL = 0.1
 WORKERS_ENV = "NONCLASSICAL_MC_WORKERS"
+LANES = 16_384  # group width cap, near a 1e4-history batch, so peak memory does not grow
 
 
 @dataclass
@@ -213,6 +224,15 @@ class TallyResult:
         return 0.5 * (self.r_edges[:-1] + self.r_edges[1:])
 
 
+def _integral(name: str, value) -> int:
+    """value as an int when it is integral (10000 or 1e4), else ValueError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Full description of one Monte Carlo run."""
@@ -230,6 +250,8 @@ class ProblemConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
+        for name in ("histories", "batches", "shells", "seed"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         CrossSectionSpec(self.sigma_t, self.sigma_s)  # raises on bad medium
         if self.r_max is None:
             object.__setattr__(self, "r_max", 10.0 / self.sigma_t)
@@ -306,30 +328,38 @@ def run_history(model: PathLengthModel, xs: CrossSectionSpec, stream: RandomStre
     return collisions
 
 
-def _transport_batch(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
-                     start_id: int, n: int, edges: np.ndarray, capture: str,
+def _transport_group(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
+                     start_id: int, sizes, edges: np.ndarray, capture: str,
                      max_collisions: int) -> dict:
-    """Run histories [start_id, start_id + n) in lockstep over collisions.
+    """Run consecutive batches in one lockstep over collisions.
 
-    Each lockstep step makes one ``uniforms_at`` call: every live history
-    reads the Philox block whose counter is its collision count, from its
-    own (seed, history id) stream, and spends the four lanes on direction,
-    flight and capture as run_history does. The two paths are
+    Batch b holds the sizes[b] histories that follow those of batch b - 1,
+    the first starting at history start_id; every lane carries its batch
+    index. Each lockstep step makes one ``uniforms_at`` call: every live
+    history reads the Philox block whose counter is its collision count,
+    from its own (seed, history id) stream, and spends the four lanes on
+    direction, flight and capture as run_history does. The two paths are
     interchangeable and the tests assert it. One block is used per
     collision, plus one per faulted flight.
+
+    Returns per-batch arrays keyed by the ShellTally field they fill.
     """
     k_shells = edges.size - 1
+    nb = len(sizes)
     c = xs.c
     out = {
-        "weight": np.zeros(k_shells), "scores": np.zeros(k_shells, dtype=np.int64),
-        "histories": n, "collisions": 0, "zero_length": 0,
-        "first_s2": 0.0, "first_flights": 0, "absorbed": 0.0,
-        "faults": 0, "capped": 0,
+        "weight": np.zeros(nb * k_shells), "scores": np.zeros(nb * k_shells, dtype=np.int64),
+        "histories": np.asarray(sizes, dtype=np.int64),
+        "collisions": np.zeros(nb, dtype=np.int64), "zero_length": np.zeros(nb, dtype=np.int64),
+        "first_flight_s2": np.zeros(nb), "first_flights": np.zeros(nb, dtype=np.int64),
+        "absorbed_weight": np.zeros(nb),
+        "faults": np.zeros(nb, dtype=np.int64), "capped": np.zeros(nb, dtype=np.int64),
     }
-    ids = np.arange(start_id, start_id + n, dtype=np.uint64)
-    pos = np.zeros((n, 3))
-    w = np.ones(n)
-    ncoll = np.zeros(n, dtype=np.uint64)
+    batch = np.repeat(np.arange(nb), sizes)
+    ids = np.arange(start_id, start_id + batch.size, dtype=np.uint64)
+    pos = np.zeros((ids.size, 3))
+    w = np.ones(ids.size)
+    ncoll = np.zeros(ids.size, dtype=np.uint64)
     first = True
     while ids.size:
         u = uniforms_at(seed, ids, ncoll)
@@ -338,28 +368,29 @@ def _transport_batch(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
         radius = np.sqrt(np.einsum("ij,ij->i", pos, pos))
         ok = np.isfinite(radius)
         if not ok.all():
-            out["faults"] += int((~ok).sum())
-            ids, pos, w, ncoll = ids[ok], pos[ok], w[ok], ncoll[ok]
+            out["faults"] += np.bincount(batch[~ok], minlength=nb)
+            ids, batch, pos, w, ncoll = ids[ok], batch[ok], pos[ok], w[ok], ncoll[ok]
             u, s, radius = u[:, ok], s[ok], radius[ok]
             if not ids.size:
                 break
         if first:
-            out["first_s2"] += float((s * s).sum())
-            out["first_flights"] += ids.size
+            out["first_flight_s2"] += np.bincount(batch, s * s, minlength=nb)
+            out["first_flights"] += np.bincount(batch, minlength=nb)
             first = False
-        out["collisions"] += ids.size
-        out["zero_length"] += int((s == 0.0).sum())
+        out["collisions"] += np.bincount(batch, minlength=nb)
+        out["zero_length"] += np.bincount(batch[s == 0.0], minlength=nb)
         shell = np.searchsorted(edges, radius, side="right") - 1
         hit = shell < k_shells
-        np.add.at(out["weight"], shell[hit], w[hit])
-        np.add.at(out["scores"], shell[hit], 1)
+        cell = batch[hit] * k_shells + shell[hit]
+        np.add.at(out["weight"], cell, w[hit])
+        np.add.at(out["scores"], cell, 1)
         ncoll += 1
         if capture == "analog":
             die = u[3] < (1.0 - c)
-            out["absorbed"] += float(w[die].sum())
+            out["absorbed_weight"] += np.bincount(batch[die], w[die], minlength=nb)
             alive = ~die
         else:
-            out["absorbed"] += float((w * (1.0 - c)).sum())
+            out["absorbed_weight"] += np.bincount(batch, w * (1.0 - c), minlength=nb)
             w = w * c
             alive = np.ones(ids.size, dtype=bool)
             need = w < WEIGHT_CUTOFF
@@ -370,15 +401,13 @@ def _transport_batch(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
                 w[need] = boosted
                 alive[need] = survive
         hit_cap = alive & (ncoll >= max_collisions)
-        out["capped"] += int(hit_cap.sum())
+        out["capped"] += np.bincount(batch[hit_cap], minlength=nb)
         alive &= ~hit_cap
         idx = np.nonzero(alive)[0]
-        ids, pos, w, ncoll = ids[idx], pos[idx], w[idx], ncoll[idx]
+        ids, batch, pos, w, ncoll = ids[idx], batch[idx], pos[idx], w[idx], ncoll[idx]
+    out["weight"] = out["weight"].reshape(nb, k_shells)
+    out["scores"] = out["scores"].reshape(nb, k_shells)
     return out
-
-
-def _batch_task(args):
-    return _transport_batch(*args)
 
 
 def batch_slices(histories: int, batches: int) -> list[tuple[int, int]]:
@@ -415,33 +444,30 @@ def simulate(config: ProblemConfig) -> TallyResult:
     """Run the configured number of histories in batches; fully reproducible.
 
     The output is a pure function of the configuration: history h always
-    uses stream (seed, h) and batch results are merged in batch order, so
-    1, 2, or 8 workers produce bitwise identical tallies.
+    uses stream (seed, h) and per-batch results do not depend on how the
+    batches are grouped (module docstring), so 1, 2, or 8 workers produce
+    bitwise identical tallies.
     """
     model = make_model(config.kind, config.xs)
     edges = np.linspace(0.0, config.r_max, config.shells + 1)
-    tally = ShellTally(edges, config.batches)
+    slices = batch_slices(config.histories, config.batches)
+    workers = configured_workers()
+    n_groups = min(config.batches, max(workers, math.ceil(config.histories / LANES)))
     tasks = [
-        (model, config.xs, config.seed, start, size, edges, config.capture, MAX_COLLISIONS)
-        for start, size in batch_slices(config.histories, config.batches)
+        (model, config.xs, config.seed, slices[first][0],
+         [size for _, size in slices[first:first + count]], edges, config.capture,
+         MAX_COLLISIONS)
+        for first, count in batch_slices(config.batches, n_groups)
     ]
-    workers = min(configured_workers(), len(tasks))
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        results = [_batch_task(task) for task in tasks]
+        results = [_transport_group(*task) for task in tasks]
     else:
         with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.map(_batch_task, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    for b, res in enumerate(results):
-        tally.weight[b] = res["weight"]
-        tally.scores[b] = res["scores"]
-        tally.histories[b] = res["histories"]
-        tally.collisions[b] = res["collisions"]
-        tally.zero_length[b] = res["zero_length"]
-        tally.first_flight_s2[b] = res["first_s2"]
-        tally.first_flights[b] = res["first_flights"]
-        tally.absorbed_weight[b] = res["absorbed"]
-        tally.faults[b] = res["faults"]
-        tally.capped[b] = res["capped"]
+            results = pool.starmap(_transport_group, tasks, chunksize=1)
+    tally = ShellTally(edges, config.batches)
+    for name in results[0]:
+        getattr(tally, name)[...] = np.concatenate([res[name] for res in results])
     return tally.finalize(config.source_strength, config=config)
 
 

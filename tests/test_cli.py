@@ -327,6 +327,24 @@ class TestExitCodes:
         assert "configuration error" in err
         assert "NONCLASSICAL_MC_WORKERS must be a positive integer" in err
 
+    def test_integral_float_counts_in_config_file(self, tmp_path):
+        # JSON has no integer type for 1e4; integral values are accepted
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"histories": 2e3, "batches": 10.0, "shells": 16.0,
+                                           "seed": 3.0, "out": str(tmp_path)}))
+        assert run_cli("simulate", "--config", str(config_path)) == 0
+        metadata, _, columns = read_csv(tmp_path / "tally.csv")
+        assert metadata["histories"] == "2000"
+        assert columns["n_scores"].size == 16
+
+    @pytest.mark.parametrize("field", ["histories", "batches", "shells", "seed"])
+    def test_non_integral_count_in_config_file(self, tmp_path, capsys, field):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"histories": 2000, field: 12.5,
+                                           "out": str(tmp_path)}))
+        assert run_cli("simulate", "--config", str(config_path)) == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
     def test_oracle_grid_too_short_for_shells(self, tmp_path):
         # rejected before any histories run
         assert run_cli("compare", "--model", "sp2", "--sigma-t", "1", "--sigma-s", "0.5",

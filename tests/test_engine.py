@@ -17,7 +17,8 @@ from nonclassical_mc import (
     scalar_flux_from_collisions,
     simulate,
 )
-from nonclassical_mc.engine import WORKERS_ENV, _transport_batch, batch_slices
+from nonclassical_mc import engine
+from nonclassical_mc.engine import MAX_COLLISIONS, WORKERS_ENV, _transport_group, batch_slices
 
 ALL_KINDS = list(ModelKind)
 
@@ -59,6 +60,13 @@ class TestProblemConfig:
     def test_rejections(self, overrides):
         with pytest.raises(ValueError):
             small_config(**overrides)
+
+    def test_integral_counts_become_int(self):
+        # JSON config files carry 1e4 as a float
+        config = small_config(histories=2e4, batches=20.0, shells=16.0, seed=7.0)
+        for name, value in (("histories", 20_000), ("batches", 20), ("shells", 16), ("seed", 7)):
+            assert type(getattr(config, name)) is int
+            assert getattr(config, name) == value
 
 
 class TestShellTally:
@@ -189,13 +197,13 @@ class TestScalarVectorEquivalence:
         for h in range(n):
             run_history(model, xs, RandomStream(seed=9, stream_id=h), tally,
                         capture=capture)
-        batch = _transport_batch(model, xs, 9, 0, n, edges, capture, 100_000)
-        np.testing.assert_array_equal(tally.weight[0], batch["weight"])
-        np.testing.assert_array_equal(tally.scores[0], batch["scores"])
-        assert tally.collisions[0] == batch["collisions"]
-        assert tally.zero_length[0] == batch["zero_length"]
-        assert tally.first_flight_s2[0] == pytest.approx(batch["first_s2"], rel=1e-12)
-        assert tally.absorbed_weight[0] == pytest.approx(batch["absorbed"], rel=1e-12)
+        batch = _transport_group(model, xs, 9, 0, [n], edges, capture, 100_000)
+        np.testing.assert_array_equal(tally.weight, batch["weight"])
+        np.testing.assert_array_equal(tally.scores, batch["scores"])
+        np.testing.assert_array_equal(tally.collisions, batch["collisions"])
+        np.testing.assert_array_equal(tally.zero_length, batch["zero_length"])
+        np.testing.assert_allclose(tally.first_flight_s2, batch["first_flight_s2"], rtol=1e-12)
+        np.testing.assert_allclose(tally.absorbed_weight, batch["absorbed_weight"], rtol=1e-12)
 
     def test_simulate_equals_manual_history_loop(self):
         config = small_config(histories=500, batches=10)
@@ -214,12 +222,9 @@ class TestScalarVectorEquivalence:
 
 
 class TestStreamLayout:
-    @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_one_block_per_collision(self, capture, monkeypatch):
-        # every flight reads one Philox block, through one uniforms_at call
-        # per lockstep step; a faulted flight spends its block too
-        from nonclassical_mc import engine
-
+    @staticmethod
+    def count_blocks(monkeypatch):
+        """Count uniforms_at calls and blocks; fault the flights with xi > 0.995."""
         real_uniforms, real_sample = engine.uniforms_at, engine.sample_path
         counts = {"calls": 0, "blocks": 0, "steps": 0}
 
@@ -235,13 +240,55 @@ class TestStreamLayout:
 
         monkeypatch.setattr(engine, "uniforms_at", counting_uniforms)
         monkeypatch.setattr(engine, "sample_path", faulting_sample)
+        return counts
+
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    def test_one_block_per_collision(self, capture, monkeypatch):
+        # every flight reads one Philox block, through one uniforms_at call
+        # per lockstep step; a faulted flight spends its block too
+        counts = self.count_blocks(monkeypatch)
         xs = CrossSectionSpec(1.0, 0.9)
         model = make_model("sp2", xs)
-        out = _transport_batch(model, xs, 3, 0, 2000, np.linspace(0.0, 10.0, 65),
+        out = _transport_group(model, xs, 3, 0, [2000], np.linspace(0.0, 10.0, 65),
                                capture, 100_000)
-        assert out["faults"] > 0
-        assert counts["blocks"] == out["collisions"] + out["faults"]
+        assert out["faults"].sum() > 0
+        assert counts["blocks"] == out["collisions"].sum() + out["faults"].sum()
         assert counts["calls"] == counts["steps"]
+
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    def test_group_equals_separate_batches(self, capture, monkeypatch):
+        # a batch's tallies do not depend on the batches it shares a lockstep with
+        self.count_blocks(monkeypatch)
+        xs = CrossSectionSpec(1.0, 0.9)
+        model = make_model("sp2", xs)
+        edges = np.linspace(0.0, 10.0, 65)
+        sizes = [300, 250, 320]
+        group = _transport_group(model, xs, 3, 40, sizes, edges, capture, 12)
+        assert (group["faults"] > 0).all()
+        assert (group["capped"] > 0).all()
+        start = 40
+        for b, size in enumerate(sizes):
+            alone = _transport_group(model, xs, 3, start, [size], edges, capture, 12)
+            start += size
+            for name in ("weight", "scores", "histories", "collisions", "zero_length",
+                         "first_flights", "faults", "capped"):
+                np.testing.assert_array_equal(group[name][b], alone[name][0])
+            for name in ("first_flight_s2", "absorbed_weight"):
+                assert group[name][b] == pytest.approx(alone[name][0], rel=1e-12)
+
+    def test_batches_share_one_lockstep(self, monkeypatch):
+        # on one worker, 20 batches of 50 take as many steps as one batch of 1000
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        counts = self.count_blocks(monkeypatch)
+        config = small_config(histories=1000, batches=20)
+        simulate(config)
+        in_simulate = counts["calls"]
+        counts["calls"] = 0
+        model = make_model(config.kind, config.xs)
+        edges = np.linspace(0.0, config.r_max, config.shells + 1)
+        _transport_group(model, config.xs, config.seed, 0, [1000], edges, config.capture,
+                         MAX_COLLISIONS)
+        assert in_simulate == counts["calls"]
 
 
 class TestSimulate:
@@ -316,6 +363,22 @@ class TestSimulate:
             np.testing.assert_array_equal(base.f_stderr, other.f_stderr)
             np.testing.assert_array_equal(base.n_scores, other.n_scores)
             assert base.collisions_per_history == other.collisions_per_history
+
+    def test_parallel_determinism_implicit_capture(self, monkeypatch):
+        # unequal weights make the order of additions show; 13 batches make
+        # uneven groups on 2 and 8 workers
+        config = small_config(kind="sp2", sigma_s=0.9, capture="implicit", histories=2_610,
+                              batches=13, seed=57)
+        results = {}
+        for workers in ("1", "2", "8"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            results[workers] = simulate(config)
+        base = results["1"]
+        for workers in ("2", "8"):
+            for name in ("f_mean", "f_stderr", "n_scores", "absorbed_weight_per_history",
+                         "first_flight_msd", "zero_length_fraction"):
+                np.testing.assert_array_equal(getattr(results[workers], name),
+                                              getattr(base, name))
 
     def test_rerun_is_identical(self):
         config = small_config(histories=5_000, batches=10, seed=47)
