@@ -37,7 +37,7 @@ from .reference import (
     sp3_green_scalar,
 )
 from .rng import RandomStream
-from .sampler import MomentReport, QuantileTable, empirical_check, invert_f, sample_path
+from .sampler import MomentReport, empirical_check, invert_f, sample_path
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "make_model",
     "solve_sp3_constants",
     "RandomStream",
-    "QuantileTable",
     "MomentReport",
     "invert_f",
     "sample_path",

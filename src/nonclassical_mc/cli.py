@@ -25,9 +25,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import special
 
-from .engine import ProblemConfig, configured_workers, simulate
+from .engine import ProblemConfig, _integral, configured_workers, simulate
 from .kernels import CrossSectionSpec, ModelKind, make_model
 from .reference import (
+    MIN_GRID_NODES,
     ConvergenceError,
     RadialGrid,
     diffusion_point_source,
@@ -81,8 +82,13 @@ class RunManifest:
             self.s_max = 6.0 / self.sigma_t
         if self.oracle_rmax is None:
             self.oracle_rmax = 12.0 / self.sigma_t
+        self.points = _integral("points", self.points)
+        self.oracle_nodes = _integral("oracle_nodes", self.oracle_nodes)
         if self.points < 2:
             raise ValueError("curve grid needs at least 2 points")
+        if self.oracle_nodes < MIN_GRID_NODES:
+            raise ValueError(f"oracle_nodes must be at least {MIN_GRID_NODES}, "
+                             f"got {self.oracle_nodes}")
         if not (self.s_max > self.s_min >= 0.0):
             raise ValueError("need s_max > s_min >= 0")
         os.makedirs(self.out, exist_ok=True)

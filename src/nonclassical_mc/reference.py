@@ -140,6 +140,9 @@ class RadialKernel:
         return self.model.density(r) / (4.0 * math.pi * r * r)
 
 
+MIN_GRID_NODES = 256
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform radial nodes 0 < r_1 < ... < r_M with trapezoid weights."""
@@ -149,8 +152,8 @@ class RadialGrid:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 256:
-            raise ValueError("grid needs at least 256 nodes")
+        if nodes.ndim != 1 or nodes.size < MIN_GRID_NODES:
+            raise ValueError(f"grid needs at least {MIN_GRID_NODES} nodes")
         if nodes[0] <= 0.0:
             raise ValueError("nodes must be strictly positive")
         steps = np.diff(nodes)

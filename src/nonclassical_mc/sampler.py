@@ -1,201 +1,221 @@
 """Exact inverse-transform sampling of the path-length laws.
 
-Every law's CDF is inverted analytically or semi-analytically:
+Every law's CDF is inverted to rounding level, without iteration:
 
   classical   s = -ln(1 - xi) / sigma_t
-  diffusion   s = invert_f(1 - xi) / (sqrt(3) sigma_t)
-  sp2         s = 0 for xi <= 4/9, else invert_f((9/5)(1 - xi)) / L_hat
-  sp3         s = F^{-1}(xi) / sigma_t via a tabulated quantile grid refined
-              by Newton iteration on the analytic CDF
+  diffusion   s = u / (sqrt(3) sigma_t),   f(u) = 1 - xi
+  sp2         s = 0 for xi <= 4/9, else u / (L_hat sigma_t),   f(u) = (9/5)(1 - xi)
+  sp3         s = z / sigma_t,   (A+/l+^2) f(l+ z) + (A-/l-^2) f(l- z) = 1 - xi
 
-where f(z) = (1 + z) e^{-z} is the shared survival shape. invert_f uses a
-safeguarded Newton iteration (bracketing bisection fallback); the identity
+where f(u) = (1 + u) e^{-u} is the shared survival shape. The last three
+solve S(z) = S* for a survival S(z) = sum_j w_j f(mu_j z), sum_j w_j = 1:
+a cubic-Hermite table of z against v = sqrt(-ln S) gives a start that one
+Newton step on the analytic survival takes to rounding level. The table
+is built once per survival shape (one for f, one for sp3) on first use.
+invert_f is the f table read at -ln y. The identity
 z = -1 - W_{-1}(-y / e) with the lower Lambert-W branch is an independent
 cross-check oracle used in the tests, not the production path.
 
-Sampling is a pure function of (model, xi); all randomness is supplied by
-the caller, normally via :class:`~nonclassical_mc.rng.RandomStream`.
+Sampling is a pure function of (model, xi), applied elementwise with a
+fixed sequence of array operations; all randomness is supplied by the
+caller, normally via :class:`~nonclassical_mc.rng.RandomStream`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SP2_ATOM, SP2_LAMBDA, SQRT3, ModelKind, PathLengthModel, _decay
+from .kernels import SP2_ATOM, SP2_LAMBDA, SQRT3, ModelKind, PathLengthModel
 from .rng import RandomStream
 
 __all__ = [
     "invert_f",
     "sample_path",
-    "QuantileTable",
     "MomentReport",
     "empirical_check",
     "RandomStream",
 ]
 
 _TABLE_KNOTS = 2048
-_TABLE_XI_MAX = 1.0 - 1e-12
+# e^{-38} < 2^-53: the table covers the survival of every xi <= 1 - 2^-53
+_TABLE_T_MAX = 38.0
+_BUILD_STEPS = 8  # Newton steps per knot when a table is built; 6 converge
+_TAIL_STEPS = 3  # Newton steps of invert_f beyond the table
 
 
-def _bracketed_newton(value, slope, target, z0, lo, hi, increasing, tol=1e-13, max_iter=200):
-    """Solve value(z) = target elementwise with a safeguarded Newton iteration.
+@dataclass(frozen=True)
+class _QuantileTable:
+    """Cubic-Hermite quantile z(v) of S(z) = sum_j w_j (1 + mu_j z) e^{-mu_j z}.
 
-    lo/hi bracket the root (hi is grown by doubling if it does not yet);
-    steps that leave the bracket or hit a zero derivative fall back to
-    bisection, so convergence is guaranteed for monotone value().
+    Knots are evenly spaced in v = sqrt(-ln S) on [0, sqrt(38)]: v is
+    analytic in z at z = 0, where -ln S is quadratic, and nearly linear in
+    the exponential tail. Knot slopes are dz/dv = 2 v / hazard. Row k of
+    coef holds the cubic of interval k in powers of the fraction of it.
     """
-    target = np.asarray(target, dtype=float)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), target.shape)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
-    sign = 1.0 if increasing else -1.0
-    # ensure value(hi) is on the far side of the target
-    for _ in range(80):
-        short = sign * (value(hi) - target) < 0.0
-        if not np.any(short):
-            break
-        hi[short] = np.maximum(hi[short] * 2.0, 1.0)
-    z = np.clip(np.broadcast_to(np.asarray(z0, dtype=float), target.shape), lo, hi)
-    done = np.zeros(target.shape, dtype=bool)
-    for _ in range(max_iter):
-        err = value(z) - target
-        done |= np.abs(err) <= tol
-        if done.all():
-            break
-        below = sign * err < 0.0  # z is left of the root
-        lo = np.where(below & ~done, z, lo)
-        hi = np.where(~below & ~done, z, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = err / slope(z)
-        z_new = z - step
-        bad = ~np.isfinite(z_new) | (z_new <= lo) | (z_new >= hi)
-        z_new = np.where(bad, 0.5 * (lo + hi), z_new)
-        z = np.where(done, z, z_new)
-    return z
+
+    mu: tuple[float, ...]
+    weights: tuple[float, ...]
+    v: np.ndarray
+    z: np.ndarray
+    slope: np.ndarray
+    coef: np.ndarray  # (knots - 1, 4)
+
+    @property
+    def knots(self) -> int:
+        return self.v.size
 
 
-def _f_value(z):
-    return _decay(z)
+def _log_survival(mu, weights, z):
+    """-ln S(z) and the hazard p/S, accurate near z = 0 and in the tail."""
+    surv = cdf = pdf = 0.0
+    for m, w in zip(mu, weights):
+        x = m * z
+        e = np.exp(-x)
+        surv = surv + w * (1.0 + x) * e
+        cdf = cdf + w * (-np.expm1(-x) - x * e)
+        pdf = pdf + w * m * x * e
+    t = np.where(cdf < 0.5, -np.log1p(-np.minimum(cdf, 0.5)), -np.log(surv))
+    return t, pdf / surv
 
 
-def _f_slope(z):
-    return -z * np.exp(-z)
+@functools.cache
+def _quantile_table(mu: tuple[float, ...], weights: tuple[float, ...]) -> _QuantileTable:
+    v = np.linspace(0.0, math.sqrt(_TABLE_T_MAX), _TABLE_KNOTS)
+    slope0 = 1.0 / math.sqrt(sum(w * m * m for m, w in zip(mu, weights)) / 2.0)
+    # v(z) is concave, so Newton from the tangent at 0 climbs to each root
+    z = slope0 * v[1:]
+    for _ in range(_BUILD_STEPS):
+        t, hazard = _log_survival(mu, weights, z)
+        vz = np.sqrt(t)
+        z = z - (vz - v[1:]) * 2.0 * vz / hazard
+    t, hazard = _log_survival(mu, weights, z)
+    if not np.all(np.abs(np.sqrt(t) - v[1:]) <= 1e-12 * v[1:]):
+        raise ArithmeticError("quantile table knots did not converge")
+    z = np.concatenate(([0.0], z))
+    slope = np.concatenate(([slope0], 2.0 * v[1:] / hazard))
+    if np.any(np.diff(z) <= 0.0):
+        raise ArithmeticError("quantile table knots are not strictly increasing")
+    h = v[1] - v[0]
+    dz = np.diff(z)
+    d0, d1 = h * slope[:-1], h * slope[1:]
+    coef = np.stack([z[:-1], d0, 3.0 * dz - 2.0 * d0 - d1, d0 + d1 - 2.0 * dz], axis=1)
+    return _QuantileTable(mu=mu, weights=weights, v=v, z=z, slope=slope, coef=coef)
+
+
+def _f_table() -> _QuantileTable:
+    return _quantile_table((1.0,), (1.0,))
+
+
+def _sp3_table(k) -> _QuantileTable:
+    return _quantile_table((k.lambda_plus, k.lambda_minus),
+                           (k.A_plus / k.lambda_plus**2, k.A_minus / k.lambda_minus**2))
+
+
+def _quantile(table: _QuantileTable, t, surv):
+    """z >= 0 with S(z) = surv, given t = -ln(surv) to full precision.
+
+    The table gives z0; one Newton step on S takes it to rounding level.
+    In the first interval z0 is kept: there z is linear in v to leading
+    order, the cubic is exact to about 2e-10 relative, and the Newton
+    residual would carry the rounding of surv ~ 1 divided by a density
+    that vanishes at z = 0.
+    """
+    x = np.sqrt(t)
+    x *= (table.knots - 1) / table.v[-1]
+    i = x.astype(np.intp)
+    np.minimum(i, table.knots - 2, out=i)
+    x -= i
+    c = table.coef.take(i, axis=0)  # each lane's cubic, highest power last
+    z = c[:, 3] * x
+    for k in (2, 1):
+        z += c[:, k]
+        z *= x
+    z += c[:, 0]
+    # one Newton step on S: z += (S(z) - surv) / (z sum_j w_j mu_j^2 e^{-mu_j z})
+    for j, (m, w) in enumerate(zip(table.mu, table.weights)):
+        a = np.multiply(z, -m)
+        e = np.exp(a)
+        a *= -w
+        a += w
+        a *= e  # w_j (1 + mu_j z) e^{-mu_j z}
+        e *= w * m * m
+        if j == 0:
+            s, p = a, e
+        else:
+            s += a
+            p += e
+    s -= surv
+    p *= z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s /= p
+    s += z
+    np.copyto(s, z, where=i == 0)
+    return s
+
+
+def _tail_inverse(t):
+    """u with u - ln(1 + u) = t, for t beyond the f table."""
+    u = t + np.log1p(t)
+    for _ in range(_TAIL_STEPS):
+        u = u - (u - np.log1p(u) - t) * (1.0 + u) / u
+    return u
+
+
+def _unit_interval(x, open_low: bool, message: str):
+    """x as a 1-d float array; NaN or a value outside the domain raises."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.size:
+        lo, hi = arr.min(), arr.max()  # NaN propagates into both
+        if not ((lo > 0.0 and hi <= 1.0) if open_low else (lo >= 0.0 and hi < 1.0)):
+            raise ValueError(message)
+    return arr, np.ndim(x) == 0
 
 
 def invert_f(y):
     """Invert f(z) = (1 + z) e^{-z} on z >= 0 for y in (0, 1].
 
-    Returns z with |f(z) - y| <= 1e-12. Initial guesses: the small-z
-    expansion z0 = sqrt(2 (1 - y)) for y > 1/2 and the tail asymptote
-    z0 = -ln y + ln(1 - ln y) for y <= 1/2.
+    Returns z with |f(z) - y| <= 1e-13 y: the f quantile table read at
+    t = -ln y plus one Newton step. Below the table (y < e^{-38}) a fixed
+    number of Newton steps on z - ln(1 + z) = t start from the tail
+    asymptote z0 = t + ln(1 + t). NaN raises ValueError.
     """
-    arr = np.asarray(y, dtype=float)
-    scalar = np.ndim(y) == 0
-    arr = np.atleast_1d(arr)
-    if np.any((arr <= 0.0) | (arr > 1.0)):
-        raise ValueError("invert_f requires 0 < y <= 1")
-    z0 = np.empty_like(arr)
-    near = arr > 0.5
-    z0[near] = np.sqrt(2.0 * (1.0 - arr[near]))
-    t = -np.log(arr[~near])
-    z0[~near] = t + np.log1p(t)
-    # tolerance relative to y, so the deep tail stays accurate too
-    z = _bracketed_newton(
-        _f_value, _f_slope, arr, z0,
-        lo=0.0, hi=np.maximum(2.0 * z0, 2.0), increasing=False,
-        tol=np.maximum(1e-13 * arr, 1e-280),
-    )
+    arr, scalar = _unit_interval(y, True, "invert_f requires 0 < y <= 1")
+    t = -np.log(arr)
+    z = _quantile(_f_table(), np.minimum(t, _TABLE_T_MAX), arr)
+    deep = t > _TABLE_T_MAX
+    if deep.any():
+        z[deep] = _tail_inverse(t[deep])
     return float(z[0]) if scalar else z
-
-
-@dataclass(frozen=True)
-class QuantileTable:
-    """Monotone (xi, z) knots of a law's quantile function, z = sigma_t * s.
-
-    Knots are spaced uniformly in -ln(1 - xi) so the exponential tail is
-    resolved as well as the bulk; the grid covers xi in [atom, 1 - 1e-12].
-    sigma_t scales out of every law, so one table per kind serves all media.
-    """
-
-    kind: ModelKind
-    xi: np.ndarray
-    z: np.ndarray
-
-    @property
-    def knots(self) -> int:
-        return self.xi.size
-
-
-def _sp3_cdf_z(z, k):
-    return 1.0 - (
-        k.A_plus / k.lambda_plus**2 * _decay(k.lambda_plus * z)
-        + k.A_minus / k.lambda_minus**2 * _decay(k.lambda_minus * z)
-    )
-
-
-def _sp3_pdf_z(z, k):
-    return z * (k.A_plus * np.exp(-k.lambda_plus * z) + k.A_minus * np.exp(-k.lambda_minus * z))
-
-
-_SP3_TABLE: QuantileTable | None = None
-
-
-def _sp3_table(k) -> QuantileTable:
-    # built once on first use; a duplicate build under a race is identical
-    global _SP3_TABLE
-    if _SP3_TABLE is None:
-        t = np.linspace(0.0, -math.log(1.0 - _TABLE_XI_MAX), _TABLE_KNOTS)
-        xi = -np.expm1(-t)
-        z = _bracketed_newton(
-            lambda u: _sp3_cdf_z(u, k), lambda u: _sp3_pdf_z(u, k),
-            xi, z0=t / k.lambda_minus, lo=0.0, hi=np.maximum(2.0 * t, 4.0),
-            increasing=True, tol=1e-14,
-        )
-        z[0] = 0.0
-        if np.any(np.diff(xi) <= 0.0) or np.any(np.diff(z) <= 0.0):
-            raise ArithmeticError("quantile table knots are not strictly increasing")
-        _SP3_TABLE = QuantileTable(kind=ModelKind.SP3, xi=xi, z=z)
-    return _SP3_TABLE
-
-
-def _sp3_quantile(xi, k):
-    table = _sp3_table(k)
-    n = table.knots
-    i = np.clip(np.searchsorted(table.xi, xi, side="right"), 1, n - 1)
-    z0 = np.interp(xi, table.xi, table.z)
-    return _bracketed_newton(
-        lambda u: _sp3_cdf_z(u, k), lambda u: _sp3_pdf_z(u, k),
-        xi, z0, lo=table.z[i - 1], hi=table.z[i], increasing=True, tol=1e-13,
-    )
 
 
 def sample_path(model: PathLengthModel, xi):
     """Map unit-interval variates to path lengths by inverting the CDF.
 
-    Pure function: all randomness comes in through xi (scalar or array,
-    each value in [0, 1)). For the sp2 law, xi <= 4/9 returns exactly 0.0,
-    which is how the atom at s = 0 is realized.
+    Pure elementwise function: all randomness comes in through xi (scalar
+    or array, each value in [0, 1); NaN raises ValueError), and each
+    output depends only on its own xi. For the sp2 law, xi <= 4/9 returns
+    exactly 0.0, which is how the atom at s = 0 is realized.
     """
-    arr = np.asarray(xi, dtype=float)
-    scalar = np.ndim(xi) == 0
-    arr = np.atleast_1d(arr)
-    if np.any((arr < 0.0) | (arr >= 1.0)):
-        raise ValueError("xi must lie in [0, 1)")
+    arr, scalar = _unit_interval(xi, False, "xi must lie in [0, 1)")
     st = model.xs.sigma_t
     if model.kind is ModelKind.CLASSICAL:
         s = -np.log1p(-arr) / st
     elif model.kind is ModelKind.DIFFUSION:
-        s = invert_f(1.0 - arr) / (SQRT3 * st)
+        s = _quantile(_f_table(), -np.log1p(-arr), 1.0 - arr) / (SQRT3 * st)
     elif model.kind is ModelKind.SP2:
-        s = np.zeros_like(arr)
-        moved = arr > SP2_ATOM
-        if np.any(moved):
-            s[moved] = invert_f(1.8 * (1.0 - arr[moved])) / (SP2_LAMBDA * st)
+        # the continuous part: conditional CDF q and survival 1 - q, each
+        # formed where it is exact, and -ln(1 - q) from the accurate one
+        q = 1.8 * np.maximum(arr - SP2_ATOM, 0.0)
+        surv = 1.8 * (1.0 - arr)
+        t = np.where(q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(surv))
+        u = _quantile(_f_table(), t, surv)
+        s = np.where(arr > SP2_ATOM, u, 0.0) / (SP2_LAMBDA * st)
     else:
-        s = _sp3_quantile(arr, model.sp3) / st
+        s = _quantile(_sp3_table(model.sp3), -np.log1p(-arr), 1.0 - arr) / st
     return float(s[0]) if scalar else s
 
 

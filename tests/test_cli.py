@@ -345,6 +345,26 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", str(config_path)) == 1
         assert f"{field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, settings, message", [
+        ("reference", {"oracle_nodes": 100.5}, "oracle_nodes must be an integer"),
+        ("curves", {"points": 60.5}, "points must be an integer"),
+        ("reference", {"oracle_nodes": 0}, "oracle_nodes must be at least 256"),
+        ("reference", {"oracle_nodes": 1}, "oracle_nodes must be at least 256"),
+        ("reference", {"oracle_nodes": True}, "oracle_nodes must be an integer"),
+    ])
+    def test_bad_grid_size_in_config_file(self, tmp_path, capsys, command, settings, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({**settings, "out": str(tmp_path)}))
+        assert run_cli(command, "--config", str(config_path)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert message in err
+
+    def test_integral_float_points_in_config_file(self, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"points": 61.0, "out": str(tmp_path)}))
+        assert run_cli("curves", "--config", str(config_path)) == 0
+
     def test_oracle_grid_too_short_for_shells(self, tmp_path):
         # rejected before any histories run
         assert run_cli("compare", "--model", "sp2", "--sigma-t", "1", "--sigma-s", "0.5",

@@ -17,10 +17,20 @@ from nonclassical_mc import (
     make_model,
     sample_path,
 )
-from nonclassical_mc.sampler import _sp3_table
+from nonclassical_mc import sampler
+from nonclassical_mc.kernels import SP2_ATOM
+from nonclassical_mc.sampler import _f_table, _sp3_table
 
 ALL_KINDS = list(ModelKind)
+TABLE_KINDS = ["diffusion", "sp2", "sp3"]
 XS = CrossSectionSpec(1.0, 0.0)
+
+
+def table_of(model):
+    """The quantile table a law reads, and its continuous part's CDF at a knot."""
+    table = _sp3_table(model.sp3) if model.kind is ModelKind.SP3 else _f_table()
+    return table, lambda k: model.atom_at_zero + (1.0 - model.atom_at_zero) * -math.expm1(
+        -table.v[k] ** 2)
 
 
 def lambert_inverse(y):
@@ -47,10 +57,22 @@ class TestInvertF:
         for y in (0.9999, 0.9, 0.7357588823428847, 0.5, 0.1, 1e-3, 1e-8, 1e-14):
             assert invert_f(y) == pytest.approx(lambert_inverse(y), rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("y", [0.0, -0.5, 1.0000001, 2.0])
+    @pytest.mark.parametrize("y", [0.0, -0.5, 1.0000001, 2.0, math.nan,
+                                   np.array([0.5, math.nan])])
     def test_domain_rejection(self, y):
         with pytest.raises(ValueError):
             invert_f(y)
+
+    def test_beyond_the_table(self):
+        # t = -ln y > 38 takes the fixed Newton steps from the tail asymptote
+        assert invert_f(1e-300) == pytest.approx(lambert_inverse(1e-300), rel=1e-14)
+        # -y/e underflows in double precision, so this oracle is evaluated in mpmath
+        mpmath = pytest.importorskip("mpmath")
+        oracle = float((-1 - mpmath.lambertw(-mpmath.mpf(5e-324) / mpmath.e, -1)).real)
+        assert invert_f(5e-324) == pytest.approx(oracle, rel=1e-14)
+        z = invert_f(np.array([1e-20, 1e-300, 5e-324, 0.5]))
+        assert np.all(np.diff(z[:3]) > 0.0)
+        assert z[3] == invert_f(0.5)
 
     @given(st.floats(min_value=1e-12, max_value=1.0))
     @settings(max_examples=200, deadline=None)
@@ -127,16 +149,127 @@ class TestSamplePath:
         s = sample_path(model, xi)
         assert abs(model.cdf(s) - xi) <= 1e-9
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_nan_rejected(self, kind):
+        model = make_model(kind, XS)
+        with pytest.raises(ValueError):
+            sample_path(model, float("nan"))
+        with pytest.raises(ValueError):
+            sample_path(model, np.array([0.1, np.nan, 0.9]))
+
+
+class TestTableSampling:
+    """The table-plus-one-Newton-step inversion of diffusion, sp2 and sp3."""
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_edge_variates(self, kind):
+        model = make_model(kind, XS)
+        _, knot_xi = table_of(model)
+        xi = np.array([0.0, 5e-324, 3.2e-33, SP2_ATOM, 0.5, knot_xi(700),
+                       1.0 - 1e-15, 1.0 - 2.0**-53])
+        s = sample_path(model, xi)
+        assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
+        assert s[0] == 0.0
+        if kind == "sp2":
+            assert np.array_equal(s == 0.0, xi <= SP2_ATOM)
+        else:
+            assert np.all(s[1:] > 0.0)  # down to xi = 5e-324
+        assert np.all(np.diff(s) >= 0.0)
+        assert abs(model.cdf(s[4]) - 0.5) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_elementwise_bitwise(self, kind):
+        model = make_model(kind, XS)
+        xi = np.random.default_rng(5).random(400)
+        xi[:4] = [0.0, 3.2e-33, SP2_ATOM, 1.0 - 2.0**-53]
+        s = sample_path(model, xi)
+        for i in range(xi.size):
+            assert s[i] == sample_path(model, float(xi[i]))
+        assert np.array_equal(sample_path(model, xi[::-1]), s[::-1])
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_fixed_operation_count(self, kind, monkeypatch):
+        # every numpy call sample_path makes is counted: the count must not
+        # depend on the variates, which rules out any convergence loop
+        model = make_model(kind, XS)
+        sample_path(model, 0.5)  # builds the lazy table outside the count
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if not callable(attr) or isinstance(attr, type):
+                    return attr
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return attr(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(sampler, "np", CountingNumpy())
+        counts = set()
+        for xi in (np.full(64, 1e-300), np.full(64, 0.5), np.full(64, 1.0 - 2.0**-53),
+                   np.linspace(0.0, 1.0 - 1e-12, 5000)):
+            calls.clear()
+            sample_path(model, xi)
+            counts.add(tuple(calls))
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_cdf_residual_bound(self, kind):
+        model = make_model(kind, XS)
+        xi = np.linspace(model.atom_at_zero, 1.0 - 1e-12, 2_000_000)
+        s = sample_path(model, xi)
+        assert np.max(np.abs(model.cdf(s) - xi)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_tail_relative_bound(self, kind):
+        model = make_model(kind, XS)
+        xi = 1.0 - np.geomspace(2.0**-53, 0.5, 200_000)
+        surv = 1.0 - xi  # exact: the survival each xi really asks for
+        s = sample_path(model, xi)
+        assert np.max(np.abs(model.survival(s) - surv) / surv) <= 1e-13
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_monotone_across_knots(self, kind):
+        model = make_model(kind, XS)
+        _, knot_xi = table_of(model)
+        for k in (1, 2, 3, 50, 700, 1500, 1900):
+            x = knot_xi(k)
+            step = max(1e-9 * min(x - model.atom_at_zero, 1.0 - x), np.spacing(x))
+            xi = x + step * np.arange(-40, 41)
+            xi = xi[xi < 1.0]
+            assert np.all(np.diff(xi) > 0.0)
+            assert np.all(np.diff(sample_path(model, xi)) >= 0.0), k
+
 
 class TestQuantileTable:
     def test_strictly_monotone_and_covering(self):
         table = _sp3_table(make_model("sp3", XS).sp3)
-        assert table.kind is ModelKind.SP3
         assert table.knots == 2048
-        assert np.all(np.diff(table.xi) > 0.0)
+        assert np.all(np.diff(table.v) > 0.0)
         assert np.all(np.diff(table.z) > 0.0)
-        assert table.xi[0] == 0.0
-        assert table.xi[-1] >= 1.0 - 1e-12 - 1e-15
+        assert table.v[0] == 0.0
+        # the last knot's survival lies below that of xi = 1 - 2^-53
+        assert math.exp(-table.v[-1] ** 2) <= 2.0**-53
+
+    @pytest.mark.parametrize("kind", ["diffusion", "sp3"])
+    def test_knots_solve_the_survival(self, kind):
+        model = make_model(kind, XS)
+        table, _ = table_of(model)
+        scale = math.sqrt(3.0) if kind == "diffusion" else 1.0
+        s = table.z / scale
+        head = table.v < 1.0
+        # model.cdf is 1 - survival, so it carries an absolute rounding of ~1e-16
+        np.testing.assert_allclose(model.cdf(s[head]), -np.expm1(-table.v[head] ** 2),
+                                   rtol=1e-13, atol=3e-16)
+        np.testing.assert_allclose(model.survival(s[~head]), np.exp(-table.v[~head] ** 2),
+                                   rtol=1e-13, atol=0.0)
+        # dz/dv = 2 v / hazard, and sqrt(18/55) at v = 0 for sp3
+        hazard = model.hazard(s[1:]) / scale
+        np.testing.assert_allclose(table.slope[1:], 2.0 * table.v[1:] / hazard, rtol=1e-12)
+        if kind == "sp3":
+            assert table.slope[0] == pytest.approx(math.sqrt(18.0 / 55.0), rel=1e-15)
 
 
 class TestEmpiricalCheck:
