@@ -8,7 +8,6 @@ deterministic integral-equation oracles, and a CLI that writes CSV tables.
 """
 
 from .engine import (
-    Particle,
     ProblemConfig,
     ScalarFluxEstimate,
     ShellTally,
@@ -53,7 +52,6 @@ __all__ = [
     "invert_f",
     "sample_path",
     "empirical_check",
-    "Particle",
     "ShellTally",
     "ProblemConfig",
     "TallyResult",

@@ -89,6 +89,13 @@ class RunManifest:
         if self.oracle_nodes < MIN_GRID_NODES:
             raise ValueError(f"oracle_nodes must be at least {MIN_GRID_NODES}, "
                              f"got {self.oracle_nodes}")
+        for name in ("oracle_rmax", "oracle_tol"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("s_min", "s_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.s_max > self.s_min >= 0.0):
             raise ValueError("need s_max > s_min >= 0")
         os.makedirs(self.out, exist_ok=True)

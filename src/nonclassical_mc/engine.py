@@ -48,7 +48,6 @@ from .rng import RandomStream, uniforms_at
 from .sampler import sample_path
 
 __all__ = [
-    "Particle",
     "ShellTally",
     "ProblemConfig",
     "TallyResult",
@@ -66,21 +65,6 @@ WEIGHT_CUTOFF = 0.01
 ROULETTE_SURVIVAL = 0.1
 WORKERS_ENV = "NONCLASSICAL_MC_WORKERS"
 LANES = 16_384  # group width cap, near a 1e4-history batch, so peak memory does not grow
-
-
-@dataclass
-class Particle:
-    """Transport state: position and unit direction (length units), weight."""
-
-    position: np.ndarray
-    direction: np.ndarray
-    weight: float = 1.0
-
-    def validate(self) -> None:
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        if not (0.0 < self.weight <= 1.0):
-            raise ValueError("weight must lie in (0, 1]")
 
 
 def _directions(u1, u2):
@@ -257,14 +241,17 @@ class ProblemConfig:
             object.__setattr__(self, "r_max", 10.0 / self.sigma_t)
         if not (self.histories >= self.batches >= 10):
             raise ValueError("need histories >= batches >= 10")
+        if not math.isfinite(self.r_max):
+            raise ValueError(f"r_max must be finite, got {self.r_max}")
         if self.r_max * self.sigma_t < 5.0:
             raise ValueError("tally grid must reach at least 5 mean free paths")
         if self.shells < 1:
             raise ValueError("need at least one shell")
         if self.capture not in ("analog", "implicit"):
             raise ValueError(f"unknown capture mode {self.capture!r}")
-        if not (self.source_strength > 0.0):
-            raise ValueError("source strength must be positive")
+        if not (0.0 < self.source_strength < math.inf):
+            raise ValueError(f"source_strength must be positive and finite, "
+                             f"got {self.source_strength}")
 
     @property
     def xs(self) -> CrossSectionSpec:
@@ -285,19 +272,17 @@ def run_history(model: PathLengthModel, xs: CrossSectionSpec, stream: RandomStre
         raise ValueError("model was built for a different medium than xs")
     c = xs.c
     u = stream.block(0)
-    particle = Particle(
-        position=np.zeros(3),
-        direction=_directions(u[0], u[1]),
-        weight=1.0,
-    )
+    position = np.zeros(3)
+    direction = _directions(u[0], u[1])
+    weight = 1.0
     collisions = 0
     zero_length = 0
     first_s2: float | None = None
     absorbed = 0.0
     while True:
         s = sample_path(model, float(u[2]))
-        particle.position = particle.position + s * particle.direction
-        radius = float(np.linalg.norm(particle.position))
+        position = position + s * direction
+        radius = float(np.linalg.norm(position))
         if not math.isfinite(radius):
             tally.record_history(batch, collisions, zero_length, first_s2, absorbed, fault=True)
             return collisions
@@ -306,24 +291,24 @@ def run_history(model: PathLengthModel, xs: CrossSectionSpec, stream: RandomStre
         collisions += 1
         if s == 0.0:
             zero_length += 1
-        tally.score(batch, radius, particle.weight)
+        tally.score(batch, radius, weight)
         if capture == "analog":
             if u[3] < 1.0 - c:
-                absorbed += particle.weight
+                absorbed += weight
                 break
         else:
-            absorbed += particle.weight * (1.0 - c)
-            particle.weight *= c
-            if particle.weight < WEIGHT_CUTOFF:
+            absorbed += weight * (1.0 - c)
+            weight *= c
+            if weight < WEIGHT_CUTOFF:
                 if u[3] < ROULETTE_SURVIVAL:
-                    particle.weight /= ROULETTE_SURVIVAL
+                    weight /= ROULETTE_SURVIVAL
                 else:
                     break
         if collisions >= max_collisions:
             tally.record_history(batch, collisions, zero_length, first_s2, absorbed, capped=True)
             return collisions
         u = stream.block(collisions)
-        particle.direction = _directions(u[0], u[1])
+        direction = _directions(u[0], u[1])
     tally.record_history(batch, collisions, zero_length, first_s2, absorbed)
     return collisions
 

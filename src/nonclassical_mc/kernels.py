@@ -1,18 +1,23 @@
 """Path-length distribution families for infinite-medium transport.
 
 Four distance-to-collision laws are supported. Writing z = sigma_t * s
-(every law depends on s only through z), the continuous densities are
+(every law depends on s only through z), the classical law is
+p(s) = sigma_t e^{-z}, and each non-classical law is an atom at s = 0
+plus a mixture of Gamma(2) densities,
 
-    classical   p(s) = sigma_t e^{-z}
-    diffusion   p(s) = 3 sigma_t z e^{-sqrt(3) z}
-    sp2         p(s) = (5/9) L sigma_t u e^{-u} + (4/9) delta(s),
-                u = L_hat s = sqrt(5/3) z
-    sp3         p(s) = sigma_t z (A+ e^{-l+ z} + A- e^{-l- z})
+    p(s) = atom delta(s) + sigma_t sum_j w_j mu_j^2 z e^{-mu_j z},
+    sum_j w_j = 1 - atom:
 
-The sp2 law carries a finite probability mass (atom) at s = 0: with
-probability 4/9 a particle "collides" again without moving. The atom is
-never folded into the continuous density; it is reported separately as
-``PathLengthModel.atom_at_zero``.
+    diffusion   mu = (sqrt 3,)        w = (1,)
+    sp2         mu = (sqrt(5/3),)     w = (5/9,)   atom 4/9
+    sp3         mu = (l+, l-)         w = (A+/l+^2, A-/l-^2)
+
+The sp2 atom means that with probability 4/9 a particle "collides" again
+without moving. The atom is never folded into the continuous density; it
+is reported separately as ``PathLengthModel.atom_at_zero``. Every
+quantity of a law (density, survival, hazard, moments, the sampler's
+quantile table, the oracle's kernel profile) is read from (atom, mu,
+weights); only :func:`make_model` knows which law has which.
 
 The sp3 constants (l+, l-, a+, a-, A+, A-) are solved fresh from their
 defining equations at model construction and verified against those
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,11 +135,6 @@ def solve_sp3_constants() -> SP3Constants:
     return constants
 
 
-def _decay(u):
-    """Survival shape f(u) = (1 + u) e^{-u}; the shared building block."""
-    return (1.0 + u) * np.exp(-u)
-
-
 def _as_path_lengths(s, allow_zero: bool):
     arr = np.asarray(s, dtype=float)
     bad = (arr < 0.0) if allow_zero else (arr <= 0.0)
@@ -148,18 +148,28 @@ def _maybe_scalar(out, scalar: bool):
     return float(out) if scalar else out
 
 
+
+
 @dataclass(frozen=True)
 class PathLengthModel:
-    """One distance-to-collision law with its medium and precomputed constants.
+    """One distance-to-collision law with its medium.
 
-    Immutable after construction; safe to share across threads/processes.
-    Use :func:`make_model` to build one.
+    A non-classical law is an atom at s = 0 plus a mixture of Gamma(2)
+    densities in z = sigma_t s,
+
+        p(s) = atom delta(s) + sigma_t sum_j w_j mu_j^2 z e^{-mu_j z},
+
+    with sum_j w_j = 1 - atom; its survival is
+    sum_j w_j (1 + mu_j z) e^{-mu_j z}. The classical law has empty mu and
+    weights. Immutable after construction; safe to share across
+    threads/processes. Use :func:`make_model` to build one.
     """
 
     kind: ModelKind
     xs: CrossSectionSpec
     atom_at_zero: float
-    sp3: SP3Constants | None = field(default=None, repr=False)
+    mu: tuple[float, ...] = ()
+    weights: tuple[float, ...] = ()
 
     def density(self, s):
         """Continuous part of p(s) (1/length); the sp2 atom is excluded.
@@ -171,17 +181,8 @@ class PathLengthModel:
         z = st * z
         if self.kind is ModelKind.CLASSICAL:
             out = st * np.exp(-z)
-        elif self.kind is ModelKind.DIFFUSION:
-            out = 3.0 * st * z * np.exp(-SQRT3 * z)
-        elif self.kind is ModelKind.SP2:
-            u = SP2_LAMBDA * z
-            out = (5.0 / 9.0) * SP2_LAMBDA * st * u * np.exp(-u)
         else:
-            k = self.sp3
-            out = st * z * (
-                k.A_plus * np.exp(-k.lambda_plus * z)
-                + k.A_minus * np.exp(-k.lambda_minus * z)
-            )
+            out = st * z * sum(w * m * m * np.exp(-m * z) for m, w in zip(self.mu, self.weights))
         return _maybe_scalar(out, scalar)
 
     def survival(self, s):
@@ -190,16 +191,8 @@ class PathLengthModel:
         z = self.xs.sigma_t * z
         if self.kind is ModelKind.CLASSICAL:
             out = np.exp(-z)
-        elif self.kind is ModelKind.DIFFUSION:
-            out = _decay(SQRT3 * z)
-        elif self.kind is ModelKind.SP2:
-            out = (5.0 / 9.0) * _decay(SP2_LAMBDA * z)
         else:
-            k = self.sp3
-            out = (
-                k.A_plus / k.lambda_plus**2 * _decay(k.lambda_plus * z)
-                + k.A_minus / k.lambda_minus**2 * _decay(k.lambda_minus * z)
-            )
+            out = sum(w * (1.0 + m * z) * np.exp(-m * z) for m, w in zip(self.mu, self.weights))
         return _maybe_scalar(out, scalar)
 
     def cdf(self, s):
@@ -212,66 +205,59 @@ class PathLengthModel:
 
         The sp2 atom contributes a distributional spike at s = 0 that has no
         finite value; query ``atom_at_zero`` instead of calling hazard(0).
-        For the sp3 law the ratio is evaluated with the fast exponential
-        factored out, so it stays finite far beyond the underflow point of
-        the naive numerator/denominator form.
+        Numerator and denominator are both scaled by e^{+mu_min z}, so they
+        stay O(1) far beyond the z ~ 700 where the unscaled forms underflow.
         """
         z, scalar = _as_path_lengths(s, allow_zero=False)
         st = self.xs.sigma_t
         z = st * z
         if self.kind is ModelKind.CLASSICAL:
             out = np.full_like(z, st)
-        elif self.kind is ModelKind.DIFFUSION:
-            out = 3.0 * st * z / (1.0 + SQRT3 * z)
-        elif self.kind is ModelKind.SP2:
-            u = SP2_LAMBDA * z
-            out = SP2_LAMBDA * st * u / (1.0 + u)
         else:
-            k = self.sp3
-            # rescaled by e^{+lambda_minus z}: numerator and denominator both
-            # stay O(1) for large z instead of underflowing around z ~ 700
-            gap = np.exp(-(k.lambda_plus - k.lambda_minus) * z)
-            num = st * z * (k.A_plus * gap + k.A_minus)
-            den = (
-                k.A_plus * (1.0 + k.lambda_plus * z) / k.lambda_plus**2 * gap
-                + k.A_minus * (1.0 + k.lambda_minus * z) / k.lambda_minus**2
-            )
-            out = num / den
+            slowest = min(self.mu)
+            num = den = 0.0
+            for m, w in zip(self.mu, self.weights):
+                e = np.exp(-(m - slowest) * z)
+                num = num + w * m * m * e
+                den = den + w * (1.0 + m * z) * e
+            out = st * z * num / den
         return _maybe_scalar(out, scalar)
 
     def moment(self, k: int) -> float:
         """Closed-form k-th moment of the path length, k in {1, 2}.
 
-        The second moment is 2/sigma_t^2 for every law, matching the
-        classical exponential exactly.
+        A Gamma(2, mu) component has k-th moment (k + 1)! / mu^k, so a
+        mixture's is sum_j w_j (k + 1)! / mu_j^k / sigma_t^k. The laws'
+        weights make the second moment 2/sigma_t^2 for every law, matching
+        the classical exponential.
         """
+        if k not in (1, 2):
+            raise ValueError(f"moment order must be 1 or 2, got {k}")
         st = self.xs.sigma_t
-        if k == 1:
-            if self.kind is ModelKind.CLASSICAL:
-                return 1.0 / st
-            if self.kind is ModelKind.DIFFUSION:
-                return 2.0 / (SQRT3 * st)
-            if self.kind is ModelKind.SP2:
-                return math.sqrt(20.0 / 27.0) / st
-            sp3 = self.sp3
-            return (
-                2.0 * sp3.A_plus / sp3.lambda_plus**3
-                + 2.0 * sp3.A_minus / sp3.lambda_minus**3
-            ) / st
-        if k == 2:
-            return 2.0 / st**2
-        raise ValueError(f"moment order must be 1 or 2, got {k}")
+        if self.kind is ModelKind.CLASSICAL:
+            return math.factorial(k) / st**k
+        gamma2 = math.factorial(k + 1)
+        return sum(w * gamma2 / m**k for m, w in zip(self.mu, self.weights)) / st**k
 
 
 def make_model(kind: ModelKind | str, xs: CrossSectionSpec) -> PathLengthModel:
     """Build a path-length model for the given law and medium.
 
-    The sp3 constants are solved (and verified) here; the sp2 law gets its
-    4/9 atom at s = 0; the other laws have no atom.
+    The only place that knows each law's atom and mixture: diffusion is
+    one Gamma(2, sqrt 3); sp2 is its 4/9 atom plus 5/9 of Gamma(2, L_hat);
+    sp3 is two Gamma(2) terms, mu = (l+, l-) and w = (A+/l+^2, A-/l-^2),
+    with the constants solved (and verified) here.
     """
     kind = ModelKind(kind)
     if not isinstance(xs, CrossSectionSpec):
         raise TypeError("xs must be a CrossSectionSpec")
-    atom = SP2_ATOM if kind is ModelKind.SP2 else 0.0
-    sp3 = solve_sp3_constants() if kind is ModelKind.SP3 else None
-    return PathLengthModel(kind=kind, xs=xs, atom_at_zero=atom, sp3=sp3)
+    atom, mu, weights = 0.0, (), ()
+    if kind is ModelKind.DIFFUSION:
+        mu, weights = (SQRT3,), (1.0,)
+    elif kind is ModelKind.SP2:
+        atom, mu, weights = SP2_ATOM, (SP2_LAMBDA,), (5.0 / 9.0,)
+    elif kind is ModelKind.SP3:
+        k = solve_sp3_constants()
+        mu = (k.lambda_plus, k.lambda_minus)
+        weights = (k.A_plus / k.lambda_plus**2, k.A_minus / k.lambda_minus**2)
+    return PathLengthModel(kind=kind, xs=xs, atom_at_zero=atom, mu=mu, weights=weights)

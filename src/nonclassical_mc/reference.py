@@ -33,14 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, linalg, special
 
-from .kernels import (
-    SP2_LAMBDA,
-    SQRT3,
-    CrossSectionSpec,
-    ModelKind,
-    PathLengthModel,
-    solve_sp3_constants,
-)
+from .kernels import CrossSectionSpec, ModelKind, PathLengthModel, make_model
 
 __all__ = [
     "exp_integral_E1",
@@ -97,19 +90,10 @@ class RadialKernel:
         if np.any(u <= 0.0):
             raise ValueError("profile requires u > 0")
         st = self.model.xs.sigma_t
-        kind = self.model.kind
-        if kind is ModelKind.CLASSICAL:
+        if self.model.kind is ModelKind.CLASSICAL:
             return st * special.exp1(st * u)
-        if kind is ModelKind.DIFFUSION:
-            return SQRT3 * st * np.exp(-SQRT3 * st * u)
-        if kind is ModelKind.SP2:
-            big = SP2_LAMBDA * st
-            return (5.0 / 9.0) * big * np.exp(-big * u)
-        k = self.model.sp3
-        return st * (
-            k.A_plus / k.lambda_plus * np.exp(-st * k.lambda_plus * u)
-            + k.A_minus / k.lambda_minus * np.exp(-st * k.lambda_minus * u)
-        )
+        return st * sum(w * m * np.exp(-m * st * u)
+                        for m, w in zip(self.model.mu, self.model.weights))
 
     def profile_integral(self, x):
         """integral_0^x P(u) du, exactly (tends to 1 - atom as x -> inf)."""
@@ -117,20 +101,10 @@ class RadialKernel:
         if np.any(x < 0.0):
             raise ValueError("profile_integral requires x >= 0")
         st = self.model.xs.sigma_t
-        kind = self.model.kind
-        if kind is ModelKind.CLASSICAL:
+        if self.model.kind is ModelKind.CLASSICAL:
             w = st * x
-            out = np.where(w > 0.0, w * special.exp1(np.where(w > 0.0, w, 1.0)) - np.exp(-w) + 1.0, 0.0)
-            return out
-        if kind is ModelKind.DIFFUSION:
-            return -np.expm1(-SQRT3 * st * x)
-        if kind is ModelKind.SP2:
-            return -(5.0 / 9.0) * np.expm1(-SP2_LAMBDA * st * x)
-        k = self.model.sp3
-        return (
-            -k.A_plus / k.lambda_plus**2 * np.expm1(-st * k.lambda_plus * x)
-            - k.A_minus / k.lambda_minus**2 * np.expm1(-st * k.lambda_minus * x)
-        )
+            return np.where(w > 0.0, w * special.exp1(np.where(w > 0.0, w, 1.0)) - np.exp(-w) + 1.0, 0.0)
+        return -sum(w * np.expm1(-m * st * x) for m, w in zip(self.model.mu, self.model.weights))
 
     def point_kernel(self, r):
         """Continuous flight kernel p(r) / (4 pi r^2) for r > 0."""
@@ -327,18 +301,11 @@ def diffusion_point_source(xs: CrossSectionSpec, r):
 def sp3_green_scalar(xs: CrossSectionSpec, r):
     """Scalar-flux Green function of the two-exponential (sp3) operator.
 
-    G0(r) = (sigma_t / 4 pi r) [A+ e^{-sigma_t l+ r} + A- e^{-sigma_t l- r}];
-    its volume integral is 1 / sigma_t.
+    G0(r) = (sigma_t / 4 pi r) [A+ e^{-sigma_t l+ r} + A- e^{-sigma_t l- r}],
+    the sp3 first-flight kernel over sigma_t; its volume integral is
+    1 / sigma_t.
     """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("r must be positive (the 1/r form is singular at 0)")
-    k = solve_sp3_constants()
-    st = xs.sigma_t
-    out = st / (4.0 * math.pi * arr) * (
-        k.A_plus * np.exp(-st * k.lambda_plus * arr)
-        + k.A_minus * np.exp(-st * k.lambda_minus * arr)
-    )
+    out = RadialKernel(make_model("sp3", xs)).point_kernel(r) / xs.sigma_t
     return float(out) if np.ndim(r) == 0 else out
 
 

@@ -1,20 +1,18 @@
 """Exact inverse-transform sampling of the path-length laws.
 
-Every law's CDF is inverted to rounding level, without iteration:
-
-  classical   s = -ln(1 - xi) / sigma_t
-  diffusion   s = u / (sqrt(3) sigma_t),   f(u) = 1 - xi
-  sp2         s = 0 for xi <= 4/9, else u / (L_hat sigma_t),   f(u) = (9/5)(1 - xi)
-  sp3         s = z / sigma_t,   (A+/l+^2) f(l+ z) + (A-/l-^2) f(l- z) = 1 - xi
-
-where f(u) = (1 + u) e^{-u} is the shared survival shape. The last three
-solve S(z) = S* for a survival S(z) = sum_j w_j f(mu_j z), sum_j w_j = 1:
-a cubic-Hermite table of z against v = sqrt(-ln S) gives a start that one
-Newton step on the analytic survival takes to rounding level. The table
-is built once per survival shape (one for f, one for sp3) on first use.
-invert_f is the f table read at -ln y. The identity
-z = -1 - W_{-1}(-y / e) with the lower Lambert-W branch is an independent
-cross-check oracle used in the tests, not the production path.
+Every law's CDF is inverted to rounding level, without iteration. The
+classical law is s = -ln(1 - xi) / sigma_t. Every other law is an atom
+plus a Gamma(2) mixture in z = sigma_t s (see :mod:`.kernels`), and its
+continuous part has the survival S(z) = sum_j w_j f(mu_j z) with the
+weights normalized to sum_j w_j = 1, where f(u) = (1 + u) e^{-u}. A law
+with an atom returns s = 0 for xi <= atom, and otherwise solves
+S(z) = (1 - xi) / (1 - atom). A cubic-Hermite table of z against
+v = sqrt(-ln S) gives a start that one Newton step on the analytic
+survival takes to rounding level. Each law's table is built once, on
+first use, and so is the table of f alone that invert_f reads. The
+identity z = -1 - W_{-1}(-y / e) with the lower Lambert-W branch is an
+independent cross-check oracle used in the tests, not the production
+path.
 
 Sampling is a pure function of (model, xi), applied elementwise with a
 fixed sequence of array operations; all randomness is supplied by the
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SP2_ATOM, SP2_LAMBDA, SQRT3, ModelKind, PathLengthModel
+from .kernels import ModelKind, PathLengthModel
 from .rng import RandomStream
 
 __all__ = [
@@ -106,13 +104,10 @@ def _quantile_table(mu: tuple[float, ...], weights: tuple[float, ...]) -> _Quant
     return _QuantileTable(mu=mu, weights=weights, v=v, z=z, slope=slope, coef=coef)
 
 
-def _f_table() -> _QuantileTable:
-    return _quantile_table((1.0,), (1.0,))
-
-
-def _sp3_table(k) -> _QuantileTable:
-    return _quantile_table((k.lambda_plus, k.lambda_minus),
-                           (k.A_plus / k.lambda_plus**2, k.A_minus / k.lambda_minus**2))
+def _law_table(model: PathLengthModel) -> _QuantileTable:
+    """The quantile table of a law's continuous part, weights normalized."""
+    scale = 1.0 - model.atom_at_zero
+    return _quantile_table(model.mu, tuple(w / scale for w in model.weights))
 
 
 def _quantile(table: _QuantileTable, t, surv):
@@ -185,7 +180,7 @@ def invert_f(y):
     """
     arr, scalar = _unit_interval(y, True, "invert_f requires 0 < y <= 1")
     t = -np.log(arr)
-    z = _quantile(_f_table(), np.minimum(t, _TABLE_T_MAX), arr)
+    z = _quantile(_quantile_table((1.0,), (1.0,)), np.minimum(t, _TABLE_T_MAX), arr)
     deep = t > _TABLE_T_MAX
     if deep.any():
         z[deep] = _tail_inverse(t[deep])
@@ -197,25 +192,28 @@ def sample_path(model: PathLengthModel, xi):
 
     Pure elementwise function: all randomness comes in through xi (scalar
     or array, each value in [0, 1); NaN raises ValueError), and each
-    output depends only on its own xi. For the sp2 law, xi <= 4/9 returns
-    exactly 0.0, which is how the atom at s = 0 is realized.
+    output depends only on its own xi. For a law with an atom (sp2),
+    xi <= atom returns exactly 0.0, which is how the atom at s = 0 is
+    realized.
     """
     arr, scalar = _unit_interval(xi, False, "xi must lie in [0, 1)")
     st = model.xs.sigma_t
     if model.kind is ModelKind.CLASSICAL:
         s = -np.log1p(-arr) / st
-    elif model.kind is ModelKind.DIFFUSION:
-        s = _quantile(_f_table(), -np.log1p(-arr), 1.0 - arr) / (SQRT3 * st)
-    elif model.kind is ModelKind.SP2:
-        # the continuous part: conditional CDF q and survival 1 - q, each
-        # formed where it is exact, and -ln(1 - q) from the accurate one
-        q = 1.8 * np.maximum(arr - SP2_ATOM, 0.0)
-        surv = 1.8 * (1.0 - arr)
-        t = np.where(q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(surv))
-        u = _quantile(_f_table(), t, surv)
-        s = np.where(arr > SP2_ATOM, u, 0.0) / (SP2_LAMBDA * st)
     else:
-        s = _quantile(_sp3_table(model.sp3), -np.log1p(-arr), 1.0 - arr) / st
+        atom = model.atom_at_zero
+        if atom:
+            # the continuous part: conditional CDF q and survival 1 - q, each
+            # formed where it is exact, and -ln(1 - q) from the accurate one
+            q = np.maximum(arr - atom, 0.0) / (1.0 - atom)
+            surv = (1.0 - arr) / (1.0 - atom)
+            t = np.where(q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(surv))
+        else:
+            t, surv = -np.log1p(-arr), 1.0 - arr
+        z = _quantile(_law_table(model), t, surv)
+        if atom:
+            z = np.where(arr > atom, z, 0.0)
+        s = z / st
     return float(s[0]) if scalar else s
 
 

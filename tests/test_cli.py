@@ -360,6 +360,30 @@ class TestExitCodes:
         assert "configuration error" in err
         assert message in err
 
+    @pytest.mark.parametrize("args, field", [
+        (["reference", "--oracle-rmax", "-1"], "oracle_rmax"),
+        (["reference", "--oracle-rmax", "0"], "oracle_rmax"),
+        (["reference", "--oracle-rmax", "nan"], "oracle_rmax"),
+        (["reference", "--oracle-tol", "-1"], "oracle_tol"),
+        (["reference", "--oracle-tol", "0"], "oracle_tol"),
+        (["reference", "--oracle-tol", "nan"], "oracle_tol"),
+        (["simulate", "--rmax", "nan"], "r_max"),
+        (["simulate", "--rmax", "inf"], "r_max"),
+        (["curves", "--s-max", "inf"], "s_max"),
+    ])
+    def test_non_finite_or_non_positive_float(self, tmp_path, capsys, args, field):
+        # rejected in the configuration phase, before any solve or history
+        assert run_cli(*args, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert field in err
+        assert not os.listdir(tmp_path)
+
+    def test_tolerance_below_rounding_is_oracle_fault(self, tmp_path, capsys):
+        # a positive tolerance is accepted; one the solve cannot reach exits 3
+        assert run_cli("reference", "--oracle-tol", "1e-20", "--out", str(tmp_path)) == 3
+        assert "oracle solve failed" in capsys.readouterr().err
+
     def test_integral_float_points_in_config_file(self, tmp_path):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"points": 61.0, "out": str(tmp_path)}))

@@ -30,18 +30,6 @@ def small_config(**overrides):
     return ProblemConfig(**params)
 
 
-class TestParticle:
-    def test_invariants(self):
-        from nonclassical_mc import Particle
-        good = Particle(position=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-        good.validate()
-        with pytest.raises(ValueError):
-            Particle(position=np.zeros(3), direction=np.array([0.0, 0.0, 2.0])).validate()
-        with pytest.raises(ValueError):
-            Particle(position=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]),
-                     weight=0.0).validate()
-
-
 class TestProblemConfig:
     def test_defaults(self):
         config = ProblemConfig(kind="classical", sigma_t=2.0)
@@ -56,6 +44,9 @@ class TestProblemConfig:
         dict(shells=0),
         dict(capture="weighted"),
         dict(source_strength=0.0),
+        dict(r_max=math.nan),
+        dict(r_max=math.inf),
+        dict(source_strength=math.inf),
     ])
     def test_rejections(self, overrides):
         with pytest.raises(ValueError):

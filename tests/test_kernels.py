@@ -90,8 +90,8 @@ class TestSP3Constants:
 class TestMakeModel:
     def test_sp3_example(self):
         model = make_model(ModelKind.SP3, CrossSectionSpec(1.0, 0.5))
-        assert model.sp3.lambda_plus == pytest.approx(2.941340, abs=1e-6)
-        assert model.sp3.lambda_minus == pytest.approx(1.161256, abs=1e-6)
+        assert model.mu[0] == pytest.approx(2.941340, abs=1e-6)
+        assert model.mu[1] == pytest.approx(1.161256, abs=1e-6)
 
     def test_sp2_atom(self):
         model = make_model("sp2", CrossSectionSpec(1.0, 0.0))
@@ -101,6 +101,29 @@ class TestMakeModel:
         model = make_model("classical", CrossSectionSpec(2.0, 1.0))
         assert model.atom_at_zero == 0.0
         assert model.xs.c == 0.5
+
+    def test_mixture_constants(self):
+        xs = CrossSectionSpec(1.0, 0.5)
+        k = solve_sp3_constants()
+        expected = {
+            "diffusion": (0.0, (SQRT3,), (1.0,)),
+            "sp2": (4.0 / 9.0, (math.sqrt(5.0 / 3.0),), (5.0 / 9.0,)),
+            "sp3": (0.0, (k.lambda_plus, k.lambda_minus),
+                    (k.A_plus / k.lambda_plus**2, k.A_minus / k.lambda_minus**2)),
+        }
+        for kind, (atom, mu, weights) in expected.items():
+            model = make_model(kind, xs)
+            assert (model.atom_at_zero, model.mu, model.weights) == (atom, mu, weights)
+        classical = make_model("classical", xs)
+        assert classical.mu == () and classical.weights == ()
+
+    @pytest.mark.parametrize("kind", ["diffusion", "sp2", "sp3"])
+    def test_mixture_normalization_and_second_moment(self, kind):
+        model = make_model(kind, CrossSectionSpec(1.0, 0.5))
+        assert abs(sum(model.weights) - (1.0 - model.atom_at_zero)) <= 1e-15
+        # a Gamma(2, mu) term has second moment 6/mu^2
+        second = sum(6.0 * w / m**2 for m, w in zip(model.mu, model.weights))
+        assert abs(second - 2.0) <= 1e-14
 
     def test_rejects_bad_medium(self):
         with pytest.raises(ValueError):
@@ -138,7 +161,7 @@ class TestDensity:
 
     def test_sp3_direct_substitution(self):
         model = make_model("sp3", CrossSectionSpec(1.0, 0.5))
-        k = model.sp3
+        k = solve_sp3_constants()
         expected = k.A_plus * math.exp(-k.lambda_plus) + k.A_minus * math.exp(-k.lambda_minus)
         assert model.density(1.0) == pytest.approx(expected, rel=1e-12)
 
@@ -179,15 +202,19 @@ class TestHazard:
 
     def test_sp3_limit(self):
         model = make_model("sp3", CrossSectionSpec(1.0, 0.5))
-        assert model.hazard(1e7) == pytest.approx(model.sp3.lambda_minus, rel=1e-6)
+        assert model.hazard(1e7) == pytest.approx(solve_sp3_constants().lambda_minus, rel=1e-6)
 
-    def test_sp3_stable_beyond_naive_underflow(self):
-        # the unscaled numerator/denominator both underflow near s ~ 700
-        model = make_model("sp3", CrossSectionSpec(1.0, 0.5))
+    @pytest.mark.parametrize("kind", ["diffusion", "sp2", "sp3"])
+    def test_stable_beyond_naive_underflow(self, kind):
+        # the unscaled numerator/denominator both underflow near s ~ 700;
+        # the hazard tends to the slowest decay rate of each law
+        asymptote = {"diffusion": SQRT3, "sp2": math.sqrt(5.0 / 3.0),
+                     "sp3": solve_sp3_constants().lambda_minus}[kind]
+        model = make_model(kind, CrossSectionSpec(1.0, 0.5))
         for s in (700.0, 2000.0, 1e5):
             h = model.hazard(s)
             assert math.isfinite(h)
-            assert h == pytest.approx(model.sp3.lambda_minus, rel=1e-2)
+            assert h == pytest.approx(asymptote, rel=1e-2)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rejects_nonpositive_s(self, kind):

@@ -19,7 +19,7 @@ from nonclassical_mc import (
 )
 from nonclassical_mc import sampler
 from nonclassical_mc.kernels import SP2_ATOM
-from nonclassical_mc.sampler import _f_table, _sp3_table
+from nonclassical_mc.sampler import _law_table
 
 ALL_KINDS = list(ModelKind)
 TABLE_KINDS = ["diffusion", "sp2", "sp3"]
@@ -28,7 +28,7 @@ XS = CrossSectionSpec(1.0, 0.0)
 
 def table_of(model):
     """The quantile table a law reads, and its continuous part's CDF at a knot."""
-    table = _sp3_table(model.sp3) if model.kind is ModelKind.SP3 else _f_table()
+    table = _law_table(model)
     return table, lambda k: model.atom_at_zero + (1.0 - model.atom_at_zero) * -math.expm1(
         -table.v[k] ** 2)
 
@@ -245,7 +245,7 @@ class TestTableSampling:
 
 class TestQuantileTable:
     def test_strictly_monotone_and_covering(self):
-        table = _sp3_table(make_model("sp3", XS).sp3)
+        table = _law_table(make_model("sp3", XS))
         assert table.knots == 2048
         assert np.all(np.diff(table.v) > 0.0)
         assert np.all(np.diff(table.z) > 0.0)
@@ -257,8 +257,7 @@ class TestQuantileTable:
     def test_knots_solve_the_survival(self, kind):
         model = make_model(kind, XS)
         table, _ = table_of(model)
-        scale = math.sqrt(3.0) if kind == "diffusion" else 1.0
-        s = table.z / scale
+        s = table.z
         head = table.v < 1.0
         # model.cdf is 1 - survival, so it carries an absolute rounding of ~1e-16
         np.testing.assert_allclose(model.cdf(s[head]), -np.expm1(-table.v[head] ** 2),
@@ -266,7 +265,7 @@ class TestQuantileTable:
         np.testing.assert_allclose(model.survival(s[~head]), np.exp(-table.v[~head] ** 2),
                                    rtol=1e-13, atol=0.0)
         # dz/dv = 2 v / hazard, and sqrt(18/55) at v = 0 for sp3
-        hazard = model.hazard(s[1:]) / scale
+        hazard = model.hazard(s[1:])
         np.testing.assert_allclose(table.slope[1:], 2.0 * table.v[1:] / hazard, rtol=1e-12)
         if kind == "sp3":
             assert table.slope[0] == pytest.approx(math.sqrt(18.0 / 55.0), rel=1e-15)

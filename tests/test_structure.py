@@ -1,0 +1,40 @@
+"""Source structure: only make_model knows which law has which constants.
+
+The sampler and the oracle read every law through its (atom, mu,
+weights) mixture; a per-law branch or a law constant in either module
+would let the law table drift from the one in kernels.make_model.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nonclassical_mc
+
+PACKAGE = Path(nonclassical_mc.__file__).parent
+LAW_MEMBERS = {"DIFFUSION", "SP2", "SP3"}
+LAW_CONSTANTS = {"SQRT3", "SP2_LAMBDA", "SP2_ATOM", "solve_sp3_constants"}
+
+
+def tree_of(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+@pytest.mark.parametrize("module", ["sampler", "reference"])
+def test_no_per_law_dispatch(module):
+    named = {node.attr for node in ast.walk(tree_of(module))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "ModelKind"}
+    assert not named & LAW_MEMBERS
+
+
+@pytest.mark.parametrize("module", ["sampler", "reference"])
+def test_no_law_constants_imported(module):
+    imported = set()
+    for node in ast.walk(tree_of(module)):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and node.attr in LAW_CONSTANTS:
+            imported.add(node.attr)
+    assert not imported & LAW_CONSTANTS
