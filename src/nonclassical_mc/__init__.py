@@ -9,11 +9,7 @@ deterministic integral-equation oracles, and a CLI that writes CSV tables.
 
 from .engine import (
     ProblemConfig,
-    ScalarFluxEstimate,
-    ShellTally,
     TallyResult,
-    run_history,
-    scalar_flux_from_collisions,
     simulate,
 )
 from .kernels import (
@@ -30,7 +26,6 @@ from .reference import (
     RadialKernel,
     RadialSolution,
     diffusion_point_source,
-    exp_integral_E1,
     shell_average_from_function,
     solve_integral_equation,
     sp3_green_scalar,
@@ -52,20 +47,15 @@ __all__ = [
     "invert_f",
     "sample_path",
     "empirical_check",
-    "ShellTally",
     "ProblemConfig",
     "TallyResult",
-    "ScalarFluxEstimate",
-    "run_history",
     "simulate",
-    "scalar_flux_from_collisions",
     "ConvergenceError",
     "RadialGrid",
     "RadialKernel",
     "RadialSolution",
     "diffusion_point_source",
     "sp3_green_scalar",
-    "exp_integral_E1",
     "solve_integral_equation",
     "shell_average_from_function",
     "__version__",

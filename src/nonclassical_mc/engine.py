@@ -44,17 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import CrossSectionSpec, ModelKind, PathLengthModel, make_model
-from .rng import RandomStream, uniforms_at
+from .rng import uniforms_at
 from .sampler import sample_path
 
 __all__ = [
-    "ShellTally",
     "ProblemConfig",
     "TallyResult",
-    "ScalarFluxEstimate",
-    "run_history",
     "simulate",
-    "scalar_flux_from_collisions",
     "batch_slices",
     "configured_workers",
     "MAX_COLLISIONS",
@@ -69,114 +65,10 @@ LANES = 16_384  # group width cap, near a 1e4-history batch, so peak memory does
 
 def _directions(u1, u2):
     """Isotropic unit vectors from uniform cos(theta) and uniform azimuth."""
-    mu = 2.0 * np.asarray(u1) - 1.0
-    phi = 2.0 * math.pi * np.asarray(u2)
+    mu = 2.0 * u1 - 1.0
+    phi = 2.0 * math.pi * u2
     sin_theta = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
     return np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), mu], axis=-1)
-
-
-class ShellTally:
-    """Radial-shell accumulator for collision-rate density, batched.
-
-    Scores are kept per (batch, shell); the reported density is
-    weight / (histories * shell volume) and its standard error comes from
-    the spread of the per-batch densities (meaningful for >= 10 batches).
-    """
-
-    def __init__(self, edges, n_batches: int):
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("need at least two shell edges")
-        if edges[0] != 0.0:
-            raise ValueError("innermost shell edge must be 0")
-        if np.any(np.diff(edges) <= 0.0):
-            raise ValueError("shell edges must be strictly increasing")
-        if n_batches < 1:
-            raise ValueError("need at least one batch")
-        self.edges = edges
-        self.n_batches = int(n_batches)
-        k = edges.size - 1
-        b = self.n_batches
-        self.weight = np.zeros((b, k))
-        self.scores = np.zeros((b, k), dtype=np.int64)
-        self.histories = np.zeros(b, dtype=np.int64)
-        self.collisions = np.zeros(b, dtype=np.int64)
-        self.zero_length = np.zeros(b, dtype=np.int64)
-        self.first_flight_s2 = np.zeros(b)
-        self.first_flights = np.zeros(b, dtype=np.int64)
-        self.absorbed_weight = np.zeros(b)
-        self.faults = np.zeros(b, dtype=np.int64)
-        self.capped = np.zeros(b, dtype=np.int64)
-
-    @property
-    def volumes(self) -> np.ndarray:
-        return 4.0 * math.pi / 3.0 * np.diff(self.edges**3)
-
-    def score(self, batch: int, radius: float, weight: float = 1.0) -> None:
-        """Deposit one collision at the given radius (no-op beyond the grid)."""
-        k = int(np.searchsorted(self.edges, radius, side="right")) - 1
-        if 0 <= k < self.edges.size - 1:
-            self.weight[batch, k] += weight
-            self.scores[batch, k] += 1
-
-    def record_history(self, batch: int, collisions: int, zero_length: int,
-                       first_s2: float | None, absorbed: float,
-                       fault: bool = False, capped: bool = False) -> None:
-        self.histories[batch] += 1
-        self.collisions[batch] += collisions
-        self.zero_length[batch] += zero_length
-        if first_s2 is not None:
-            self.first_flight_s2[batch] += first_s2
-            self.first_flights[batch] += 1
-        self.absorbed_weight[batch] += absorbed
-        if fault:
-            self.faults[batch] += 1
-        if capped:
-            self.capped[batch] += 1
-
-    def finalize(self, source_strength: float = 1.0,
-                 config: "ProblemConfig | None" = None) -> "TallyResult":
-        q = float(source_strength)
-        v = self.volumes
-        n_total = int(self.histories.sum())
-        if n_total == 0:
-            raise ValueError("no histories recorded")
-        f_mean = q * self.weight.sum(axis=0) / (n_total * v)
-        b = self.n_batches
-        if b >= 2:
-            per_batch = q * self.weight / (np.maximum(self.histories, 1)[:, None] * v)
-            f_stderr = per_batch.std(axis=0, ddof=1) / math.sqrt(b)
-            cph_batch = self.collisions / np.maximum(self.histories, 1)
-            cph_se = float(cph_batch.std(ddof=1) / math.sqrt(b))
-            s2_batch = self.first_flight_s2 / np.maximum(self.first_flights, 1)
-            msd_se = float(s2_batch.std(ddof=1) / math.sqrt(b))
-        else:
-            f_stderr = np.full(v.shape, np.nan)
-            cph_se = math.nan
-            msd_se = math.nan
-        total_coll = int(self.collisions.sum())
-        first_n = int(self.first_flights.sum())
-        return TallyResult(
-            r_edges=self.edges.copy(),
-            f_mean=f_mean,
-            f_stderr=f_stderr,
-            n_scores=self.scores.sum(axis=0),
-            histories=n_total,
-            batches=b,
-            collisions_per_history=total_coll / n_total,
-            collisions_per_history_se=cph_se,
-            zero_length_fraction=(self.zero_length.sum() / total_coll) if total_coll else 0.0,
-            first_flight_msd=(self.first_flight_s2.sum() / first_n) if first_n else math.nan,
-            first_flight_msd_se=msd_se,
-            absorbed_weight_per_history=q * float(self.absorbed_weight.sum()) / n_total,
-            faults=int(self.faults.sum()),
-            capped=int(self.capped.sum()),
-            kind=config.kind if config else None,
-            sigma_t=config.sigma_t if config else None,
-            sigma_s=config.sigma_s if config else None,
-            capture=config.capture if config else None,
-            seed=config.seed if config else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -197,11 +89,11 @@ class TallyResult:
     absorbed_weight_per_history: float
     faults: int
     capped: int
-    kind: ModelKind | None = None
-    sigma_t: float | None = None
-    sigma_s: float | None = None
-    capture: str | None = None
-    seed: int | None = None
+    kind: ModelKind
+    sigma_t: float
+    sigma_s: float
+    capture: str
+    seed: int
 
     @property
     def r_mid(self) -> np.ndarray:
@@ -258,64 +150,8 @@ class ProblemConfig:
         return CrossSectionSpec(self.sigma_t, self.sigma_s)
 
 
-def run_history(model: PathLengthModel, xs: CrossSectionSpec, stream: RandomStream,
-                tally: ShellTally, batch: int = 0, capture: str = "analog",
-                max_collisions: int = MAX_COLLISIONS) -> int:
-    """Transport one history; returns the number of collisions scored.
-
-    The caller supplies a stream no other history uses; flight j reads
-    block j of it whole (the lane roles are in the module docstring). A
-    non-finite position aborts the history and is recorded as a diagnostic
-    fault on the tally, never silently dropped.
-    """
-    if model.xs != xs:
-        raise ValueError("model was built for a different medium than xs")
-    c = xs.c
-    u = stream.block(0)
-    position = np.zeros(3)
-    direction = _directions(u[0], u[1])
-    weight = 1.0
-    collisions = 0
-    zero_length = 0
-    first_s2: float | None = None
-    absorbed = 0.0
-    while True:
-        s = sample_path(model, float(u[2]))
-        position = position + s * direction
-        radius = float(np.linalg.norm(position))
-        if not math.isfinite(radius):
-            tally.record_history(batch, collisions, zero_length, first_s2, absorbed, fault=True)
-            return collisions
-        if first_s2 is None:
-            first_s2 = s * s
-        collisions += 1
-        if s == 0.0:
-            zero_length += 1
-        tally.score(batch, radius, weight)
-        if capture == "analog":
-            if u[3] < 1.0 - c:
-                absorbed += weight
-                break
-        else:
-            absorbed += weight * (1.0 - c)
-            weight *= c
-            if weight < WEIGHT_CUTOFF:
-                if u[3] < ROULETTE_SURVIVAL:
-                    weight /= ROULETTE_SURVIVAL
-                else:
-                    break
-        if collisions >= max_collisions:
-            tally.record_history(batch, collisions, zero_length, first_s2, absorbed, capped=True)
-            return collisions
-        u = stream.block(collisions)
-        direction = _directions(u[0], u[1])
-    tally.record_history(batch, collisions, zero_length, first_s2, absorbed)
-    return collisions
-
-
-def _transport_group(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
-                     start_id: int, sizes, edges: np.ndarray, capture: str,
-                     max_collisions: int) -> dict:
+def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
+                     edges: np.ndarray, capture: str, max_collisions: int) -> dict:
     """Run consecutive batches in one lockstep over collisions.
 
     Batch b holds the sizes[b] histories that follow those of batch b - 1,
@@ -323,15 +159,14 @@ def _transport_group(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
     index. Each lockstep step makes one ``uniforms_at`` call: every live
     history reads the Philox block whose counter is its collision count,
     from its own (seed, history id) stream, and spends the four lanes on
-    direction, flight and capture as run_history does. The two paths are
-    interchangeable and the tests assert it. One block is used per
+    direction, flight and capture (module docstring). One block is used per
     collision, plus one per faulted flight.
 
-    Returns per-batch arrays keyed by the ShellTally field they fill.
+    Returns per-batch arrays by name, in batch order, for _finalize.
     """
     k_shells = edges.size - 1
     nb = len(sizes)
-    c = xs.c
+    c = model.xs.c
     out = {
         "weight": np.zeros(nb * k_shells), "scores": np.zeros(nb * k_shells, dtype=np.int64),
         "histories": np.asarray(sizes, dtype=np.int64),
@@ -395,6 +230,47 @@ def _transport_group(model: PathLengthModel, xs: CrossSectionSpec, seed: int,
     return out
 
 
+def _finalize(edges: np.ndarray, sums: dict, config: ProblemConfig) -> TallyResult:
+    """Reduce the per-batch sums of a run to its TallyResult.
+
+    The density is weight / (histories * shell volume); its standard error
+    is the spread of the per-batch densities, and the same holds for the
+    collisions per history and the first-flight mean square (ProblemConfig
+    guarantees at least 10 batches, each with at least one history).
+    """
+    q = config.source_strength
+    root_b = math.sqrt(config.batches)
+    v = 4.0 * math.pi / 3.0 * np.diff(edges**3)
+    histories = sums["histories"]
+    n_total = int(histories.sum())
+    per_batch = q * sums["weight"] / (histories[:, None] * v)
+    cph_batch = sums["collisions"] / histories
+    s2_batch = sums["first_flight_s2"] / np.maximum(sums["first_flights"], 1)
+    total_coll = int(sums["collisions"].sum())
+    first_n = int(sums["first_flights"].sum())
+    return TallyResult(
+        r_edges=edges,
+        f_mean=q * sums["weight"].sum(axis=0) / (n_total * v),
+        f_stderr=per_batch.std(axis=0, ddof=1) / root_b,
+        n_scores=sums["scores"].sum(axis=0),
+        histories=n_total,
+        batches=config.batches,
+        collisions_per_history=total_coll / n_total,
+        collisions_per_history_se=float(cph_batch.std(ddof=1) / root_b),
+        zero_length_fraction=(sums["zero_length"].sum() / total_coll) if total_coll else 0.0,
+        first_flight_msd=(sums["first_flight_s2"].sum() / first_n) if first_n else math.nan,
+        first_flight_msd_se=float(s2_batch.std(ddof=1) / root_b),
+        absorbed_weight_per_history=q * float(sums["absorbed_weight"].sum()) / n_total,
+        faults=int(sums["faults"].sum()),
+        capped=int(sums["capped"].sum()),
+        kind=config.kind,
+        sigma_t=config.sigma_t,
+        sigma_s=config.sigma_s,
+        capture=config.capture,
+        seed=config.seed,
+    )
+
+
 def batch_slices(histories: int, batches: int) -> list[tuple[int, int]]:
     """Contiguous (start, size) history ranges per batch, sizes within 1."""
     base, extra = divmod(histories, batches)
@@ -439,7 +315,7 @@ def simulate(config: ProblemConfig) -> TallyResult:
     workers = configured_workers()
     n_groups = min(config.batches, max(workers, math.ceil(config.histories / LANES)))
     tasks = [
-        (model, config.xs, config.seed, slices[first][0],
+        (model, config.seed, slices[first][0],
          [size for _, size in slices[first:first + count]], edges, config.capture,
          MAX_COLLISIONS)
         for first, count in batch_slices(config.batches, n_groups)
@@ -450,40 +326,5 @@ def simulate(config: ProblemConfig) -> TallyResult:
     else:
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.starmap(_transport_group, tasks, chunksize=1)
-    tally = ShellTally(edges, config.batches)
-    for name in results[0]:
-        getattr(tally, name)[...] = np.concatenate([res[name] for res in results])
-    return tally.finalize(config.source_strength, config=config)
-
-
-@dataclass(frozen=True)
-class ScalarFluxEstimate:
-    """Per-shell scalar-flux estimate, or the collision density with a flag.
-
-    Only the classical law admits the direct conversion phi0 = f / sigma_t;
-    the other laws would need a path-length dependent weighting that plain
-    collision tallies do not record, so f is returned unchanged with
-    is_direct_flux False.
-    """
-
-    values: np.ndarray
-    stderr: np.ndarray
-    is_direct_flux: bool
-    note: str
-
-
-def scalar_flux_from_collisions(result: TallyResult, xs: CrossSectionSpec) -> ScalarFluxEstimate:
-    """Estimate the scalar flux from a collision tally where that is exact."""
-    if result.kind is ModelKind.CLASSICAL:
-        return ScalarFluxEstimate(
-            values=result.f_mean / xs.sigma_t,
-            stderr=result.f_stderr / xs.sigma_t,
-            is_direct_flux=True,
-            note="classical law: phi0 = f / sigma_t per shell",
-        )
-    return ScalarFluxEstimate(
-        values=result.f_mean.copy(),
-        stderr=result.f_stderr.copy(),
-        is_direct_flux=False,
-        note="non-classical law: reporting collision-rate density f, not phi0",
-    )
+    sums = {name: np.concatenate([res[name] for res in results]) for name in results[0]}
+    return _finalize(edges, sums, config)

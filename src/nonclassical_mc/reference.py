@@ -36,7 +36,6 @@ from scipy import integrate, linalg, special
 from .kernels import CrossSectionSpec, ModelKind, PathLengthModel, make_model
 
 __all__ = [
-    "exp_integral_E1",
     "RadialKernel",
     "RadialGrid",
     "RadialSolution",
@@ -47,20 +46,6 @@ __all__ = [
     "solve_integral_equation",
     "shell_average_from_function",
 ]
-
-
-def exp_integral_E1(x):
-    """Exponential integral E1(x) = integral_x^inf e^{-t} / t dt, x > 0.
-
-    Backed by scipy's exp1 (relative accuracy far below the 1e-10
-    contract); the tests cross-check it against direct quadrature of the
-    defining integral, the small-x series, and the large-x asymptote.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("E1 requires x > 0")
-    out = special.exp1(arr)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 class ConvergenceError(RuntimeError):

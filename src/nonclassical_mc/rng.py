@@ -31,8 +31,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
-_BUFFER_BLOCKS = 64  # blocks generated per refill of a scalar stream
-
 
 def _mulhilo(a, m):
     """(high, low) 64-bit words of the 128-bit product a * m."""
@@ -87,46 +85,21 @@ def uniforms_at(seed: int, stream_ids, counters):
 
 @dataclass
 class RandomStream:
-    """Deterministic per-history variate stream.
+    """Deterministic variate stream, read as a sequence.
 
     The same (seed, stream_id) always replays the identical sequence, on any
     machine and regardless of what other streams are doing. Distinct
-    stream_ids give statistically independent Philox streams.
-
-    ``block(j)`` reads block j whole, by random access. ``next`` and
-    ``uniform`` read the stream as a sequence instead: variate i is lane
-    i % 4 of block i // 4.
+    stream_ids give statistically independent Philox streams. Variate i is
+    lane i % 4 of block i // 4.
     """
 
     seed: int
     stream_id: int
     _cursor: int = field(default=0, repr=False)
-    _blocks: np.ndarray | None = field(default=None, repr=False)
-    _first: int = field(default=0, repr=False)
 
     def __post_init__(self):
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_id = int(self.stream_id) & 0xFFFFFFFFFFFFFFFF
-
-    def _lanes(self, first: int, count: int) -> np.ndarray:
-        """Blocks first .. first + count - 1 as a (count, 4) array."""
-        idx = np.arange(first, first + count, dtype=np.uint64)
-        return uniforms_at(self.seed, self.stream_id, idx).T
-
-    def block(self, j: int) -> np.ndarray:
-        """The four lanes of block j (leaves the sequence cursor alone)."""
-        offset = j - self._first
-        if self._blocks is None or not 0 <= offset < len(self._blocks):
-            self._first = j
-            self._blocks = self._lanes(j, _BUFFER_BLOCKS)
-            offset = 0
-        return self._blocks[offset]
-
-    def next(self) -> float:
-        """Draw one uniform variate from [0, 1)."""
-        j, lane = divmod(self._cursor, 4)
-        self._cursor += 1
-        return float(self.block(j)[lane])
 
     def uniform(self, n: int) -> np.ndarray:
         """Draw the next n variates as an array (consumes n draws)."""
@@ -134,4 +107,5 @@ class RandomStream:
             raise ValueError("n must be nonnegative")
         first, skip = divmod(self._cursor, 4)
         self._cursor += n
-        return self._lanes(first, -(-(skip + n) // 4)).ravel()[skip:skip + n]
+        blocks = np.arange(first, first - (-(skip + n) // 4), dtype=np.uint64)
+        return uniforms_at(self.seed, self.stream_id, blocks).T.ravel()[skip:skip + n]

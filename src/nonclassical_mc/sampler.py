@@ -35,7 +35,6 @@ __all__ = [
     "sample_path",
     "MomentReport",
     "empirical_check",
-    "RandomStream",
 ]
 
 _TABLE_KNOTS = 2048

@@ -1,26 +1,24 @@
 """Monte Carlo engine: history semantics, tallies, balance, determinism."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 
-from nonclassical_mc import (
-    CrossSectionSpec,
-    ModelKind,
-    ProblemConfig,
-    RandomStream,
-    ShellTally,
-    make_model,
-    run_history,
-    scalar_flux_from_collisions,
-    simulate,
-)
+from nonclassical_mc import CrossSectionSpec, ModelKind, ProblemConfig, make_model, simulate
 from nonclassical_mc import engine
-from nonclassical_mc.engine import MAX_COLLISIONS, WORKERS_ENV, _transport_group, batch_slices
+from nonclassical_mc.engine import (
+    MAX_COLLISIONS,
+    ROULETTE_SURVIVAL,
+    WEIGHT_CUTOFF,
+    WORKERS_ENV,
+    _transport_group,
+    batch_slices,
+)
+from nonclassical_mc.rng import uniforms_at
 
 ALL_KINDS = list(ModelKind)
+EDGES = np.linspace(0.0, 10.0, 65)
 
 
 def small_config(**overrides):
@@ -28,6 +26,77 @@ def small_config(**overrides):
                   batches=20, seed=7)
     params.update(overrides)
     return ProblemConfig(**params)
+
+
+def run_history(model, seed, h, capture="analog", max_collisions=MAX_COLLISIONS):
+    """Scalar oracle for _transport_group: transport history h on its own.
+
+    Collision j reads block j of stream (seed, h) straight from uniforms_at:
+    lanes 0-1 the direction, lane 2 the flight variate, lane 3 the capture
+    or roulette test. The flight length comes from engine.sample_path,
+    looked up at call time, so a sampler a test patches in applies to both
+    paths. Returns the radius and weight of every scored collision, the
+    flight lengths, the absorbed weight and how the history ended ("done",
+    "fault" or "capped").
+    """
+    c = model.xs.c
+    x = y = z = 0.0
+    weight, absorbed = 1.0, 0.0
+    radii, weights, flights = [], [], []
+    while True:
+        u = uniforms_at(seed, h, len(flights))
+        s = float(engine.sample_path(model, u[2]))
+        mu = 2.0 * u[0] - 1.0
+        phi = 2.0 * math.pi * u[1]
+        sin_theta = math.sqrt(max(1.0 - mu * mu, 0.0))
+        x += s * (sin_theta * math.cos(phi))
+        y += s * (sin_theta * math.sin(phi))
+        z += s * mu
+        radius = math.sqrt(x * x + y * y + z * z)
+        if not math.isfinite(radius):
+            return radii, weights, flights, absorbed, "fault"
+        radii.append(radius)
+        weights.append(weight)
+        flights.append(s)
+        if capture == "analog":
+            if u[3] < 1.0 - c:
+                return radii, weights, flights, absorbed + weight, "done"
+        else:
+            absorbed += weight * (1.0 - c)
+            weight *= c
+            if weight < WEIGHT_CUTOFF:
+                if u[3] >= ROULETTE_SURVIVAL:
+                    return radii, weights, flights, absorbed, "done"
+                weight /= ROULETTE_SURVIVAL
+        if len(flights) >= max_collisions:
+            return radii, weights, flights, absorbed, "capped"
+
+
+def history_loop(model, seed, start_id, sizes, edges, capture, max_collisions):
+    """The per-batch sums _transport_group returns, one history at a time."""
+    nb, k = len(sizes), edges.size - 1
+    out = {name: np.zeros(nb, dtype=np.int64) for name in (
+        "histories", "collisions", "zero_length", "first_flights", "faults", "capped")}
+    out.update(weight=np.zeros((nb, k)), scores=np.zeros((nb, k), dtype=np.int64),
+               first_flight_s2=np.zeros(nb), absorbed_weight=np.zeros(nb))
+    for i, b in enumerate(np.repeat(np.arange(nb), sizes)):
+        radii, weights, flights, absorbed, end = run_history(
+            model, seed, start_id + i, capture, max_collisions)
+        for radius, weight in zip(radii, weights):
+            shell = int(np.searchsorted(edges, radius, side="right")) - 1
+            if shell < k:
+                out["weight"][b, shell] += weight
+                out["scores"][b, shell] += 1
+        if flights:
+            out["first_flight_s2"][b] += flights[0] * flights[0]
+            out["first_flights"][b] += 1
+        out["histories"][b] += 1
+        out["collisions"][b] += len(flights)
+        out["zero_length"][b] += flights.count(0.0)
+        out["absorbed_weight"][b] += absorbed
+        out["faults"][b] += end == "fault"
+        out["capped"][b] += end == "capped"
+    return out
 
 
 class TestProblemConfig:
@@ -60,115 +129,51 @@ class TestProblemConfig:
             assert getattr(config, name) == value
 
 
-class TestShellTally:
-    def test_edge_validation(self):
-        with pytest.raises(ValueError):
-            ShellTally([1.0, 2.0], 10)      # must start at 0
-        with pytest.raises(ValueError):
-            ShellTally([0.0, 2.0, 1.0], 10)
-        with pytest.raises(ValueError):
-            ShellTally([0.0], 10)
+class TestTransportGroup:
+    def test_binning(self, monkeypatch):
+        # flights along +z from the origin, all absorbed at c = 0: r = 0 lands
+        # in the innermost shell, a boundary belongs to the outer shell, and
+        # the outer edge and beyond score nothing
+        flights = np.array([0.0, 1.0, 1.999, 2.0, 5.0])
+        monkeypatch.setattr(engine, "uniforms_at", lambda seed, ids, counters:
+                            np.repeat([[1.0], [0.0], [0.0], [0.0]], ids.size, axis=1))
+        monkeypatch.setattr(engine, "sample_path", lambda model, xi: flights)
+        model = make_model("classical", CrossSectionSpec(1.0, 0.0))
+        out = _transport_group(model, 0, 0, [flights.size], np.array([0.0, 1.0, 2.0]),
+                               "analog", MAX_COLLISIONS)
+        np.testing.assert_array_equal(out["scores"][0], [1, 2])
 
-    def test_binning(self):
-        tally = ShellTally([0.0, 1.0, 2.0], 1)
-        tally.score(0, 0.0, 1.0)     # origin lands in the innermost shell
-        tally.score(0, 1.0, 1.0)     # boundary belongs to the outer shell
-        tally.score(0, 1.999, 1.0)
-        tally.score(0, 2.0, 1.0)     # on the outer edge: outside, no score
-        tally.score(0, 5.0, 1.0)
-        np.testing.assert_array_equal(tally.scores[0], [1, 2])
+    def test_nonfinite_position_is_a_counted_fault(self, monkeypatch):
+        monkeypatch.setattr(engine, "sample_path", lambda model, xi: np.full(xi.shape, np.inf))
+        model = make_model("diffusion", CrossSectionSpec(1.0, 0.5))
+        out = _transport_group(model, 3, 0, [200], EDGES, "analog", MAX_COLLISIONS)
+        assert out["faults"][0] == 200
+        assert out["collisions"][0] == 0
 
-    def test_volumes(self):
-        tally = ShellTally([0.0, 1.0, 2.0], 1)
-        np.testing.assert_allclose(
-            tally.volumes, [4.0 * math.pi / 3.0, 4.0 * math.pi / 3.0 * 7.0])
-
-    def test_finalize_requires_histories(self):
-        tally = ShellTally([0.0, 1.0], 2)
-        with pytest.raises(ValueError):
-            tally.finalize()
+    def test_collision_cap_is_counted(self):
+        model = make_model("classical", CrossSectionSpec(1.0, 0.999999))
+        out = _transport_group(model, 4, 0, [200], EDGES, "analog", 5)
+        assert out["collisions"][0] == 5 * 200
+        assert out["capped"][0] == 200
 
 
 class TestRunHistory:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_pure_absorber_means_one_collision(self, kind):
-        xs = CrossSectionSpec(1.0, 0.0)
-        model = make_model(kind, xs)
-        tally = ShellTally(np.linspace(0.0, 10.0, 65), 1)
-        for h in range(200):
-            n = run_history(model, xs, RandomStream(seed=1, stream_id=h), tally)
-            assert n == 1
-        assert tally.collisions[0] == 200
-
-    def test_collision_balance(self):
-        # E[collisions] = 1/(1-c) = 2 at c = 0.5
-        xs = CrossSectionSpec(1.0, 0.5)
-        model = make_model("diffusion", xs)
-        tally = ShellTally(np.linspace(0.0, 10.0, 65), 10)
-        n = 20_000
-        for h in range(n):
-            run_history(model, xs, RandomStream(seed=2, stream_id=h), tally, batch=h % 10)
-        result = tally.finalize()
-        assert abs(result.collisions_per_history - 2.0) <= 4.0 * result.collisions_per_history_se
-
-    def test_model_medium_mismatch_rejected(self):
-        model = make_model("diffusion", CrossSectionSpec(1.0, 0.5))
-        tally = ShellTally(np.linspace(0.0, 10.0, 65), 1)
-        with pytest.raises(ValueError):
-            run_history(model, CrossSectionSpec(1.0, 0.4),
-                        RandomStream(seed=0, stream_id=0), tally)
-
-    def test_nonfinite_position_is_a_counted_fault(self, monkeypatch):
-        monkeypatch.setattr("nonclassical_mc.engine.sample_path",
-                            lambda model, xi: math.inf)
-        xs = CrossSectionSpec(1.0, 0.5)
-        model = make_model("diffusion", xs)
-        tally = ShellTally(np.linspace(0.0, 10.0, 65), 1)
-        n = run_history(model, xs, RandomStream(seed=3, stream_id=0), tally)
-        assert n == 0
-        assert tally.faults[0] == 1
-        assert tally.collisions[0] == 0
-
-    def test_collision_cap_is_counted(self):
-        xs = CrossSectionSpec(1.0, 0.999999)
-        model = make_model("classical", xs)
-        tally = ShellTally(np.linspace(0.0, 10.0, 65), 1)
-        n = run_history(model, xs, RandomStream(seed=4, stream_id=0), tally,
-                        max_collisions=5)
-        assert n == 5
-        assert tally.capped[0] == 1
-
     def test_sp2_zero_length_scores_at_same_radius(self):
         # consecutive collisions of a history share the exact float radius
         # iff the connecting flight had length zero; the fraction of such
         # flights is the 4/9 atom
-        xs = CrossSectionSpec(1.0, 0.9)
-        model = make_model("sp2", xs)
-
-        class Recorder(ShellTally):
-            def __init__(self, edges, batches):
-                super().__init__(edges, batches)
-                self.radii: list[float] = []
-
-            def score(self, batch, radius, weight=1.0):
-                super().score(batch, radius, weight)
-                self.radii.append(radius)
-
+        model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         repeats = 0
         near_misses = 0
         pairs = 0
         zero_flights = 0
-        flights = 0
         for h in range(1500):
-            tally = Recorder(np.linspace(0.0, 10.0, 65), 1)
-            run_history(model, xs, RandomStream(seed=5, stream_id=h), tally)
-            radii = np.array([0.0] + tally.radii)  # born at the origin
-            gaps = np.abs(np.diff(radii))
+            radii, _, flights, _, _ = run_history(model, 5, h)
+            gaps = np.abs(np.diff([0.0] + radii))  # born at the origin
             pairs += gaps.size
             repeats += int(np.sum(gaps == 0.0))
             near_misses += int(np.sum((gaps > 0.0) & (gaps < 1e-13)))
-            flights += len(tally.radii)
-            zero_flights += int(tally.zero_length[0])
+            zero_flights += flights.count(0.0)
         assert near_misses == 0          # zero-length flights never drift
         assert repeats == zero_flights   # radius repeats exactly when s == 0
         p = repeats / pairs
@@ -179,33 +184,34 @@ class TestRunHistory:
 class TestScalarVectorEquivalence:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_batch_kernel_reproduces_run_history(self, kind, capture):
-        xs = CrossSectionSpec(1.0, 0.5)
-        model = make_model(kind, xs)
-        edges = np.linspace(0.0, 10.0, 65)
-        n = 300
-        tally = ShellTally(edges, 1)
-        for h in range(n):
-            run_history(model, xs, RandomStream(seed=9, stream_id=h), tally,
-                        capture=capture)
-        batch = _transport_group(model, xs, 9, 0, [n], edges, capture, 100_000)
-        np.testing.assert_array_equal(tally.weight, batch["weight"])
-        np.testing.assert_array_equal(tally.scores, batch["scores"])
-        np.testing.assert_array_equal(tally.collisions, batch["collisions"])
-        np.testing.assert_array_equal(tally.zero_length, batch["zero_length"])
-        np.testing.assert_allclose(tally.first_flight_s2, batch["first_flight_s2"], rtol=1e-12)
-        np.testing.assert_allclose(tally.absorbed_weight, batch["absorbed_weight"], rtol=1e-12)
+    def test_batch_kernel_reproduces_run_history(self, kind, capture, monkeypatch):
+        # three uneven batches from history 40, each with faulted flights and
+        # capped histories; implicit capture reaches its roulette at collision
+        # 7. At c = 0.5 every weight is dyadic (the boost 2^-7 / 0.1 rounds to
+        # 5 * 2^-6), so the weight sums are exact in any order
+        TestStreamLayout.count_blocks(monkeypatch)
+        model = make_model(kind, CrossSectionSpec(1.0, 0.5))
+        cap = {"analog": 4, "implicit": 8}[capture]
+        args = (model, 9, 40, [300, 250, 320], EDGES, capture, cap)
+        group = _transport_group(*args)
+        oracle = history_loop(*args)
+        assert (group["faults"] > 0).all()
+        assert (group["capped"] > 0).all()
+        assert group.keys() == oracle.keys()
+        for name in group:
+            if name in ("first_flight_s2", "absorbed_weight"):
+                np.testing.assert_allclose(group[name], oracle[name], rtol=1e-12)
+            else:
+                np.testing.assert_array_equal(group[name], oracle[name])
 
     def test_simulate_equals_manual_history_loop(self):
         config = small_config(histories=500, batches=10)
         result = simulate(config)
-        model = make_model(config.kind, config.xs)
         edges = np.linspace(0.0, config.r_max, config.shells + 1)
-        tally = ShellTally(edges, config.batches)
-        for b, (start, size) in enumerate(batch_slices(config.histories, config.batches)):
-            for h in range(start, start + size):
-                run_history(model, config.xs, RandomStream(config.seed, h), tally, batch=b)
-        manual = tally.finalize(config.source_strength, config=config)
+        sizes = [size for _, size in batch_slices(config.histories, config.batches)]
+        sums = history_loop(make_model(config.kind, config.xs), config.seed, 0, sizes, edges,
+                            config.capture, MAX_COLLISIONS)
+        manual = engine._finalize(edges, sums, config)
         np.testing.assert_array_equal(result.f_mean, manual.f_mean)
         np.testing.assert_array_equal(result.f_stderr, manual.f_stderr)
         np.testing.assert_array_equal(result.n_scores, manual.n_scores)
@@ -238,10 +244,8 @@ class TestStreamLayout:
         # every flight reads one Philox block, through one uniforms_at call
         # per lockstep step; a faulted flight spends its block too
         counts = self.count_blocks(monkeypatch)
-        xs = CrossSectionSpec(1.0, 0.9)
-        model = make_model("sp2", xs)
-        out = _transport_group(model, xs, 3, 0, [2000], np.linspace(0.0, 10.0, 65),
-                               capture, 100_000)
+        model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
+        out = _transport_group(model, 3, 0, [2000], EDGES, capture, 100_000)
         assert out["faults"].sum() > 0
         assert counts["blocks"] == out["collisions"].sum() + out["faults"].sum()
         assert counts["calls"] == counts["steps"]
@@ -250,16 +254,14 @@ class TestStreamLayout:
     def test_group_equals_separate_batches(self, capture, monkeypatch):
         # a batch's tallies do not depend on the batches it shares a lockstep with
         self.count_blocks(monkeypatch)
-        xs = CrossSectionSpec(1.0, 0.9)
-        model = make_model("sp2", xs)
-        edges = np.linspace(0.0, 10.0, 65)
+        model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         sizes = [300, 250, 320]
-        group = _transport_group(model, xs, 3, 40, sizes, edges, capture, 12)
+        group = _transport_group(model, 3, 40, sizes, EDGES, capture, 12)
         assert (group["faults"] > 0).all()
         assert (group["capped"] > 0).all()
         start = 40
         for b, size in enumerate(sizes):
-            alone = _transport_group(model, xs, 3, start, [size], edges, capture, 12)
+            alone = _transport_group(model, 3, start, [size], EDGES, capture, 12)
             start += size
             for name in ("weight", "scores", "histories", "collisions", "zero_length",
                          "first_flights", "faults", "capped"):
@@ -277,14 +279,14 @@ class TestStreamLayout:
         counts["calls"] = 0
         model = make_model(config.kind, config.xs)
         edges = np.linspace(0.0, config.r_max, config.shells + 1)
-        _transport_group(model, config.xs, config.seed, 0, [1000], edges, config.capture,
-                         MAX_COLLISIONS)
+        _transport_group(model, config.seed, 0, [1000], edges, config.capture, MAX_COLLISIONS)
         assert in_simulate == counts["calls"]
 
 
 class TestSimulate:
-    def test_pure_absorber_is_exact(self):
-        result = simulate(small_config(sigma_s=0.0, histories=5_000, batches=10))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_pure_absorber_is_exact(self, kind):
+        result = simulate(small_config(kind=kind, sigma_s=0.0, histories=5_000, batches=10))
         assert result.collisions_per_history == 1.0
         assert result.collisions_per_history_se == 0.0
         assert result.absorbed_weight_per_history == 1.0
@@ -334,19 +336,12 @@ class TestSimulate:
         assert np.max(np.abs(z)) <= 5.0
         assert implicit.absorbed_weight_per_history == pytest.approx(1.0, abs=0.02)
 
-    def test_parallel_determinism(self):
+    def test_parallel_determinism(self, monkeypatch):
         config = small_config(histories=10_000, batches=10, seed=45)
         results = {}
-        previous = os.environ.get(WORKERS_ENV)
-        try:
-            for workers in ("1", "2", "8"):
-                os.environ[WORKERS_ENV] = workers
-                results[workers] = simulate(config)
-        finally:
-            if previous is None:
-                os.environ.pop(WORKERS_ENV, None)
-            else:
-                os.environ[WORKERS_ENV] = previous
+        for workers in ("1", "2", "8"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            results[workers] = simulate(config)
         base = results["1"]
         for workers in ("2", "8"):
             other = results[workers]
@@ -383,40 +378,6 @@ class TestSimulate:
         strong = simulate(small_config(histories=5_000, batches=10, seed=49,
                                        source_strength=3.0))
         np.testing.assert_allclose(strong.f_mean, 3.0 * weak.f_mean, rtol=1e-12)
-
-
-class TestScalarFlux:
-    def test_classical_division(self):
-        xs = CrossSectionSpec(2.0, 0.0)
-        result = simulate(ProblemConfig(kind="classical", sigma_t=2.0, sigma_s=0.0,
-                                        histories=5_000, batches=10, seed=51))
-        flux = scalar_flux_from_collisions(result, xs)
-        assert flux.is_direct_flux
-        np.testing.assert_allclose(flux.values, result.f_mean / 2.0, rtol=1e-15)
-        np.testing.assert_allclose(flux.stderr, result.f_stderr / 2.0, rtol=1e-15)
-
-    def test_non_classical_flagged(self):
-        xs = CrossSectionSpec(1.0, 0.5)
-        result = simulate(small_config(histories=5_000, batches=10, seed=53))
-        flux = scalar_flux_from_collisions(result, xs)
-        assert not flux.is_direct_flux
-        np.testing.assert_array_equal(flux.values, result.f_mean)
-
-    def test_uncollided_point_source_flux(self):
-        # classical, c = 0: phi0 shell average around r = 1 is close to
-        # e^{-1} / 4 pi (flux of a bare point source through one mean free path)
-        config = ProblemConfig(kind="classical", sigma_t=1.0, sigma_s=0.0,
-                               histories=400_000, batches=100, seed=55)
-        result = simulate(config)
-        xs = config.xs
-        flux = scalar_flux_from_collisions(result, xs)
-        k = int(np.searchsorted(result.r_edges, 1.0, side="right")) - 1
-        lo, hi = result.r_edges[k], result.r_edges[k + 1]
-        shell_avg = (math.exp(-lo) - math.exp(-hi)) / (4.0 * math.pi / 3.0 * (hi**3 - lo**3))
-        assert flux.values[k] == pytest.approx(shell_avg, abs=4.0 * flux.stderr[k])
-        # the volume average over the default shell width sits ~4.7% below
-        # the point value e^{-1}/4pi because of the 1/r^2 weighting
-        assert shell_avg == pytest.approx(math.exp(-1.0) / (4.0 * math.pi), rel=0.06)
 
 
 class TestBatchSlices:

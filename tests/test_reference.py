@@ -1,4 +1,4 @@
-"""Deterministic oracles: special functions, closed forms, integral solver."""
+"""Deterministic oracles: kernel profiles, closed forms, integral solver."""
 
 import math
 
@@ -13,7 +13,6 @@ from nonclassical_mc import (
     RadialGrid,
     RadialKernel,
     diffusion_point_source,
-    exp_integral_E1,
     make_model,
     shell_average_from_function,
     solve_integral_equation,
@@ -23,7 +22,6 @@ from nonclassical_mc import (
 from nonclassical_mc.reference import collision_matrix
 
 ALL_KINDS = list(ModelKind)
-EULER_GAMMA = 0.5772156649015329
 
 
 @pytest.fixture(scope="module")
@@ -53,35 +51,6 @@ def dense_collision_matrix(kernel, grid):
     coef[idx[1:], idx[1:] - 1] += near
     coef -= w[None, :] * kernel.profile(r[:, None] + r[None, :])
     return coef * r[None, :] / (2.0 * r[:, None])
-
-
-class TestExpIntegral:
-    def test_value_at_one(self):
-        assert exp_integral_E1(1.0) == pytest.approx(0.219383934, abs=1e-9)
-
-    @pytest.mark.parametrize("x", [0.05, 0.3, 1.0, 2.5, 7.0])
-    def test_against_defining_integral(self, x):
-        # independent oracle: quadrature of e^{-t}/t on [x, inf)
-        oracle, err = integrate.quad(lambda t: math.exp(-t) / t, x, np.inf,
-                                     limit=400, epsabs=1e-14, epsrel=1e-12)
-        assert err < 1e-11
-        assert exp_integral_E1(x) == pytest.approx(oracle, rel=1e-10)
-
-    def test_small_x_series(self):
-        x = 0.001
-        series = -EULER_GAMMA - math.log(x) + x - x * x / 4.0
-        assert exp_integral_E1(x) == pytest.approx(series, rel=1e-9)
-        assert exp_integral_E1(x) == pytest.approx(6.33154, abs=1e-5)
-
-    def test_large_x_asymptote(self):
-        for x in (50.0, 200.0, 600.0):
-            assert exp_integral_E1(x) * x * math.exp(x) == pytest.approx(1.0, rel=0.05)
-
-    def test_domain_rejection(self):
-        with pytest.raises(ValueError):
-            exp_integral_E1(0.0)
-        with pytest.raises(ValueError):
-            exp_integral_E1(np.array([1.0, -2.0]))
 
 
 class TestRadialKernel:

@@ -93,29 +93,25 @@ class TestUniformsAt:
 
 class TestRandomStream:
     def test_replay_is_identical(self):
+        # one variate at a time or all at once: the same sequence
         first = RandomStream(seed=2024, stream_id=17)
         second = RandomStream(seed=2024, stream_id=17)
-        assert [first.next() for _ in range(300)] == [second.next() for _ in range(300)]
+        drawn = np.concatenate([first.uniform(1) for _ in range(300)])
+        np.testing.assert_array_equal(drawn, second.uniform(300))
 
-    def test_buffered_next_equals_random_access(self):
+    def test_sequence_equals_random_access(self):
         # variate i is lane i % 4 of block i // 4 (numpy's lane order)
         stream = RandomStream(seed=5, stream_id=11)
-        drawn = np.array([stream.next() for _ in range(600)])
+        drawn = np.concatenate([stream.uniform(n) for n in (1, 2, 597)])
         direct = uniforms_at(5, 11, np.arange(150, dtype=np.uint64)).T.ravel()
         np.testing.assert_array_equal(drawn, direct)
 
     def test_uniform_block_continues_sequence(self):
         stream = RandomStream(seed=5, stream_id=11)
-        head = [stream.next() for _ in range(3)]
+        head = stream.uniform(3)
         block = stream.uniform(10)
         direct = uniforms_at(5, 11, np.arange(4, dtype=np.uint64)).T.ravel()[:13]
         np.testing.assert_array_equal(np.concatenate([head, block]), direct)
-
-    def test_block_is_random_access(self):
-        stream = RandomStream(seed=5, stream_id=11)
-        for j in (3, 0, 200, 63, 64):
-            np.testing.assert_array_equal(stream.block(j), uniforms_at(5, 11, np.uint64(j)))
-        assert stream.next() == uniforms_at(5, 11, np.uint64(0))[0]
 
     def test_sequence_matches_numpy_lane_order(self):
         # numpy's Philox serves the lanes of counter k + 1 as raw words
@@ -129,6 +125,12 @@ class TestRandomStream:
         a = RandomStream(seed=77, stream_id=0).uniform(8192)
         b = RandomStream(seed=77, stream_id=1).uniform(8192)
         assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(8192)
+
+    def test_negative_ids_wrap_to_uint64(self):
+        # numpy refuses a negative uint64, so the stream masks its ids first
+        stream = RandomStream(seed=-1, stream_id=-2)
+        direct = uniforms_at(2**64 - 1, np.uint64(2**64 - 2), np.uint64(0))
+        np.testing.assert_array_equal(stream.uniform(4), direct)
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
-"""Source structure: only make_model knows which law has which constants.
+"""Source structure: each rule lives in one place.
 
-The sampler and the oracle read every law through its (atom, mu,
-weights) mixture; a per-law branch or a law constant in either module
-would let the law table drift from the one in kernels.make_model.
+Only make_model knows which law has which constants: the sampler and the
+oracle read every law through its (atom, mu, weights) mixture, and a
+per-law branch or a law constant in either module would let the law table
+drift from the one in kernels.make_model. Only the group kernel transports
+histories: a second caller of the sampler or of the Philox blocks in the
+engine would be a second copy of the lane roles.
 """
 
 import ast
@@ -38,3 +41,13 @@ def test_no_law_constants_imported(module):
         elif isinstance(node, ast.Attribute) and node.attr in LAW_CONSTANTS:
             imported.add(node.attr)
     assert not imported & LAW_CONSTANTS
+
+
+@pytest.mark.parametrize("callee", ["sample_path", "uniforms_at"])
+def test_one_transport_implementation(callee):
+    callers = {func.name for func in ast.walk(tree_of("engine"))
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == callee}
+    assert callers == {"_transport_group"}
