@@ -284,9 +284,16 @@ class TestStreamLayout:
 
 
 class TestSimulate:
+    def test_pure_absorber_is_exact(self):
+        result = simulate(small_config(sigma_s=0.0, histories=5_000, batches=10))
+        assert result.collisions_per_history == 1.0
+        assert result.collisions_per_history_se == 0.0
+        assert result.absorbed_weight_per_history == 1.0
+        assert result.faults == 0
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_pure_absorber_is_exact(self, kind):
-        result = simulate(small_config(kind=kind, sigma_s=0.0, histories=5_000, batches=10))
+    def test_pure_absorber_means_one_collision(self, kind):
+        result = simulate(small_config(kind=kind, sigma_s=0.0, histories=200, batches=10))
         assert result.collisions_per_history == 1.0
         assert result.collisions_per_history_se == 0.0
         assert result.absorbed_weight_per_history == 1.0
