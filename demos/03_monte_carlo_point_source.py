@@ -12,13 +12,7 @@ import os
 
 import numpy as np
 
-from nonclassical_mc import (
-    CrossSectionSpec,
-    ProblemConfig,
-    diffusion_point_source,
-    shell_average_from_function,
-    simulate,
-)
+from nonclassical_mc import ProblemConfig, closed_form, make_model, simulate
 
 config = ProblemConfig(kind="diffusion", sigma_t=1.0, sigma_s=0.5,
                        histories=400_000, batches=100, seed=11)
@@ -31,9 +25,7 @@ print(f"absorbed weight/history = {result.absorbed_weight_per_history:.4f}  (exp
 print(f"first-flight mean square = {result.first_flight_msd:.4f} "
       f"+- {result.first_flight_msd_se:.4f}  (2/sigma_t^2 = 2 for every law)")
 
-xs = config.xs
-oracle = shell_average_from_function(lambda r: diffusion_point_source(xs, r),
-                                     result.r_edges)
+oracle = closed_form(make_model("diffusion", config.xs)).shell_averages(result.r_edges)
 with np.errstate(invalid="ignore", divide="ignore"):
     z = (result.f_mean - oracle) / result.f_stderr
 eligible = result.n_scores >= 100

@@ -21,14 +21,13 @@ from .kernels import (
     solve_sp3_constants,
 )
 from .reference import (
+    ClosedForm,
     ConvergenceError,
     RadialGrid,
     RadialKernel,
     RadialSolution,
-    diffusion_point_source,
-    shell_average_from_function,
+    closed_form,
     solve_integral_equation,
-    sp3_green_scalar,
 )
 from .rng import RandomStream
 from .sampler import MomentReport, empirical_check, invert_f, sample_path
@@ -51,12 +50,11 @@ __all__ = [
     "TallyResult",
     "simulate",
     "ConvergenceError",
+    "ClosedForm",
+    "closed_form",
     "RadialGrid",
     "RadialKernel",
     "RadialSolution",
-    "diffusion_point_source",
-    "sp3_green_scalar",
     "solve_integral_equation",
-    "shell_average_from_function",
     "__version__",
 ]

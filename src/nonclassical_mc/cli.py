@@ -27,26 +27,14 @@ from scipy import special
 
 from .engine import ProblemConfig, _integral, configured_workers, simulate
 from .kernels import CrossSectionSpec, ModelKind, make_model
-from .reference import (
-    MIN_GRID_NODES,
-    ConvergenceError,
-    RadialGrid,
-    diffusion_point_source,
-    shell_average_from_function,
-    solve_integral_equation,
-)
+from .reference import (MIN_GRID_NODES, ConvergenceError, RadialGrid, closed_form,
+                        solve_integral_equation)
 
 __all__ = ["RunManifest", "cmd_curves", "cmd_simulate", "cmd_reference", "cmd_compare",
            "allowed_over_3sigma", "allowed_over_5sigma", "compare_verdict", "main"]
 
 VERDICT_ALPHA = 0.01  # false-FAIL rate each verdict leg allows on a correct run
 MIN_SCORES = 100  # scores a shell needs before its z-score counts
-
-_CONFIG_KEYS = {
-    "model", "sigma_t", "sigma_s", "seed", "histories", "batches", "rmax",
-    "shells", "capture", "source_strength", "s_min", "s_max", "points",
-    "oracle_model", "oracle_tol", "oracle_nodes", "oracle_rmax", "out",
-}
 
 
 @dataclass
@@ -112,6 +100,9 @@ class RunManifest:
 
     def curve_grid(self) -> np.ndarray:
         return np.linspace(self.s_min, self.s_max, self.points)
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunManifest)} - {"command"}
 
 
 def _fmt(value) -> str:
@@ -247,20 +238,20 @@ def cmd_reference(manifest: RunManifest) -> str:
 
 
 def _validate_compare(manifest: RunManifest, config: ProblemConfig) -> None:
-    """Reject oracle/tally grid mismatches before any histories run."""
+    """Reject a solver grid that stops short of the tally before any histories run."""
     oracle_kind = ModelKind(manifest.oracle_model or manifest.model)
-    if oracle_kind is not ModelKind.DIFFUSION and manifest.oracle_rmax < config.r_max:
+    if oracle_kind is ModelKind.CLASSICAL and manifest.oracle_rmax < config.r_max:
         raise ValueError(
             f"oracle grid (r_max={manifest.oracle_rmax}) must reach the outermost "
             f"tally shell (r_max={config.r_max})")
 
 
 def _oracle_shell_averages(manifest: RunManifest, kind: str, edges: np.ndarray) -> np.ndarray:
-    """Shell-averaged oracle densities: closed form for diffusion, solver else."""
+    """Shell-averaged oracle densities: the closed form, or the solver for classical."""
     xs = CrossSectionSpec(manifest.sigma_t, manifest.sigma_s)
-    if ModelKind(kind) is ModelKind.DIFFUSION:
-        return shell_average_from_function(lambda r: diffusion_point_source(xs, r), edges)
     model = make_model(kind, xs)
+    if model.kind is not ModelKind.CLASSICAL:
+        return closed_form(model).shell_averages(edges)
     grid = RadialGrid.uniform(manifest.oracle_rmax, manifest.oracle_nodes)
     solution = solve_integral_equation(model, xs, grid, tol=manifest.oracle_tol)
     return solution.shell_averages(edges)
@@ -360,12 +351,8 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     settings: dict = {}
     if args.config:
         settings.update(_load_config_file(args.config))
-    manifest_fields = {f.name for f in fields(RunManifest)}
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None and key in manifest_fields:
-            settings[key] = value
+    settings.update({key: value for key, value in vars(args).items()
+                     if value is not None and key in _CONFIG_KEYS})
     return RunManifest(command=args.command, **settings)
 
 

@@ -2,11 +2,12 @@
 
 Two routes are provided against which Monte Carlo tallies are validated:
 
-* closed forms where they exist (diffusion collision density, the
-  two-exponential scalar-flux Green function), and
+* the exact closed form of diffusion, sp2 and sp3, whose kernel transforms
+  are rational in k^2: f = M delta(x) + sum_j R_j e^{-kappa_j r} / (4 pi r),
+  with no grid, truncated domain or tolerance; and
 * a radial solver for the collision-rate balance f = c K[f] + first
-  flight, valid for every path-length law: the discretized equation is
-  solved directly by one LU factorization.
+  flight, valid for every law and the only oracle of the classical one:
+  the discretized equation is solved directly by one LU factorization.
 
 The 3-D convolution with kernel p(|x - x'|) / (4 pi |x - x'|^2) reduces,
 for spherically symmetric fields, to the 1-D form
@@ -31,20 +32,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg, special
+from numpy.polynomial import Polynomial
+from scipy import linalg, special
 
-from .kernels import CrossSectionSpec, ModelKind, PathLengthModel, make_model
+from .kernels import CrossSectionSpec, ModelKind, PathLengthModel
 
 __all__ = [
     "RadialKernel",
     "RadialGrid",
     "RadialSolution",
     "ConvergenceError",
-    "diffusion_point_source",
-    "sp3_green_scalar",
+    "ClosedForm",
+    "closed_form",
     "collision_matrix",
     "solve_integral_equation",
-    "shell_average_from_function",
 ]
 
 
@@ -268,43 +269,57 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     return RadialSolution(grid, f, origin_mass, 1, residual, rcond)
 
 
-def diffusion_point_source(xs: CrossSectionSpec, r):
-    """Closed-form collision density of the diffusion law, unit point source.
+@dataclass(frozen=True)
+class ClosedForm:
+    """f(r) = origin_mass delta(x) + sum_j amplitude_j e^{-decay_j r} / (4 pi r),
+    the exact collision density of a unit point source (see closed_form)."""
 
-    f(r) = sigma_t phi0(r) with phi0 the kernel of
-    -(1/3 sigma_t) laplacian + sigma_a, i.e.
-    f(r) = 3 sigma_t^2 e^{-sqrt(3 sigma_t sigma_a) r} / (4 pi r).
+    origin_mass: float
+    decay: np.ndarray  # 1/length
+    amplitude: np.ndarray  # 1/length^2
+
+    def density(self, r):
+        """Continuous part of f at r > 0 (the origin mass is excluded)."""
+        r = np.asarray(r, dtype=float)
+        if np.any(r <= 0.0):
+            raise ValueError("density requires r > 0 (the 1/r form is singular at 0)")
+        return np.exp(-np.multiply.outer(r, self.decay)) @ self.amplitude / (4.0 * math.pi * r)
+
+    def shell_averages(self, edges) -> np.ndarray:
+        """Exact volume averages of f over radial shells, with the origin
+        mass in the innermost one when it starts at r = 0."""
+        edges = np.asarray(edges, dtype=float)
+        a = np.multiply.outer(edges[:-1], self.decay)
+        d = np.multiply.outer(edges[1:], self.decay) - a
+        # kappa^2 int r e^{-kappa r} dr = e^{-a} [(a + 1) g - d e^{-d}] with
+        # g = 1 - e^{-d}: nothing cancels against 1 in the tail
+        g = -np.expm1(-d)
+        radial = np.exp(-a) * ((a + 1.0) * g - d * np.exp(-d)) @ (self.amplitude / self.decay**2)
+        out = 3.0 * radial / (4.0 * math.pi * np.diff(edges**3))
+        if edges[0] == 0.0:
+            out[0] += 3.0 * self.origin_mass / (4.0 * math.pi * edges[1] ** 3)
+        return out
+
+
+def closed_form(model: PathLengthModel) -> ClosedForm:
+    """Partial-fraction collision density of a non-classical law.
+
+    In q = (k / sigma_t)^2 the kernel transform atom + sum_j w_j mu_j^2 /
+    (mu_j^2 + q) is N(q) / D(q) with D = prod_j (mu_j^2 + q), so
+    f = p / (1 - c p) = N / (D - cN): the origin mass atom / (1 - c atom)
+    plus, for each root q_j = -nu_j^2 of D - cN, the transform of
+    e^{-nu_j sigma_t r} / (4 pi sigma_t r) times the residue N / (D - cN)'.
+    Raises ValueError for the classical law (arctan(k)/k is not rational)
+    and ArithmeticError unless every pole is real and negative.
     """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("r must be positive (the 1/r form is singular at 0)")
-    kappa = math.sqrt(3.0 * xs.sigma_t * xs.sigma_a)
-    out = 3.0 * xs.sigma_t**2 * np.exp(-kappa * arr) / (4.0 * math.pi * arr)
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def sp3_green_scalar(xs: CrossSectionSpec, r):
-    """Scalar-flux Green function of the two-exponential (sp3) operator.
-
-    G0(r) = (sigma_t / 4 pi r) [A+ e^{-sigma_t l+ r} + A- e^{-sigma_t l- r}],
-    the sp3 first-flight kernel over sigma_t; its volume integral is
-    1 / sigma_t.
-    """
-    out = RadialKernel(make_model("sp3", xs)).point_kernel(r) / xs.sigma_t
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def shell_average_from_function(f, edges) -> np.ndarray:
-    """Volume-average a radial density over shells by adaptive quadrature.
-
-    f is called only at interior points of each shell, so closed forms
-    with a 1/r or 1/r^2 singularity at the origin are fine as long as
-    f(r) r^2 stays integrable.
-    """
-    edges = np.asarray(edges, dtype=float)
-    out = np.empty(edges.size - 1)
-    for k in range(out.size):
-        lo, hi = edges[k], edges[k + 1]
-        integral, _ = integrate.quad(lambda rr: f(rr) * rr * rr, lo, hi, limit=200)
-        out[k] = 3.0 * integral / (hi**3 - lo**3)
-    return out
+    if not model.mu:
+        raise ValueError("the classical law has no closed form; use the solver")
+    atom, c, st = model.atom_at_zero, model.xs.c, model.xs.sigma_t
+    d = Polynomial.fromroots([-m * m for m in model.mu])
+    n = atom * d + sum(w * m * m * (d // Polynomial([m * m, 1.0]))
+                       for m, w in zip(model.mu, model.weights))
+    den = d - c * n
+    q = den.roots()
+    if np.iscomplexobj(q) or not np.all(q < 0.0):
+        raise ArithmeticError(f"closed-form poles {q} are not all real and negative")
+    return ClosedForm(atom / (1.0 - c * atom), st * np.sqrt(-q), st * st * n(q) / den.deriv()(q))

@@ -33,7 +33,7 @@ from nonclassical_mc import (
     ProblemConfig,
     RadialGrid,
     RandomStream,
-    diffusion_point_source,
+    closed_form,
     empirical_check,
     make_model,
     sample_path,
@@ -195,7 +195,7 @@ class TestCriterion7MonteCarloVsSolverOracle:
                          "--shells", "64", "--oracle-tol", "1e-10",
                          "--oracle-nodes", "512", "--out", str(tmp_path)])
         ok = code == 0
-        report("7", ok, f"{kind} 1e6 histories vs solver oracle: exit code {code}")
+        report("7", ok, f"{kind} 1e6 histories vs closed_form oracle: exit code {code}")
         assert ok
 
     def test_oracle_self_check_against_diffusion_closed_form(self):
@@ -204,9 +204,10 @@ class TestCriterion7MonteCarloVsSolverOracle:
         grid = RadialGrid.uniform(12.0, 512)
         solution = solve_integral_equation(model, xs, grid, tol=1e-10)
         window = (grid.nodes >= 0.5) & (grid.nodes <= 8.0)
-        rel = np.max(np.abs(solution.f[window] / diffusion_point_source(xs, grid.nodes[window]) - 1.0))
+        exact = closed_form(model).density(grid.nodes[window])
+        rel = np.max(np.abs(solution.f[window] / exact - 1.0))
         ok = rel <= 5e-3
-        report("7", ok, f"oracle self-check vs diffusion closed form: max rel {rel:.2e}")
+        report("7", ok, f"solver self-check vs diffusion closed_form: max rel {rel:.2e}")
         assert ok
 
 

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from nonclassical_mc import CrossSectionSpec, closed_form, make_model
 from nonclassical_mc.cli import allowed_over_3sigma, allowed_over_5sigma, compare_verdict, main
 
 
@@ -152,10 +153,23 @@ class TestCompare:
         assert np.max(np.abs(col["z_score"][near])) > 5.0
 
     def test_solver_oracle_pass_small(self, tmp_path):
-        code = run_cli("compare", "--model", "sp3", "--sigma-t", "1", "--sigma-s", "0.5",
+        # the classical law is the one compare still scores against the solver
+        code = run_cli("compare", "--model", "classical", "--sigma-t", "1", "--sigma-s", "0.5",
                        "--histories", "100000", "--batches", "100", "--seed", "5",
                        "--oracle-nodes", "512", "--out", str(tmp_path))
         assert code == 0
+
+    def test_sp3_high_scattering_pass(self, tmp_path):
+        # at c = 0.9 the 512-node solver on [0, 12] is about 4.5% off, enough
+        # to FAIL this run; the closed form leaves statistical error only
+        code = run_cli("compare", "--model", "sp3", "--sigma-s", "0.9",
+                       "--histories", "1000000", "--batches", "100", "--seed", "5",
+                       "--out", str(tmp_path))
+        assert code == 0
+        _, _, col = read_csv(tmp_path / "compare.csv")
+        edges = np.linspace(0.0, 10.0, 65)
+        exact = closed_form(make_model("sp3", CrossSectionSpec(1.0, 0.9))).shell_averages(edges)
+        np.testing.assert_array_equal(col["f_oracle"], [float(f"{v:.9g}") for v in exact])
 
 
 class TestVerdictRule:
@@ -391,7 +405,7 @@ class TestExitCodes:
 
     def test_oracle_grid_too_short_for_shells(self, tmp_path):
         # rejected before any histories run
-        assert run_cli("compare", "--model", "sp2", "--sigma-t", "1", "--sigma-s", "0.5",
+        assert run_cli("compare", "--model", "classical", "--sigma-t", "1", "--sigma-s", "0.5",
                        "--histories", "2000", "--batches", "10", "--rmax", "10",
                        "--oracle-rmax", "6", "--out", str(tmp_path)) == 1
 

@@ -10,18 +10,18 @@ from nonclassical_mc import (
     ConvergenceError,
     CrossSectionSpec,
     ModelKind,
+    PathLengthModel,
     RadialGrid,
     RadialKernel,
-    diffusion_point_source,
+    closed_form,
     make_model,
-    shell_average_from_function,
     solve_integral_equation,
     solve_sp3_constants,
-    sp3_green_scalar,
 )
 from nonclassical_mc.reference import collision_matrix
 
 ALL_KINDS = list(ModelKind)
+NON_CLASSICAL = [kind for kind in ModelKind if kind is not ModelKind.CLASSICAL]
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +103,19 @@ class TestRadialKernel:
         assert total == pytest.approx(1.0 - model.atom_at_zero, abs=1e-8)
 
 
+def sp3_green(xs, r):
+    """Scalar-flux Green function of the sp3 operator: the c = 0 collision
+    density over sigma_t, (sigma_t / 4 pi r) sum_j A_j e^{-sigma_t l_j r}."""
+    pure = CrossSectionSpec(xs.sigma_t, 0.0)
+    return closed_form(make_model("sp3", pure)).density(r) / xs.sigma_t
+
+
 class TestClosedForms:
     def test_diffusion_point_source_value(self):
         xs = CrossSectionSpec(1.0, 0.0)  # c = 0, sigma_a = 1
         expected = 3.0 * math.exp(-math.sqrt(3.0)) / (4.0 * math.pi)
-        assert diffusion_point_source(xs, 1.0) == pytest.approx(expected, rel=1e-12)
+        density = closed_form(make_model("diffusion", xs)).density(1.0)
+        assert density == pytest.approx(expected, rel=1e-12)
 
     def test_diffusion_reduces_to_green_function_scale(self):
         # at c = 0 the decay constant is sqrt(3) sigma_t and the prefactor
@@ -115,35 +123,78 @@ class TestClosedForms:
         xs = CrossSectionSpec(2.0, 0.0)
         r = 0.7
         g = math.exp(-math.sqrt(3.0) * 2.0 * r) / (4.0 * math.pi * r)
-        assert diffusion_point_source(xs, r) == pytest.approx(3.0 * 4.0 * g, rel=1e-12)
+        density = closed_form(make_model("diffusion", xs)).density(r)
+        assert density == pytest.approx(3.0 * 4.0 * g, rel=1e-12)
 
     def test_diffusion_volume_integral_is_balance(self):
         # integral f dV = sigma_t / sigma_a = Q / (1 - c)
         xs = CrossSectionSpec(1.0, 0.5)
-        total, _ = integrate.quad(
-            lambda r: 4.0 * math.pi * r * r * diffusion_point_source(xs, r),
-            1e-12, 200.0, limit=400)
+        exact = closed_form(make_model("diffusion", xs))
+        total, _ = integrate.quad(lambda r: 4.0 * math.pi * r * r * exact.density(r),
+                                  1e-12, 200.0, limit=400)
         assert total == pytest.approx(1.0 / (1.0 - xs.c), rel=1e-9)
 
     def test_diffusion_rejects_origin(self):
         with pytest.raises(ValueError):
-            diffusion_point_source(CrossSectionSpec(1.0, 0.0), 0.0)
+            closed_form(make_model("diffusion", CrossSectionSpec(1.0, 0.0))).density(0.0)
+
+    @pytest.mark.parametrize("scattering", [0.0, 0.5, 0.9, 0.99])
+    def test_diffusion_decay_and_amplitude(self, scattering):
+        # the classic diffusion kernel: kappa = sqrt(3 sigma_t sigma_a), 3 sigma_t^2
+        xs = CrossSectionSpec(1.7, 1.7 * scattering)
+        exact = closed_form(make_model("diffusion", xs))
+        assert exact.origin_mass == 0.0
+        np.testing.assert_allclose(exact.decay, [xs.sigma_t * math.sqrt(3.0 * (1.0 - xs.c))],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(exact.amplitude, [3.0 * xs.sigma_t**2], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", NON_CLASSICAL)
+    @pytest.mark.parametrize("scattering", [0.0, 0.5, 0.9, 0.99])
+    def test_mass_balance(self, kind, scattering):
+        # integral f dV = M + sum_j R_j / kappa_j^2 = 1 / (1 - c)
+        xs = CrossSectionSpec(2.0, 2.0 * scattering)
+        exact = closed_form(make_model(kind, xs))
+        total = exact.origin_mass + float(np.sum(exact.amplitude / exact.decay**2))
+        assert (1.0 - xs.c) * total == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", NON_CLASSICAL)
+    def test_pure_absorber_is_first_flight_kernel(self, kind):
+        xs = CrossSectionSpec(1.3, 0.0)
+        model = make_model(kind, xs)
+        exact = closed_form(model)
+        r = np.array([0.05, 0.2, 1.0, 3.0, 10.0])
+        np.testing.assert_allclose(exact.density(r), RadialKernel(model).point_kernel(r),
+                                   rtol=1e-12)
+        assert exact.origin_mass == model.atom_at_zero
+
+    def test_classical_rejected(self):
+        # arctan(k)/k is not rational: the classical law has only the solver
+        with pytest.raises(ValueError):
+            closed_form(make_model("classical", CrossSectionSpec(1.0, 0.5)))
+
+    def test_complex_poles_rejected(self):
+        # a mixture with a negative weight is no law make_model builds; its
+        # D - cN = q^2 + 1.5 q + 2 has complex roots
+        xs = CrossSectionSpec(1.0, 0.5)
+        bogus = PathLengthModel(ModelKind.SP3, xs, 0.0, mu=(1.0, 2.0), weights=(-1.0, 2.0))
+        with pytest.raises(ArithmeticError):
+            closed_form(bogus)
 
     def test_sp3_green_value(self):
         k = solve_sp3_constants()
         expected = (k.A_plus * math.exp(-k.lambda_plus)
                     + k.A_minus * math.exp(-k.lambda_minus)) / (4.0 * math.pi)
-        assert sp3_green_scalar(CrossSectionSpec(1.0, 0.5), 1.0) == pytest.approx(
-            expected, rel=1e-12)
+        assert sp3_green(CrossSectionSpec(1.0, 0.5), 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_sp3_green_dimensional_scaling(self):
-        # G0 has units 1/length^2, so G0_sigma(r) = sigma^2 G0_1(sigma r)
+        # f / sigma_t has units 1/length^2, so at a fixed c
+        # G_sigma(r) = sigma^2 G_1(sigma r)
         sigma = 2.0
-        unit = CrossSectionSpec(1.0, 0.25)
-        scaled = CrossSectionSpec(sigma, 0.5)
+        unit = closed_form(make_model("sp3", CrossSectionSpec(1.0, 0.25)))
+        scaled = closed_form(make_model("sp3", CrossSectionSpec(sigma, 0.5)))
         for r in (0.3, 0.7, 2.0):
-            assert sp3_green_scalar(scaled, r) == pytest.approx(
-                sigma**2 * sp3_green_scalar(unit, sigma * r), rel=1e-12)
+            assert scaled.density(r) / sigma == pytest.approx(
+                sigma**2 * unit.density(sigma * r), rel=1e-12)
 
     def test_sp3_green_volume_integral(self):
         # each exponential term integrates to A/(sigma_t lambda^2), so the
@@ -151,13 +202,13 @@ class TestClosedForms:
         for st in (1.0, 2.0):
             xs = CrossSectionSpec(st, 0.0)
             total, _ = integrate.quad(
-                lambda r: 4.0 * math.pi * r * r * sp3_green_scalar(xs, r),
+                lambda r: 4.0 * math.pi * r * r * sp3_green(xs, r),
                 1e-12, 120.0 / st, limit=400)
             assert total == pytest.approx(1.0 / st, rel=1e-9)
 
     def test_sp3_green_rejects_origin(self):
         with pytest.raises(ValueError):
-            sp3_green_scalar(CrossSectionSpec(1.0, 0.0), -1.0)
+            sp3_green(CrossSectionSpec(1.0, 0.0), -1.0)
 
     def test_sp3_green_matches_pure_absorber_collision_density(self):
         # for c = 0 the collision density is p(r)/4 pi r^2 = sigma_t G0(r)
@@ -166,7 +217,7 @@ class TestClosedForms:
         kernel = RadialKernel(model)
         r = np.array([0.2, 1.0, 3.0])
         np.testing.assert_allclose(kernel.point_kernel(r),
-                                   sp3_green_scalar(xs, r), rtol=1e-12)
+                                   xs.sigma_t * sp3_green(xs, r), rtol=1e-12)
 
 
 class TestRadialGrid:
@@ -211,8 +262,25 @@ class TestSolver:
         model = make_model("diffusion", xs)
         solution = solve_integral_equation(model, xs, grid, tol=1e-10)
         window = (grid.nodes >= 0.5) & (grid.nodes <= 8.0)
-        exact = diffusion_point_source(xs, grid.nodes[window])
+        exact = closed_form(model).density(grid.nodes[window])
         np.testing.assert_allclose(solution.f[window], exact, rtol=5e-3)
+
+    @pytest.mark.parametrize("kind", ["sp2", "sp3"])
+    def test_solver_converges_to_closed_form(self, kind):
+        # the nodal gap to the exact density falls as O(h^2): halving h
+        # divides it by about 4
+        xs = CrossSectionSpec(1.0, 0.9)
+        model = make_model(kind, xs)
+        exact = closed_form(model)
+        gaps = []
+        for nodes in (1024, 2048):
+            grid = RadialGrid.uniform(40.0, nodes)
+            solution = solve_integral_equation(model, xs, grid)
+            window = (grid.nodes >= 0.5) & (grid.nodes <= 10.0)
+            r = grid.nodes[window]
+            gaps.append(np.max(np.abs(solution.f[window] / exact.density(r) - 1.0)))
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+        assert gaps[1] < 5e-3
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_volume_balance(self, kind, grid):
@@ -352,12 +420,28 @@ class TestShellAverages:
         xs = CrossSectionSpec(1.0, 0.5)
         kappa = math.sqrt(3.0 * xs.sigma_t * xs.sigma_a)
         edges = np.linspace(0.0, 10.0, 65)
-        averages = shell_average_from_function(lambda r: diffusion_point_source(xs, r), edges)
+        averages = closed_form(make_model("diffusion", xs)).shell_averages(edges)
         lo, hi = edges[:-1], edges[1:]
         radial = ((1.0 + kappa * lo) * np.exp(-kappa * lo)
                   - (1.0 + kappa * hi) * np.exp(-kappa * hi)) / kappa**2
         analytic = 3.0 * xs.sigma_t**2 / (4.0 * math.pi) * radial * 3.0 / (hi**3 - lo**3)
         np.testing.assert_allclose(averages, analytic, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind", NON_CLASSICAL)
+    def test_averages_match_quadrature_of_density(self, kind):
+        # adaptive quadrature of 4 pi r^2 f on each of 64 shells, with the
+        # origin mass in the innermost one
+        xs = CrossSectionSpec(1.0, 0.9)
+        exact = closed_form(make_model(kind, xs))
+        edges = np.linspace(0.0, 10.0, 65)
+        lo, hi = edges[:-1], edges[1:]
+        volumes = 4.0 * math.pi / 3.0 * (hi**3 - lo**3)
+        expected = np.array([
+            integrate.quad(lambda r: 4.0 * math.pi * r * r * exact.density(r), a, b,
+                           epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in zip(lo, hi)]) / volumes
+        expected[0] += exact.origin_mass / volumes[0]
+        np.testing.assert_allclose(exact.shell_averages(edges), expected, rtol=1e-12)
 
     def test_grid_averages_match_function_averages(self, grid):
         xs = CrossSectionSpec(1.0, 0.5)
@@ -365,9 +449,8 @@ class TestShellAverages:
         solution = solve_integral_equation(model, xs, grid, tol=1e-10)
         edges = np.linspace(0.0, 10.0, 65)
         from_grid = solution.shell_averages(edges)
-        from_func = shell_average_from_function(
-            lambda r: diffusion_point_source(xs, r), edges)
-        np.testing.assert_allclose(from_grid, from_func, rtol=5e-3)
+        from_closed_form = closed_form(model).shell_averages(edges)
+        np.testing.assert_allclose(from_grid, from_closed_form, rtol=5e-3)
 
     def test_edges_beyond_grid_rejected(self, grid):
         xs = CrossSectionSpec(1.0, 0.0)

@@ -5,10 +5,15 @@ oracle read every law through its (atom, mu, weights) mixture, and a
 per-law branch or a law constant in either module would let the law table
 drift from the one in kernels.make_model. Only the group kernel transports
 histories: a second caller of the sampler or of the Philox blocks in the
-engine would be a second copy of the lane roles.
+engine would be a second copy of the lane roles. The oracles are a closed
+form and a direct solve, so importing the package loads no adaptive
+quadrature.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +56,15 @@ def test_one_transport_implementation(callee):
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == callee}
     assert callers == {"_transport_group"}
+
+
+def test_import_loads_no_scipy_integrate():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nonclassical_mc; print(sorted(m for m in sys.modules"
+         " if m.startswith('scipy.integrate')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
