@@ -1,31 +1,44 @@
 """Tour of the four distance-to-collision laws.
 
-Builds each law at unit total cross section, prints its constants and
-moments, and checks the identities that make them interchangeable inside
-one transport process: every law is normalized, every law shares the
-classical second moment 2/sigma_t^2, and the reciprocal decay rates are
-Gauss-Legendre quadrature nodes.
+Builds each law at unit total cross section, prints the Gauss-Legendre
+rule each non-classical law is read from, its constants and moments, and
+checks the identities that make them interchangeable inside one transport
+process: every law is normalized, and every law shares the classical
+second moment 2/sigma_t^2.
 """
 
 import numpy as np
 
-from nonclassical_mc import CrossSectionSpec, ModelKind, make_model, solve_sp3_constants
+from nonclassical_mc import CrossSectionSpec, ModelKind, make_model
 
 xs = CrossSectionSpec(sigma_t=1.0, sigma_s=0.5)
 
-print("=== two-exponential (sp3) constants, solved from their equations ===")
-k = solve_sp3_constants()
-for name in ("lambda_plus", "lambda_minus", "a_plus", "a_minus", "A_plus", "A_minus"):
-    print(f"  {name:12s} = {getattr(k, name): .9f}")
-print(f"  normalization A+/l+^2 + A-/l-^2 = "
-      f"{k.A_plus / k.lambda_plus**2 + k.A_minus / k.lambda_minus**2:.15f}")
+print("=== SP_N is read off the (N+1)-point Gauss-Legendre rule ===")
+for n, kind in enumerate(("diffusion", "sp2", "sp3"), start=1):
+    nodes, weights = np.polynomial.legendre.leggauss(n + 1)
+    m = make_model(kind, xs)
+    print(f"  {kind} (N = {n})")
+    for label, values in (("nodes", nodes), ("weights", weights), ("mu = 1/node > 0", m.mu),
+                          ("w = its weight", m.weights), ("atom = weight(0)/2", [m.atom_at_zero])):
+        print(f"    {label:19s}" + "  ".join(f"{v: .9f}" for v in values))
 
-print("\n=== reciprocal decay rates are Gauss-Legendre nodes ===")
-s2 = np.polynomial.legendre.leggauss(2)[0].max()
-s4 = np.sort(np.polynomial.legendre.leggauss(4)[0])[-2:]
-print(f"  1/sqrt(3)   = {1/np.sqrt(3):.9f}   S2 node = {s2:.9f}")
-print(f"  1/lambda+   = {1/k.lambda_plus:.9f}   S4 node = {s4[0]:.9f}")
-print(f"  1/lambda-   = {1/k.lambda_minus:.9f}   S4 node = {s4[1]:.9f}")
+print("\n=== two-exponential (sp3) constants, from make_model ===")
+sp3 = make_model("sp3", xs)
+(lam_plus, lam_minus), (w_plus, w_minus) = sp3.mu, sp3.weights
+constants = {
+    "lambda_plus": lam_plus,
+    "lambda_minus": lam_minus,
+    "a_plus": 14.0 / (35.0 - 9.0 * lam_plus**2),
+    "a_minus": 14.0 / (35.0 - 9.0 * lam_minus**2),
+    "A_plus": w_plus * lam_plus**2,
+    "A_minus": w_minus * lam_minus**2,
+}
+for name, value in constants.items():
+    print(f"  {name:12s} = {value: .9f}")
+print(f"  normalization A+/l+^2 + A-/l-^2 = "
+      f"{constants['A_plus'] / lam_plus**2 + constants['A_minus'] / lam_minus**2:.15f}")
+print(f"  quartic 3 l^4 - 30 l^2 + 35 at l+, l-: "
+      + ", ".join(f"{3 * v**4 - 30 * v**2 + 35:.1e}" for v in sp3.mu))
 
 print("\n=== moments (sigma_t = 1) ===")
 print(f"  {'law':10s} {'atom at 0':>10s} {'mean path':>10s} {'2nd moment':>10s}")

@@ -16,9 +16,7 @@ from .kernels import (
     CrossSectionSpec,
     ModelKind,
     PathLengthModel,
-    SP3Constants,
     make_model,
-    solve_sp3_constants,
 )
 from .reference import (
     ClosedForm,
@@ -38,9 +36,7 @@ __all__ = [
     "CrossSectionSpec",
     "ModelKind",
     "PathLengthModel",
-    "SP3Constants",
     "make_model",
-    "solve_sp3_constants",
     "RandomStream",
     "MomentReport",
     "invert_f",

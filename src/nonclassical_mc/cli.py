@@ -86,9 +86,6 @@ class RunManifest:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.s_max > self.s_min >= 0.0):
             raise ValueError("need s_max > s_min >= 0")
-        os.makedirs(self.out, exist_ok=True)
-        if not os.access(self.out, os.W_OK):
-            raise ValueError(f"output directory not writable: {self.out}")
 
     def problem_config(self) -> ProblemConfig:
         return ProblemConfig(
@@ -410,6 +407,9 @@ def main(argv=None) -> int:
             configured_workers()  # and a bad worker count
             if args.command == "compare":
                 _validate_compare(manifest, config)
+        os.makedirs(manifest.out, exist_ok=True)  # only for a configuration that passed
+        if not os.access(manifest.out, os.W_OK):
+            raise ValueError(f"output directory not writable: {manifest.out}")
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -8,9 +8,15 @@ plus a mixture of Gamma(2) densities,
     p(s) = atom delta(s) + sigma_t sum_j w_j mu_j^2 z e^{-mu_j z},
     sum_j w_j = 1 - atom:
 
-    diffusion   mu = (sqrt 3,)        w = (1,)
-    sp2         mu = (sqrt(5/3),)     w = (5/9,)   atom 4/9
-    sp3         mu = (l+, l-)         w = (A+/l+^2, A-/l-^2)
+    diffusion   mu = (sqrt 3,)               w = (1,)
+    sp2         mu = (sqrt(5/3),)            w = (5/9,)   atom 4/9
+    sp3         mu = (l+, l-) = (2.94, 1.16) w = (0.652, 0.348)
+
+These are SP_1, SP_2 and SP_3, and each is read off the (N + 1)-point
+Gauss-Legendre rule: mu_j is the reciprocal of a positive node, w_j its
+weight, and the atom half the weight of the node at 0. No constant is
+typed in or hand-solved; the sp3 amplitudes of the two-exponential form
+are A+- = w+- l+-^2.
 
 The sp2 atom means that with probability 4/9 a particle "collides" again
 without moving. The atom is never folded into the continuous density; it
@@ -18,10 +24,6 @@ is reported separately as ``PathLengthModel.atom_at_zero``. Every
 quantity of a law (density, survival, hazard, moments, the sampler's
 quantile table, the oracle's kernel profile) is read from (atom, mu,
 weights); only :func:`make_model` knows which law has which.
-
-The sp3 constants (l+, l-, a+, a-, A+, A-) are solved fresh from their
-defining equations at model construction and verified against those
-equations, never hard-coded from rounded decimals.
 """
 
 from __future__ import annotations
@@ -35,15 +37,9 @@ import numpy as np
 __all__ = [
     "ModelKind",
     "CrossSectionSpec",
-    "SP3Constants",
     "PathLengthModel",
-    "solve_sp3_constants",
     "make_model",
 ]
-
-SQRT3 = math.sqrt(3.0)
-SP2_LAMBDA = math.sqrt(5.0 / 3.0)
-SP2_ATOM = 4.0 / 9.0
 
 
 class ModelKind(str, enum.Enum):
@@ -84,57 +80,6 @@ class CrossSectionSpec:
         return self.sigma_s / self.sigma_t
 
 
-@dataclass(frozen=True)
-class SP3Constants:
-    """Constants of the two-exponential (sp3) law, all dimensionless."""
-
-    lambda_plus: float
-    lambda_minus: float
-    a_plus: float
-    a_minus: float
-    A_plus: float
-    A_minus: float
-
-    def verify(self, tol: float = 1e-12) -> None:
-        """Check the defining equations; raises if any residual exceeds tol."""
-        for lam in (self.lambda_plus, self.lambda_minus):
-            res = 3.0 * lam**4 - 30.0 * lam**2 + 35.0
-            if abs(res) > tol:
-                raise ArithmeticError(f"quartic residual {res:.3e} at lambda={lam!r}")
-        for lam, a in ((self.lambda_plus, self.a_plus), (self.lambda_minus, self.a_minus)):
-            if abs(a - 14.0 / (35.0 - 9.0 * lam**2)) > tol:
-                raise ArithmeticError(f"coupling coefficient off at lambda={lam!r}")
-        if abs(self.A_plus * self.a_plus + self.A_minus * self.a_minus + 14.0 / 9.0) > tol:
-            raise ArithmeticError("amplitude system row 1 violated")
-        if abs(self.A_plus + self.A_minus - 55.0 / 9.0) > tol:
-            raise ArithmeticError("amplitude system row 2 violated")
-        norm = self.A_plus / self.lambda_plus**2 + self.A_minus / self.lambda_minus**2
-        if abs(norm - 1.0) > tol:
-            raise ArithmeticError(f"density normalization {norm!r} != 1")
-
-
-def solve_sp3_constants() -> SP3Constants:
-    """Solve for the sp3 law constants from their defining equations.
-
-    lambda^2 are the roots of 3 x^2 - 30 x + 35 (quadratic formula),
-    a+- couple the second moment equation, and A+- solve the 2x2 linear
-    system fixed by the point-source normalization.
-    """
-    half_gap = 2.0 * math.sqrt(10.0 / 3.0)
-    lam2_plus = 5.0 + half_gap
-    lam2_minus = 5.0 - half_gap
-    lam_plus = math.sqrt(lam2_plus)
-    lam_minus = math.sqrt(lam2_minus)
-    a_plus = 14.0 / (35.0 - 9.0 * lam2_plus)
-    a_minus = 14.0 / (35.0 - 9.0 * lam2_minus)
-    # A+ a+ + A- a- = -14/9 and A+ + A- = 55/9
-    A_plus = (-14.0 / 9.0 - (55.0 / 9.0) * a_minus) / (a_plus - a_minus)
-    A_minus = 55.0 / 9.0 - A_plus
-    constants = SP3Constants(lam_plus, lam_minus, a_plus, a_minus, A_plus, A_minus)
-    constants.verify()
-    return constants
-
-
 def _as_path_lengths(s, allow_zero: bool):
     arr = np.asarray(s, dtype=float)
     bad = (arr < 0.0) if allow_zero else (arr <= 0.0)
@@ -146,8 +91,6 @@ def _as_path_lengths(s, allow_zero: bool):
 
 def _maybe_scalar(out, scalar: bool):
     return float(out) if scalar else out
-
-
 
 
 @dataclass(frozen=True)
@@ -243,21 +186,30 @@ class PathLengthModel:
 def make_model(kind: ModelKind | str, xs: CrossSectionSpec) -> PathLengthModel:
     """Build a path-length model for the given law and medium.
 
-    The only place that knows each law's atom and mixture: diffusion is
-    one Gamma(2, sqrt 3); sp2 is its 4/9 atom plus 5/9 of Gamma(2, L_hat);
-    sp3 is two Gamma(2) terms, mu = (l+, l-) and w = (A+/l+^2, A-/l-^2),
-    with the constants solved (and verified) here.
+    The only place that knows each law's atom and mixture. Diffusion, sp2
+    and sp3 are SP_N for N = 1, 2, 3, whose transform
+    atom + sum_j w_j mu_j^2 / (mu_j^2 + k^2) is the N-th Pade approximant of
+    arctan(k)/k = int_0^1 dt / (1 + k^2 t^2). That approximant is the
+    (N + 1)-point Gauss-Legendre rule (t_j, g_j) applied to the integral:
+    mu_j = 1/t_j and w_j = g_j over the nodes t_j > 0 (ascending t, so mu
+    descends), and the node t = 0 of an even N gives the atom g/2. The last
+    weight is the remainder, so atom + sum(weights) == 1 exactly. A rule
+    with a non-positive weight, or a second moment off 2/sigma_t^2, raises
+    ArithmeticError.
     """
     kind = ModelKind(kind)
     if not isinstance(xs, CrossSectionSpec):
         raise TypeError("xs must be a CrossSectionSpec")
-    atom, mu, weights = 0.0, (), ()
-    if kind is ModelKind.DIFFUSION:
-        mu, weights = (SQRT3,), (1.0,)
-    elif kind is ModelKind.SP2:
-        atom, mu, weights = SP2_ATOM, (SP2_LAMBDA,), (5.0 / 9.0,)
-    elif kind is ModelKind.SP3:
-        k = solve_sp3_constants()
-        mu = (k.lambda_plus, k.lambda_minus)
-        weights = (k.A_plus / k.lambda_plus**2, k.A_minus / k.lambda_minus**2)
-    return PathLengthModel(kind=kind, xs=xs, atom_at_zero=atom, mu=mu, weights=weights)
+    if kind is ModelKind.CLASSICAL:
+        return PathLengthModel(kind=kind, xs=xs, atom_at_zero=0.0)
+    order = {ModelKind.DIFFUSION: 1, ModelKind.SP2: 2, ModelKind.SP3: 3}[kind]
+    t, g = np.polynomial.legendre.leggauss(order + 1)
+    atom = float(g[t == 0.0].sum() / 2.0)
+    mu = tuple(float(1.0 / node) for node in t[t > 0.0])
+    weights = [float(w) for w in g[t > 0.0]]
+    weights[-1] = (1.0 - atom) - sum(weights[:-1])
+    second = sum(6.0 * w / m**2 for m, w in zip(mu, weights))
+    if min(weights) <= 0.0 or abs(second - 2.0) > 1e-14:
+        raise ArithmeticError(f"{kind.value} rule is no law: weights {weights}, "
+                              f"second moment {second!r} (want 2)")
+    return PathLengthModel(kind=kind, xs=xs, atom_at_zero=atom, mu=mu, weights=tuple(weights))

@@ -39,7 +39,6 @@ from nonclassical_mc import (
     sample_path,
     simulate,
     solve_integral_equation,
-    solve_sp3_constants,
 )
 from nonclassical_mc.cli import main as cli_main
 
@@ -52,7 +51,11 @@ def report(criterion, ok: bool, detail: str) -> None:
 
 
 class TestCriterion1SP3Constants:
-    """solve_sp3_constants vs the printed six-decimal values, 1e-6 each."""
+    """make_model's sp3 constants vs the printed six-decimal values, 1e-6 each.
+
+    lambda+- are the model's mu, A+- = w+- lambda+-^2 and
+    a+- = 14/(35 - 9 lambda+-^2) (the `sp3` fixture).
+    """
 
     PRINTED = {
         "lambda_plus": 2.941340,
@@ -64,8 +67,8 @@ class TestCriterion1SP3Constants:
     }
 
     @pytest.mark.parametrize("name", list(PRINTED))
-    def test_constant(self, name):
-        solved = getattr(solve_sp3_constants(), name)
+    def test_constant(self, name, sp3):
+        solved = getattr(sp3, name)
         printed = self.PRINTED[name]
         delta = abs(solved - printed)
         ok = delta <= 1e-6
@@ -130,12 +133,12 @@ class TestCriterion3SecondMoment:
 
 
 class TestCriterion4QuadratureNodes:
-    def test_reciprocal_decay_rates_are_gauss_legendre_abscissae(self):
-        k = solve_sp3_constants()
+    def test_reciprocal_decay_rates_are_gauss_legendre_abscissae(self, sp3):
+        diffusion = make_model("diffusion", CrossSectionSpec(1.0, 0.0))
         checks = [
-            ("1/sqrt(3) vs S2 node", 1.0 / SQRT3, 0.577350),
-            ("1/lambda+ vs S4 inner node", 1.0 / k.lambda_plus, 0.339981),
-            ("1/lambda- vs S4 outer node", 1.0 / k.lambda_minus, 0.861137),
+            ("1/sqrt(3) vs S2 node", 1.0 / diffusion.mu[0], 0.577350),
+            ("1/lambda+ vs S4 inner node", 1.0 / sp3.lambda_plus, 0.339981),
+            ("1/lambda- vs S4 outer node", 1.0 / sp3.lambda_minus, 0.861137),
         ]
         worst = max(abs(value - target) for _, value, target in checks)
         ok = worst <= 1e-6
@@ -144,7 +147,7 @@ class TestCriterion4QuadratureNodes:
         assert ok
         # cross-check against numpy's own Gauss-Legendre nodes
         s4 = np.polynomial.legendre.leggauss(4)[0]
-        assert sorted([1.0 / k.lambda_plus, 1.0 / k.lambda_minus]) == pytest.approx(
+        assert sorted([1.0 / sp3.lambda_plus, 1.0 / sp3.lambda_minus]) == pytest.approx(
             sorted(s4[s4 > 0]), abs=1e-12)
 
 

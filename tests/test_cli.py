@@ -325,6 +325,25 @@ class TestExitCodes:
         assert run_cli("curves", "--s-min", "5", "--s-max", "1",
                        "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--histories", "5"),
+        ("curves", "--s-min", "5", "--s-max", "1"),
+        ("compare", "--model", "classical", "--histories", "2000", "--batches", "10",
+         "--rmax", "10", "--oracle-rmax", "6"),
+    ])
+    def test_rejected_config_leaves_no_directory(self, tmp_path, capsys, args):
+        out = tmp_path / "new" / "out"
+        assert run_cli(*args, "--out", str(out)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        # a regular file where the directory should go; root ignores mode bits
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("curves", "--points", "3", "--out", str(blocker / "out")) == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert run_cli("simulate", "--model", "p7") == 1
 

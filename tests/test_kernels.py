@@ -1,6 +1,7 @@
 """Path-length law definitions: constants, densities, hazards, CDFs, moments."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,38 @@ from nonclassical_mc import (
     CrossSectionSpec,
     ModelKind,
     make_model,
-    solve_sp3_constants,
 )
 
 ALL_KINDS = list(ModelKind)
 SQRT3 = math.sqrt(3.0)
+ORDER = {"diffusion": 1, "sp2": 2, "sp3": 3}
+
+
+def sp3_oracle():
+    """sp3's constants solved from their defining equations, without Gauss-Legendre.
+
+    lambda^2 are the roots of 3 x^2 - 30 x + 35 (quadratic formula), a+-
+    couple the second moment equation, and A+- solve the 2x2 linear system
+    A+ a+ + A- a- = -14/9, A+ + A- = 55/9 fixed by the point-source
+    normalization.
+    """
+    half_gap = 2.0 * math.sqrt(10.0 / 3.0)
+    lam2_plus = 5.0 + half_gap
+    lam2_minus = 5.0 - half_gap
+    a_plus = 14.0 / (35.0 - 9.0 * lam2_plus)
+    a_minus = 14.0 / (35.0 - 9.0 * lam2_minus)
+    A_plus = (-14.0 / 9.0 - (55.0 / 9.0) * a_minus) / (a_plus - a_minus)
+    return SimpleNamespace(lambda_plus=math.sqrt(lam2_plus), lambda_minus=math.sqrt(lam2_minus),
+                           a_plus=a_plus, a_minus=a_minus,
+                           A_plus=A_plus, A_minus=55.0 / 9.0 - A_plus)
+
+
+def continued_fraction(order, q):
+    """Convergent `order` of arctan(k)/k = 1/(1 + q/(3 + 4q/(5 + 9q/(7 + ...)))), q = k^2."""
+    x = 2.0 * order + 1.0
+    for n in range(order, 0, -1):
+        x = (2.0 * n - 1.0) + n * n * q / x
+    return 1.0 / x
 
 
 def quad_tail(model, lo=0.0, hi=None):
@@ -46,44 +74,42 @@ class TestCrossSectionSpec:
 
 
 class TestSP3Constants:
-    def test_quartic_roots(self):
-        k = solve_sp3_constants()
-        for lam in (k.lambda_plus, k.lambda_minus):
+    def test_quartic_roots(self, sp3):
+        for lam in (sp3.lambda_plus, sp3.lambda_minus):
             assert abs(3.0 * lam**4 - 30.0 * lam**2 + 35.0) < 1e-12
 
-    def test_coupling_coefficients(self):
-        k = solve_sp3_constants()
-        assert k.a_plus == pytest.approx(14.0 / (35.0 - 9.0 * k.lambda_plus**2), abs=1e-12)
-        assert k.a_minus == pytest.approx(14.0 / (35.0 - 9.0 * k.lambda_minus**2), abs=1e-12)
+    def test_coupling_coefficients(self, sp3):
+        oracle = sp3_oracle()
+        # make_model's rates through the coupling formula vs the quadratic-formula rates
+        assert sp3.a_plus == pytest.approx(oracle.a_plus, abs=1e-12)
+        assert sp3.a_minus == pytest.approx(oracle.a_minus, abs=1e-12)
 
-    def test_amplitude_system(self):
-        k = solve_sp3_constants()
-        assert k.A_plus * k.a_plus + k.A_minus * k.a_minus == pytest.approx(-14.0 / 9.0, abs=1e-12)
-        assert k.A_plus + k.A_minus == pytest.approx(55.0 / 9.0, abs=1e-12)
+    def test_amplitude_system(self, sp3):
+        assert sp3.A_plus * sp3.a_plus + sp3.A_minus * sp3.a_minus == pytest.approx(
+            -14.0 / 9.0, abs=1e-12)
+        assert sp3.A_plus + sp3.A_minus == pytest.approx(55.0 / 9.0, abs=1e-12)
 
-    def test_density_normalization_identity(self):
-        k = solve_sp3_constants()
-        assert k.A_plus / k.lambda_plus**2 + k.A_minus / k.lambda_minus**2 == pytest.approx(1.0, abs=1e-12)
+    def test_density_normalization_identity(self, sp3):
+        assert sp3.A_plus / sp3.lambda_plus**2 + sp3.A_minus / sp3.lambda_minus**2 == pytest.approx(
+            1.0, abs=1e-12)
 
-    def test_six_decimal_values(self):
+    def test_six_decimal_values(self, sp3):
         # lambda and a match their printed 6-decimal values; the printed
         # amplitudes carry ~2e-6 rounding slop and are pinned in the
         # acceptance suite instead (criterion 1)
-        k = solve_sp3_constants()
-        assert k.lambda_plus == pytest.approx(2.941340, abs=1e-6)
-        assert k.lambda_minus == pytest.approx(1.161256, abs=1e-6)
-        assert k.a_plus == pytest.approx(-0.326619, abs=1e-6)
-        assert k.a_minus == pytest.approx(0.612334, abs=1e-6)
+        assert sp3.lambda_plus == pytest.approx(2.941340, abs=1e-6)
+        assert sp3.lambda_minus == pytest.approx(1.161256, abs=1e-6)
+        assert sp3.a_plus == pytest.approx(-0.326619, abs=1e-6)
+        assert sp3.a_minus == pytest.approx(0.612334, abs=1e-6)
         # exact solutions of the 2x2 system, frozen at double precision
-        assert k.A_plus == pytest.approx(5.64202318821884, rel=1e-12)
-        assert k.A_minus == pytest.approx(0.4690879228922711, rel=1e-12)
+        assert sp3.A_plus == pytest.approx(5.64202318821884, rel=1e-12)
+        assert sp3.A_minus == pytest.approx(0.4690879228922711, rel=1e-12)
 
-    def test_reciprocal_lambdas_are_gauss_legendre_nodes(self):
-        k = solve_sp3_constants()
+    def test_reciprocal_lambdas_are_gauss_legendre_nodes(self, sp3):
         s2 = np.polynomial.legendre.leggauss(2)[0]
         s4 = np.polynomial.legendre.leggauss(4)[0]
         assert 1.0 / SQRT3 == pytest.approx(s2.max(), abs=1e-12)
-        assert sorted([1.0 / k.lambda_plus, 1.0 / k.lambda_minus]) == pytest.approx(
+        assert sorted([1.0 / sp3.lambda_plus, 1.0 / sp3.lambda_minus]) == pytest.approx(
             sorted(s4[s4 > 0]), abs=1e-12)
 
 
@@ -103,8 +129,12 @@ class TestMakeModel:
         assert model.xs.c == 0.5
 
     def test_mixture_constants(self):
+        # within 4 ulp of the closed forms. Rates are measured in their own
+        # ulp; the atom and weights are probabilities that share the total 1,
+        # so in ulp(1): numpy's Gauss-Legendre weights for sp3 are a few ulp
+        # of their own off (18 +- sqrt 30)/36, about 1.5 ulp(1) from the oracle
         xs = CrossSectionSpec(1.0, 0.5)
-        k = solve_sp3_constants()
+        k = sp3_oracle()
         expected = {
             "diffusion": (0.0, (SQRT3,), (1.0,)),
             "sp2": (4.0 / 9.0, (math.sqrt(5.0 / 3.0),), (5.0 / 9.0,)),
@@ -113,17 +143,46 @@ class TestMakeModel:
         }
         for kind, (atom, mu, weights) in expected.items():
             model = make_model(kind, xs)
-            assert (model.atom_at_zero, model.mu, model.weights) == (atom, mu, weights)
+            assert len(model.mu) == len(mu) and len(model.weights) == len(weights)
+            for got, want in zip((model.atom_at_zero, *model.weights), (atom, *weights)):
+                assert abs(got - want) <= 4 * math.ulp(1.0), (kind, got, want)
+            for got, want in zip(model.mu, mu):
+                assert abs(got - want) <= 4 * math.ulp(want), (kind, got, want)
         classical = make_model("classical", xs)
         assert classical.mu == () and classical.weights == ()
 
     @pytest.mark.parametrize("kind", ["diffusion", "sp2", "sp3"])
     def test_mixture_normalization_and_second_moment(self, kind):
         model = make_model(kind, CrossSectionSpec(1.0, 0.5))
-        assert abs(sum(model.weights) - (1.0 - model.atom_at_zero)) <= 1e-15
+        # exact by construction: the last weight is the remainder
+        assert model.atom_at_zero + sum(model.weights) == 1.0
+        assert model.cdf(0.0) == model.atom_at_zero
+        assert all(w > 0.0 for w in model.weights)
+        assert all(a > b for a, b in zip(model.mu, model.mu[1:]))
         # a Gamma(2, mu) term has second moment 6/mu^2
         second = sum(6.0 * w / m**2 for m, w in zip(model.mu, model.weights))
         assert abs(second - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["diffusion", "sp2", "sp3"])
+    def test_transform_is_continued_fraction_convergent(self, kind):
+        # SP_N's p_hat(q) = atom + sum_j w_j mu_j^2/(mu_j^2 + q) is the N-th
+        # convergent of arctan(k)/k, evaluated here with no quadrature rule
+        model = make_model(kind, CrossSectionSpec(1.0, 0.5))
+        for q in (1e-3, 0.1, 1.0, 10.0, 1e4):
+            p_hat = model.atom_at_zero + sum(w * m * m / (m * m + q)
+                                             for m, w in zip(model.mu, model.weights))
+            expected = continued_fraction(ORDER[kind], q)
+            assert abs(p_hat - expected) <= 1e-14 * expected, (q, p_hat, expected)
+
+    @pytest.mark.parametrize("nodes,weights", [
+        ([-0.9, -0.3, 0.3, 0.9], [-0.1, 1.1, 1.1, -0.1]),  # a negative weight
+        ([-0.5, 0.5], [1.0, 1.0]),  # second moment 6/2^2 = 1.5, not 2
+    ])
+    def test_rejects_a_rule_that_is_no_law(self, monkeypatch, nodes, weights):
+        rule = (np.array(nodes), np.array(weights))
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda points: rule)
+        with pytest.raises(ArithmeticError):
+            make_model("diffusion", CrossSectionSpec(1.0, 0.5))
 
     def test_rejects_bad_medium(self):
         with pytest.raises(ValueError):
@@ -159,10 +218,9 @@ class TestDensity:
         assert model.density(s_mode) >= model.density(s_mode - eps)
         assert model.density(s_mode) >= model.density(s_mode + eps)
 
-    def test_sp3_direct_substitution(self):
+    def test_sp3_direct_substitution(self, sp3):
         model = make_model("sp3", CrossSectionSpec(1.0, 0.5))
-        k = solve_sp3_constants()
-        expected = k.A_plus * math.exp(-k.lambda_plus) + k.A_minus * math.exp(-k.lambda_minus)
+        expected = sp3.A_plus * math.exp(-sp3.lambda_plus) + sp3.A_minus * math.exp(-sp3.lambda_minus)
         assert model.density(1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_classical_at_zero_is_sigma_t(self):
@@ -200,16 +258,16 @@ class TestHazard:
         s = 0.8
         assert model.hazard(s) == pytest.approx(big**2 * s / (1.0 + big * s), rel=1e-12)
 
-    def test_sp3_limit(self):
+    def test_sp3_limit(self, sp3):
         model = make_model("sp3", CrossSectionSpec(1.0, 0.5))
-        assert model.hazard(1e7) == pytest.approx(solve_sp3_constants().lambda_minus, rel=1e-6)
+        assert model.hazard(1e7) == pytest.approx(sp3.lambda_minus, rel=1e-6)
 
     @pytest.mark.parametrize("kind", ["diffusion", "sp2", "sp3"])
-    def test_stable_beyond_naive_underflow(self, kind):
+    def test_stable_beyond_naive_underflow(self, kind, sp3):
         # the unscaled numerator/denominator both underflow near s ~ 700;
         # the hazard tends to the slowest decay rate of each law
         asymptote = {"diffusion": SQRT3, "sp2": math.sqrt(5.0 / 3.0),
-                     "sp3": solve_sp3_constants().lambda_minus}[kind]
+                     "sp3": sp3.lambda_minus}[kind]
         model = make_model(kind, CrossSectionSpec(1.0, 0.5))
         for s in (700.0, 2000.0, 1e5):
             h = model.hazard(s)

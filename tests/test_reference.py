@@ -16,7 +16,6 @@ from nonclassical_mc import (
     closed_form,
     make_model,
     solve_integral_equation,
-    solve_sp3_constants,
 )
 from nonclassical_mc.reference import collision_matrix
 
@@ -180,10 +179,9 @@ class TestClosedForms:
         with pytest.raises(ArithmeticError):
             closed_form(bogus)
 
-    def test_sp3_green_value(self):
-        k = solve_sp3_constants()
-        expected = (k.A_plus * math.exp(-k.lambda_plus)
-                    + k.A_minus * math.exp(-k.lambda_minus)) / (4.0 * math.pi)
+    def test_sp3_green_value(self, sp3):
+        expected = (sp3.A_plus * math.exp(-sp3.lambda_plus)
+                    + sp3.A_minus * math.exp(-sp3.lambda_minus)) / (4.0 * math.pi)
         assert sp3_green(CrossSectionSpec(1.0, 0.5), 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_sp3_green_dimensional_scaling(self):

@@ -18,12 +18,12 @@ from nonclassical_mc import (
     sample_path,
 )
 from nonclassical_mc import sampler
-from nonclassical_mc.kernels import SP2_ATOM
 from nonclassical_mc.sampler import _law_table
 
 ALL_KINDS = list(ModelKind)
 TABLE_KINDS = ["diffusion", "sp2", "sp3"]
 XS = CrossSectionSpec(1.0, 0.0)
+SP2_ATOM = make_model("sp2", XS).atom_at_zero
 
 
 def table_of(model):

@@ -2,12 +2,13 @@
 
 Only make_model knows which law has which constants: the sampler and the
 oracle read every law through its (atom, mu, weights) mixture, and a
-per-law branch or a law constant in either module would let the law table
-drift from the one in kernels.make_model. Only the group kernel transports
-histories: a second caller of the sampler or of the Philox blocks in the
-engine would be a second copy of the lane roles. The oracles are a closed
-form and a direct solve, so importing the package loads no adaptive
-quadrature.
+per-law branch in either module would let the law table drift from the one
+in kernels.make_model. The constants themselves come from one
+Gauss-Legendre rule, built nowhere but make_model. Only the group kernel
+transports histories: a second caller of the sampler or of the Philox
+blocks in the engine would be a second copy of the lane roles. The
+oracles are a closed form and a direct solve, so importing the package
+loads no adaptive quadrature.
 """
 
 import ast
@@ -21,8 +22,8 @@ import pytest
 import nonclassical_mc
 
 PACKAGE = Path(nonclassical_mc.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 LAW_MEMBERS = {"DIFFUSION", "SP2", "SP3"}
-LAW_CONSTANTS = {"SQRT3", "SP2_LAMBDA", "SP2_ATOM", "solve_sp3_constants"}
 
 
 def tree_of(module):
@@ -37,15 +38,25 @@ def test_no_per_law_dispatch(module):
     assert not named & LAW_MEMBERS
 
 
-@pytest.mark.parametrize("module", ["sampler", "reference"])
-def test_no_law_constants_imported(module):
-    imported = set()
-    for node in ast.walk(tree_of(module)):
-        if isinstance(node, ast.ImportFrom):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Attribute) and node.attr in LAW_CONSTANTS:
-            imported.add(node.attr)
-    assert not imported & LAW_CONSTANTS
+def leggauss_uses(tree):
+    return [node for node in ast.walk(tree)
+            if "leggauss" in (getattr(node, "attr", None), getattr(node, "id", None))
+            or (isinstance(node, ast.alias) and node.name.endswith("leggauss"))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_gauss_legendre_only_in_make_model(module):
+    tree = tree_of(module)
+    in_make_model = [node for func in ast.walk(tree)
+                     if isinstance(func, ast.FunctionDef) and func.name == "make_model"
+                     for node in leggauss_uses(func)]
+    assert len(leggauss_uses(tree)) == len(in_make_model)
+    assert bool(in_make_model) == (module == "kernels")
+
+
+def test_every_export_resolves():
+    missing = [name for name in nonclassical_mc.__all__ if not hasattr(nonclassical_mc, name)]
+    assert not missing
 
 
 @pytest.mark.parametrize("callee", ["sample_path", "uniforms_at"])
