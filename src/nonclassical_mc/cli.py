@@ -4,7 +4,9 @@ Subcommands
     curves     write hazard/density/cdf tables for all four laws as CSV
     simulate   run the Monte Carlo engine and write the shell tally as CSV
     reference  run the deterministic integral-equation solver, write CSV
-    compare    run both and emit per-shell z-scores with a PASS/FAIL verdict
+    compare    score a simulation against the exact closed form, shell by shell,
+               with a PASS/FAIL verdict; of the --oracle-* flags it reads only
+               --oracle-model
 
 All options can come from a JSON config file (--config) whose keys mirror
 the flag names with underscores; explicit flags override the file. Numeric
@@ -234,26 +236,6 @@ def cmd_reference(manifest: RunManifest) -> str:
     return path
 
 
-def _validate_compare(manifest: RunManifest, config: ProblemConfig) -> None:
-    """Reject a solver grid that stops short of the tally before any histories run."""
-    oracle_kind = ModelKind(manifest.oracle_model or manifest.model)
-    if oracle_kind is ModelKind.CLASSICAL and manifest.oracle_rmax < config.r_max:
-        raise ValueError(
-            f"oracle grid (r_max={manifest.oracle_rmax}) must reach the outermost "
-            f"tally shell (r_max={config.r_max})")
-
-
-def _oracle_shell_averages(manifest: RunManifest, kind: str, edges: np.ndarray) -> np.ndarray:
-    """Shell-averaged oracle densities: the closed form, or the solver for classical."""
-    xs = CrossSectionSpec(manifest.sigma_t, manifest.sigma_s)
-    model = make_model(kind, xs)
-    if model.kind is not ModelKind.CLASSICAL:
-        return closed_form(model).shell_averages(edges)
-    grid = RadialGrid.uniform(manifest.oracle_rmax, manifest.oracle_nodes)
-    solution = solve_integral_equation(model, xs, grid, tol=manifest.oracle_tol)
-    return solution.shell_averages(edges)
-
-
 def _allowed_over(threshold: float, n_eligible: int, batches: int) -> int:
     """Shells over |z| = threshold that a correct run exceeds with
     probability <= VERDICT_ALPHA.
@@ -310,11 +292,11 @@ def compare_verdict(z: np.ndarray, n_scores: np.ndarray, batches: int) -> tuple[
 
 
 def cmd_compare(manifest: RunManifest) -> tuple[bool, str]:
-    """Monte Carlo vs oracle, shell by shell; PASS/FAIL by compare_verdict."""
+    """Monte Carlo vs the closed form, shell by shell; PASS/FAIL by compare_verdict."""
     config = manifest.problem_config()
     oracle_kind = manifest.oracle_model or manifest.model
     result = simulate(config)
-    f_oracle = _oracle_shell_averages(manifest, oracle_kind, result.r_edges)
+    f_oracle = closed_form(make_model(oracle_kind, config.xs)).shell_averages(result.r_edges)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (result.f_mean - f_oracle) / result.f_stderr
     passed, counts = compare_verdict(z, result.n_scores, result.batches)
@@ -403,10 +385,8 @@ def main(argv=None) -> int:
     try:
         manifest = _manifest_from_args(args)
         if args.command in ("simulate", "compare"):
-            config = manifest.problem_config()  # reject bad configs before any work
+            manifest.problem_config()  # reject bad configs before any work
             configured_workers()  # and a bad worker count
-            if args.command == "compare":
-                _validate_compare(manifest, config)
         os.makedirs(manifest.out, exist_ok=True)  # only for a configuration that passed
         if not os.access(manifest.out, os.W_OK):
             raise ValueError(f"output directory not writable: {manifest.out}")

@@ -4,11 +4,13 @@ Only make_model knows which law has which constants: the sampler and the
 oracle read every law through its (atom, mu, weights) mixture, and a
 per-law branch in either module would let the law table drift from the one
 in kernels.make_model. The constants themselves come from one
-Gauss-Legendre rule, built nowhere but make_model. Only the group kernel
-transports histories: a second caller of the sampler or of the Philox
-blocks in the engine would be a second copy of the lane roles. The
+Gauss-Legendre rule, built nowhere but make_model; the only other rule is
+the classical closed form's quadrature of its continuum. Only the group
+kernel transports histories: a second caller of the sampler or of the
+Philox blocks in the engine would be a second copy of the lane roles. The
 oracles are a closed form and a direct solve, so importing the package
-loads no adaptive quadrature.
+loads no adaptive quadrature, and compare scores against the closed form
+alone: only the reference command runs the solver.
 """
 
 import ast
@@ -44,14 +46,30 @@ def leggauss_uses(tree):
             or (isinstance(node, ast.alias) and node.name.endswith("leggauss"))]
 
 
+GAUSS_LEGENDRE_SITES = {"kernels": "make_model", "reference": "_classical_modes"}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_gauss_legendre_only_in_make_model(module):
+    """leggauss is called in two places: kernels.make_model, which yields the
+    law constants, and the classical branch of reference.closed_form, whose
+    continuum needs a quadrature of its own. A call anywhere else would be
+    a second copy of one of them."""
     tree = tree_of(module)
-    in_make_model = [node for func in ast.walk(tree)
-                     if isinstance(func, ast.FunctionDef) and func.name == "make_model"
-                     for node in leggauss_uses(func)]
-    assert len(leggauss_uses(tree)) == len(in_make_model)
-    assert bool(in_make_model) == (module == "kernels")
+    at_site = [node for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name == GAUSS_LEGENDRE_SITES.get(module)
+               for node in leggauss_uses(func)]
+    assert len(leggauss_uses(tree)) == len(at_site)
+    assert bool(at_site) == (module in GAUSS_LEGENDRE_SITES)
+
+
+def test_only_reference_command_runs_the_solver():
+    callers = {func.name for func in ast.walk(tree_of("cli"))
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "solve_integral_equation"}
+    assert callers == {"cmd_reference"}
 
 
 def test_every_export_resolves():
