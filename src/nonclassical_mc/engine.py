@@ -7,16 +7,22 @@ capture, probability 1 - c) or scatters isotropically with the path-length
 coordinate reset to zero. Zero-length sp2 flights score in the shell
 containing the current position and still roll the absorption test.
 
-Histories are independent tasks: history h draws every variate from the
-counter-based stream (seed, h), one Philox block per collision. Block j of
-the stream serves collision j: lanes 0-1 give the direction of flight j
-(the birth direction for j = 0, the post-scatter direction after that),
+Every variate comes from the counter-based Philox4x64-10 blocks of
+``rng``. Lockstep step j (collision j of every live history) reads key
+(seed, j): the r-th live history of a batch, counting in history order,
+reads the counter s + r, where s is the id of the batch's first history.
+So at step 0 history h reads counter h, and a batch of one history reads
+(seed, j; h) at every step. Key j is read first at step j, and which
+counter a history takes there depends only on earlier blocks, so given the
+past the variates of step j are independent and uniform. Each step's block
+spends its lanes on one collision: lanes 0-1 give the direction of flight
+j (the birth direction for j = 0, the post-scatter direction after that),
 lane 2 the flight variate, and lane 3 the analog capture test, or in
 implicit capture the roulette test (read only when the weight falls below
-the cutoff). The result of a run is therefore a pure function of
-(seed, histories, batches) no matter how batches are distributed over
-worker processes (set NONCLASSICAL_MC_WORKERS to override the default of
-all available CPUs).
+the cutoff). The result of a run is therefore a pure function of (seed,
+histories, batches) no matter how batches are distributed over worker
+processes (set NONCLASSICAL_MC_WORKERS to override the default of all
+available CPUs).
 
 The unit of parallel work is a group of consecutive batches, run in one
 lockstep over collisions so that the per-step cost is shared and the step
@@ -25,9 +31,10 @@ groups as workers, and enough that a group holds about LANES histories at
 most (a single batch where one batch is larger). The grouping thus
 depends on the worker count, but the output does not: every history of a
 group starts at step 0 and compaction keeps the live lanes in history
-order, so each (batch, shell) cell receives its additions in
-(collision index, history id) order whatever the batch's group-mates are,
-and per-batch results are reduced in batch order.
+order, so a batch's counters at each step depend only on its own
+histories, and each (batch, shell) cell receives its additions in
+(collision index, history id) order whatever the batch's group-mates are;
+per-batch results are reduced in batch order.
 
 Particles that leave the tally grid keep transporting (the medium is
 infinite) but score nothing; histories are never truncated spatially.
@@ -156,11 +163,10 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
 
     Batch b holds the sizes[b] histories that follow those of batch b - 1,
     the first starting at history start_id; every lane carries its batch
-    index. Each lockstep step makes one ``uniforms_at`` call: every live
-    history reads the Philox block whose counter is its collision count,
-    from its own (seed, history id) stream, and spends the four lanes on
-    direction, flight and capture (module docstring). One block is used per
-    collision, plus one per faulted flight.
+    index. Each lockstep step makes one ``uniforms_at`` call with one run of
+    counters per batch (module docstring); lanes stay sorted by batch and
+    history, so the call's columns line up with the lanes. One block is used
+    per collision, plus one per faulted flight.
 
     Returns per-batch arrays by name, in batch order, for _finalize.
     """
@@ -175,36 +181,37 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         "absorbed_weight": np.zeros(nb),
         "faults": np.zeros(nb, dtype=np.int64), "capped": np.zeros(nb, dtype=np.int64),
     }
+    firsts = start_id + np.cumsum(out["histories"]) - out["histories"]
     batch = np.repeat(np.arange(nb), sizes)
-    ids = np.arange(start_id, start_id + batch.size, dtype=np.uint64)
-    pos = np.zeros((ids.size, 3))
-    w = np.ones(ids.size)
-    ncoll = np.zeros(ids.size, dtype=np.uint64)
-    first = True
-    while ids.size:
-        u = uniforms_at(seed, ids, ncoll)
+    pos = np.zeros((batch.size, 3))
+    w = np.ones(batch.size)
+    step = 0
+    while batch.size:
+        live = np.bincount(batch, minlength=nb)
+        u = uniforms_at(seed, step, firsts, live)
         s = sample_path(model, u[2])
         pos += s[:, None] * _directions(u[0], u[1])
         radius = np.sqrt(np.einsum("ij,ij->i", pos, pos))
         ok = np.isfinite(radius)
         if not ok.all():
-            out["faults"] += np.bincount(batch[~ok], minlength=nb)
-            ids, batch, pos, w, ncoll = ids[ok], batch[ok], pos[ok], w[ok], ncoll[ok]
+            faulted = np.bincount(batch[~ok], minlength=nb)
+            out["faults"] += faulted
+            live -= faulted
+            batch, pos, w = batch[ok], pos[ok], w[ok]
             u, s, radius = u[:, ok], s[ok], radius[ok]
-            if not ids.size:
+            if not batch.size:
                 break
-        if first:
+        if step == 0:
             out["first_flight_s2"] += np.bincount(batch, s * s, minlength=nb)
-            out["first_flights"] += np.bincount(batch, minlength=nb)
-            first = False
-        out["collisions"] += np.bincount(batch, minlength=nb)
+            out["first_flights"] += live
+        out["collisions"] += live
         out["zero_length"] += np.bincount(batch[s == 0.0], minlength=nb)
         shell = np.searchsorted(edges, radius, side="right") - 1
         hit = shell < k_shells
         cell = batch[hit] * k_shells + shell[hit]
         np.add.at(out["weight"], cell, w[hit])
         np.add.at(out["scores"], cell, 1)
-        ncoll += 1
+        step += 1
         if capture == "analog":
             die = u[3] < (1.0 - c)
             out["absorbed_weight"] += np.bincount(batch[die], w[die], minlength=nb)
@@ -212,7 +219,7 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         else:
             out["absorbed_weight"] += np.bincount(batch, w * (1.0 - c), minlength=nb)
             w = w * c
-            alive = np.ones(ids.size, dtype=bool)
+            alive = np.ones(batch.size, dtype=bool)
             need = w < WEIGHT_CUTOFF
             if need.any():
                 survive = u[3, need] < ROULETTE_SURVIVAL
@@ -220,11 +227,11 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
                 boosted[survive] = boosted[survive] / ROULETTE_SURVIVAL
                 w[need] = boosted
                 alive[need] = survive
-        hit_cap = alive & (ncoll >= max_collisions)
-        out["capped"] += np.bincount(batch[hit_cap], minlength=nb)
-        alive &= ~hit_cap
+        if step >= max_collisions:
+            out["capped"] += np.bincount(batch[alive], minlength=nb)
+            break
         idx = np.nonzero(alive)[0]
-        ids, batch, pos, w, ncoll = ids[idx], batch[idx], pos[idx], w[idx], ncoll[idx]
+        batch, pos, w = batch[idx], pos[idx], w[idx]
     out["weight"] = out["weight"].reshape(nb, k_shells)
     out["scores"] = out["scores"].reshape(nb, k_shells)
     return out
@@ -304,10 +311,10 @@ def configured_workers() -> int:
 def simulate(config: ProblemConfig) -> TallyResult:
     """Run the configured number of histories in batches; fully reproducible.
 
-    The output is a pure function of the configuration: history h always
-    uses stream (seed, h) and per-batch results do not depend on how the
-    batches are grouped (module docstring), so 1, 2, or 8 workers produce
-    bitwise identical tallies.
+    The output is a pure function of the configuration: a batch's variates
+    depend only on the seed and its own histories, and per-batch results do
+    not depend on how the batches are grouped (module docstring), so 1, 2,
+    or 8 workers produce bitwise identical tallies.
     """
     model = make_model(config.kind, config.xs)
     edges = np.linspace(0.0, config.r_max, config.shells + 1)

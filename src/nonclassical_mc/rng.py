@@ -1,18 +1,23 @@
-"""Counter-based random streams for reproducible parallel sampling.
+"""Counter-based random numbers for reproducible parallel sampling.
 
-Each history owns a stream identified by (seed, stream_id). Block j of a
-stream is the Philox4x64-10 block keyed by (seed, stream_id) with counter
-j; its four 64-bit lanes give four uniform variates, so each block is a
-pure function of (seed, stream_id, j). Because blocks are random-access,
-any subset of histories can be advanced in vectorized steps without
-touching the others, and results are independent of how work is split
-across workers. The transport engine spends block j on collision j of a
-history (see ``engine``).
+A Philox4x64-10 block is a pure function of a two-word key and a counter;
+its four 64-bit lanes give four uniform variates (the top 53 bits of each
+word, numpy's double conversion). Blocks are random-access, so a result
+never depends on how work is split across workers.
 
-The block function is the same Philox4x64-10 used by ``numpy.random.Philox``
-(verified bit-for-bit in the test suite). Read as a sequence, variate i of
-a stream is lane i % 4 of block i // 4, which is numpy's lane order; only
-the counter placement differs (numpy starts at counter 1).
+``uniforms_at`` reads runs of consecutive counters under the key (seed,
+step) through numpy's C Philox: one generator per call, advanced to the
+first counter of each run. The transport engine keys lockstep step j by
+(seed, j) and gives each batch one run of counters (see ``engine``).
+``RandomStream`` reads the key (seed, stream_id) as a sequence: variate i
+is lane i % 4 of block i // 4, numpy's lane order.
+
+``philox4x64_block`` is a numpy emulation of the same block function, with
+the counter (counter, 0, 0, 0); the test suite checks the C path against it
+bit for bit. numpy increments its four-word counter before each block, so
+a generator at counter k - 1 (all four words set for k = 0, which wraps to
+0) yields block k next; ``advance`` adds to the counter modulo 2**256 and
+drops any buffered variates.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ _W0 = np.uint64(0x9E3779B97F4A7C15)
 _W1 = np.uint64(0xBB67AE8584CAA73B)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_INV53 = 1.0 / 9007199254740992.0  # 2**-53
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_COUNTER_WRAP = 1 << 256  # numpy's counter is four 64-bit words
 
 
 def _mulhilo(a, m):
@@ -70,17 +76,27 @@ def philox4x64_block(counter, key0, key1):
         return c0, c1, c2, c3
 
 
-def uniforms_at(seed: int, stream_ids, counters):
-    """All four lanes of the Philox blocks at (stream, counter) positions.
+def uniforms_at(seed: int, step: int, firsts, counts) -> np.ndarray:
+    """All four lanes of runs of consecutive Philox blocks under one key.
 
-    stream_ids and counters broadcast to a shape S; the output is float64
-    of shape (4, *S), row k holding lane k. Each lane uses the same
-    precision scheme numpy uses (top 53 bits of a 64-bit word).
+    Run i covers the counters firsts[i] .. firsts[i] + counts[i] - 1 of the
+    key (seed, step); the runs are laid end to end. The output is float64
+    of shape (4, sum(counts)), row k holding lane k, column n the n-th block
+    read. A counter past 2**64 - 1 carries into numpy's second counter word.
     """
-    key1 = np.asarray(stream_ids, dtype=np.uint64)
-    ctr = np.asarray(counters, dtype=np.uint64)
-    lanes = np.stack(philox4x64_block(ctr, np.uint64(seed & 0xFFFFFFFFFFFFFFFF), key1))
-    return (lanes >> np.uint64(11)) * _INV53
+    counts = [int(n) for n in counts]
+    out = np.empty((sum(counts), 4))
+    key = np.array([seed & _MASK64, step & _MASK64], dtype=np.uint64)
+    bits = np.random.Philox(key=key, counter=_COUNTER_WRAP - 1)  # reads counter 0 next
+    draw = np.random.Generator(bits).random
+    end = at = 0
+    for first, n in zip(firsts, counts):
+        if n:
+            bits.advance((int(first) - at) % _COUNTER_WRAP)
+            draw(out=out[end:end + n])
+            at = int(first) + n
+            end += n
+    return out.T
 
 
 @dataclass
@@ -90,7 +106,7 @@ class RandomStream:
     The same (seed, stream_id) always replays the identical sequence, on any
     machine and regardless of what other streams are doing. Distinct
     stream_ids give statistically independent Philox streams. Variate i is
-    lane i % 4 of block i // 4.
+    lane i % 4 of the block with key (seed, stream_id) and counter i // 4.
     """
 
     seed: int
@@ -98,8 +114,8 @@ class RandomStream:
     _cursor: int = field(default=0, repr=False)
 
     def __post_init__(self):
-        self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream_id = int(self.stream_id) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(self.seed) & _MASK64
+        self.stream_id = int(self.stream_id) & _MASK64
 
     def uniform(self, n: int) -> np.ndarray:
         """Draw the next n variates as an array (consumes n draws)."""
@@ -107,5 +123,5 @@ class RandomStream:
             raise ValueError("n must be nonnegative")
         first, skip = divmod(self._cursor, 4)
         self._cursor += n
-        blocks = np.arange(first, first - (-(skip + n) // 4), dtype=np.uint64)
-        return uniforms_at(self.seed, self.stream_id, blocks).T.ravel()[skip:skip + n]
+        blocks = -(-(skip + n) // 4)
+        return uniforms_at(self.seed, self.stream_id, [first], [blocks]).T.ravel()[skip:skip + n]

@@ -280,6 +280,20 @@ class TestReference:
         assert 0.0 < float(metadata["rcond"]) <= 1.0
         assert np.all(col["f"] > 0.0)
 
+    @pytest.mark.parametrize("c, low, high", [("0.5", 0.0, 1e-4), ("0.99", 0.4, 0.6)])
+    def test_mass_error_shows_the_lost_mass(self, tmp_path, capsys, c, low, high):
+        # the default domain, 12 mean free paths, misses almost no collision
+        # at c = 0.5 and about half of them at c = 0.99
+        assert run_cli("reference", "--model", "sp3", "--sigma-s", c, "--out", str(tmp_path)) == 0
+        metadata, _, _ = read_csv(tmp_path / "reference.csv")
+        mass_error = float(metadata["mass_error"])
+        volume = float(metadata["volume_integral"])
+        # volume_integral is written to 9 digits
+        expected = abs((1.0 - float(c)) * volume - 1.0)
+        assert mass_error == pytest.approx(expected, rel=1e-6, abs=1e-8)
+        assert low <= mass_error < high
+        assert f"mass_error = {metadata['mass_error']}\n" in capsys.readouterr().out
+
     def test_singular_oracle_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
                             lambda kernel, g: np.eye(g.nodes.size) / 0.5)

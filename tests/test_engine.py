@@ -15,7 +15,7 @@ from nonclassical_mc.engine import (
     _transport_group,
     batch_slices,
 )
-from nonclassical_mc.rng import uniforms_at
+from nonclassical_mc.rng import philox4x64_block
 
 ALL_KINDS = list(ModelKind)
 EDGES = np.linspace(0.0, 10.0, 65)
@@ -28,74 +28,108 @@ def small_config(**overrides):
     return ProblemConfig(**params)
 
 
-def run_history(model, seed, h, capture="analog", max_collisions=MAX_COLLISIONS):
-    """Scalar oracle for _transport_group: transport history h on its own.
+def block_uniforms(seed, step, counter):
+    """The four variates of Philox block (seed, step; counter), emulated in numpy."""
+    return [(int(word) >> 11) * 2.0**-53 for word in philox4x64_block(counter, seed, step)]
 
-    Collision j reads block j of stream (seed, h) straight from uniforms_at:
-    lanes 0-1 the direction, lane 2 the flight variate, lane 3 the capture
-    or roulette test. The flight length comes from engine.sample_path,
-    looked up at call time, so a sampler a test patches in applies to both
-    paths. Returns the radius and weight of every scored collision, the
-    flight lengths, the absorbed weight and how the history ended ("done",
-    "fault" or "capped").
+
+class ScalarHistory:
+    """One history, transported collision by collision from blocks it is given.
+
+    A block's lanes 0-1 give the direction, lane 2 the flight variate and
+    lane 3 the capture or roulette test. The flight length comes from
+    engine.sample_path, looked up at call time, so a sampler a test patches
+    in applies to both paths. Records the radius and weight of every scored
+    collision, the flight lengths, the absorbed weight and how the history
+    ended (end: None while live, then "done", "fault" or "capped").
     """
-    c = model.xs.c
-    x = y = z = 0.0
-    weight, absorbed = 1.0, 0.0
-    radii, weights, flights = [], [], []
-    while True:
-        u = uniforms_at(seed, h, len(flights))
-        s = float(engine.sample_path(model, u[2]))
+
+    def __init__(self, model, capture, max_collisions):
+        self.model, self.capture, self.max_collisions = model, capture, max_collisions
+        self.x = self.y = self.z = 0.0
+        self.weight, self.absorbed = 1.0, 0.0
+        self.radii, self.weights, self.flights = [], [], []
+        self.end = None
+
+    def collide(self, u):
+        c = self.model.xs.c
+        s = float(engine.sample_path(self.model, u[2]))
         mu = 2.0 * u[0] - 1.0
         phi = 2.0 * math.pi * u[1]
         sin_theta = math.sqrt(max(1.0 - mu * mu, 0.0))
-        x += s * (sin_theta * math.cos(phi))
-        y += s * (sin_theta * math.sin(phi))
-        z += s * mu
-        radius = math.sqrt(x * x + y * y + z * z)
+        self.x += s * (sin_theta * math.cos(phi))
+        self.y += s * (sin_theta * math.sin(phi))
+        self.z += s * mu
+        radius = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if not math.isfinite(radius):
-            return radii, weights, flights, absorbed, "fault"
-        radii.append(radius)
-        weights.append(weight)
-        flights.append(s)
-        if capture == "analog":
+            self.end = "fault"
+            return
+        self.radii.append(radius)
+        self.weights.append(self.weight)
+        self.flights.append(s)
+        if self.capture == "analog":
             if u[3] < 1.0 - c:
-                return radii, weights, flights, absorbed + weight, "done"
+                self.absorbed += self.weight
+                self.end = "done"
+                return
         else:
-            absorbed += weight * (1.0 - c)
-            weight *= c
-            if weight < WEIGHT_CUTOFF:
+            self.absorbed += self.weight * (1.0 - c)
+            self.weight *= c
+            if self.weight < WEIGHT_CUTOFF:
                 if u[3] >= ROULETTE_SURVIVAL:
-                    return radii, weights, flights, absorbed, "done"
-                weight /= ROULETTE_SURVIVAL
-        if len(flights) >= max_collisions:
-            return radii, weights, flights, absorbed, "capped"
+                    self.end = "done"
+                    return
+                self.weight /= ROULETTE_SURVIVAL
+        if len(self.flights) >= self.max_collisions:
+            self.end = "capped"
+
+
+def run_history(model, seed, h, capture="analog", max_collisions=MAX_COLLISIONS):
+    """Scalar oracle for a one-history batch: collision j of history h reads
+    block (seed, j; h). Returns (radii, weights, flights, absorbed, end)."""
+    history = ScalarHistory(model, capture, max_collisions)
+    while history.end is None:
+        history.collide(block_uniforms(seed, len(history.flights), h))
+    return history.radii, history.weights, history.flights, history.absorbed, history.end
 
 
 def history_loop(model, seed, start_id, sizes, edges, capture, max_collisions):
-    """The per-batch sums _transport_group returns, one history at a time."""
+    """The per-batch sums _transport_group returns, replayed one history at a time.
+
+    Step-major: at step j, the r-th live history of the batch starting at
+    history s (counting in history order) reads block (seed, j; s + r).
+    """
     nb, k = len(sizes), edges.size - 1
+    starts = [start_id + sum(sizes[:b]) for b in range(nb)]
+    batches = [[ScalarHistory(model, capture, max_collisions) for _ in range(size)]
+               for size in sizes]
+    step = 0
+    while any(h.end is None for batch in batches for h in batch):
+        for first, batch in zip(starts, batches):
+            for r, history in enumerate([h for h in batch if h.end is None]):
+                history.collide(block_uniforms(seed, step, first + r))
+        step += 1
     out = {name: np.zeros(nb, dtype=np.int64) for name in (
         "histories", "collisions", "zero_length", "first_flights", "faults", "capped")}
     out.update(weight=np.zeros((nb, k)), scores=np.zeros((nb, k), dtype=np.int64),
                first_flight_s2=np.zeros(nb), absorbed_weight=np.zeros(nb))
-    for i, b in enumerate(np.repeat(np.arange(nb), sizes)):
-        radii, weights, flights, absorbed, end = run_history(
-            model, seed, start_id + i, capture, max_collisions)
-        for radius, weight in zip(radii, weights):
-            shell = int(np.searchsorted(edges, radius, side="right")) - 1
-            if shell < k:
-                out["weight"][b, shell] += weight
-                out["scores"][b, shell] += 1
-        if flights:
-            out["first_flight_s2"][b] += flights[0] * flights[0]
-            out["first_flights"][b] += 1
-        out["histories"][b] += 1
-        out["collisions"][b] += len(flights)
-        out["zero_length"][b] += flights.count(0.0)
-        out["absorbed_weight"][b] += absorbed
-        out["faults"][b] += end == "fault"
-        out["capped"][b] += end == "capped"
+    for b, batch in enumerate(batches):
+        for history in batch:
+            for radius, weight in zip(history.radii, history.weights):
+                shell = int(np.searchsorted(edges, radius, side="right")) - 1
+                if shell < k:
+                    out["weight"][b, shell] += weight
+                    out["scores"][b, shell] += 1
+            flights = history.flights
+            if flights:
+                out["first_flight_s2"][b] += flights[0] * flights[0]
+                out["first_flights"][b] += 1
+            out["histories"][b] += 1
+            out["collisions"][b] += len(flights)
+            out["zero_length"][b] += flights.count(0.0)
+            out["absorbed_weight"][b] += history.absorbed
+            out["faults"][b] += history.end == "fault"
+            out["capped"][b] += history.end == "capped"
     return out
 
 
@@ -135,8 +169,8 @@ class TestTransportGroup:
         # in the innermost shell, a boundary belongs to the outer shell, and
         # the outer edge and beyond score nothing
         flights = np.array([0.0, 1.0, 1.999, 2.0, 5.0])
-        monkeypatch.setattr(engine, "uniforms_at", lambda seed, ids, counters:
-                            np.repeat([[1.0], [0.0], [0.0], [0.0]], ids.size, axis=1))
+        monkeypatch.setattr(engine, "uniforms_at", lambda seed, step, firsts, counts:
+                            np.repeat([[1.0], [0.0], [0.0], [0.0]], sum(counts), axis=1))
         monkeypatch.setattr(engine, "sample_path", lambda model, xi: flights)
         model = make_model("classical", CrossSectionSpec(1.0, 0.0))
         out = _transport_group(model, 0, 0, [flights.size], np.array([0.0, 1.0, 2.0]),
@@ -204,6 +238,19 @@ class TestScalarVectorEquivalence:
             else:
                 np.testing.assert_array_equal(group[name], oracle[name])
 
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    def test_one_history_batch_is_run_history(self, capture):
+        # a batch of one history reads (seed, j; h) at every step j
+        model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
+        out = _transport_group(model, 9, 40, [1] * 60, EDGES, capture, MAX_COLLISIONS)
+        for b in range(60):
+            radii, weights, flights, absorbed, _ = run_history(model, 9, 40 + b, capture)
+            assert out["collisions"][b] == len(flights)
+            assert out["zero_length"][b] == flights.count(0.0)
+            assert out["first_flight_s2"][b] == flights[0] ** 2
+            assert out["absorbed_weight"][b] == pytest.approx(absorbed, rel=1e-12)
+            assert out["scores"][b].sum() == sum(r < EDGES[-1] for r in radii)
+
     def test_simulate_equals_manual_history_loop(self):
         config = small_config(histories=500, batches=10)
         result = simulate(config)
@@ -221,14 +268,18 @@ class TestScalarVectorEquivalence:
 class TestStreamLayout:
     @staticmethod
     def count_blocks(monkeypatch):
-        """Count uniforms_at calls and blocks; fault the flights with xi > 0.995."""
+        """Record uniforms_at calls and the (step, counter) blocks they read;
+        fault the flights with xi > 0.995."""
         real_uniforms, real_sample = engine.uniforms_at, engine.sample_path
-        counts = {"calls": 0, "blocks": 0, "steps": 0}
+        counts = {"calls": 0, "steps": 0, "keys": [], "blocks": []}
 
-        def counting_uniforms(seed, ids, counters):
-            out = real_uniforms(seed, ids, counters)
+        def counting_uniforms(seed, step, firsts, lengths):
+            out = real_uniforms(seed, step, firsts, lengths)
             counts["calls"] += 1
-            counts["blocks"] += out.shape[1]
+            counts["keys"].append(step)
+            counts["blocks"] += [(step, int(first) + r)
+                                 for first, n in zip(firsts, lengths) for r in range(n)]
+            assert out.shape == (4, sum(lengths))
             return out
 
         def faulting_sample(model, xi):
@@ -241,13 +292,17 @@ class TestStreamLayout:
 
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
     def test_one_block_per_collision(self, capture, monkeypatch):
-        # every flight reads one Philox block, through one uniforms_at call
-        # per lockstep step; a faulted flight spends its block too
+        # one uniforms_at call per lockstep step, keyed by the step index;
+        # every flight reads one Philox block, a faulted flight included, and
+        # no (step, counter) block is read twice
         counts = self.count_blocks(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
-        out = _transport_group(model, 3, 0, [2000], EDGES, capture, 100_000)
-        assert out["faults"].sum() > 0
-        assert counts["blocks"] == out["collisions"].sum() + out["faults"].sum()
+        out = _transport_group(model, 3, 40, [700, 650, 650], EDGES, capture, 30)
+        assert (out["faults"] > 0).all()
+        assert (out["capped"] > 0).all()
+        blocks = counts["blocks"]
+        assert len(set(blocks)) == len(blocks) == out["collisions"].sum() + out["faults"].sum()
+        assert counts["keys"] == list(range(counts["steps"]))
         assert counts["calls"] == counts["steps"]
 
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
@@ -270,17 +325,22 @@ class TestStreamLayout:
                 assert group[name][b] == pytest.approx(alone[name][0], rel=1e-12)
 
     def test_batches_share_one_lockstep(self, monkeypatch):
-        # on one worker, 20 batches of 50 take as many steps as one batch of 1000
+        # on one worker, 20 batches of 50 run in one lockstep: it takes as
+        # many steps as the longest of the batches run alone
         monkeypatch.setenv(WORKERS_ENV, "1")
         counts = self.count_blocks(monkeypatch)
         config = small_config(histories=1000, batches=20)
         simulate(config)
         in_simulate = counts["calls"]
-        counts["calls"] = 0
         model = make_model(config.kind, config.xs)
         edges = np.linspace(0.0, config.r_max, config.shells + 1)
-        _transport_group(model, config.seed, 0, [1000], edges, config.capture, MAX_COLLISIONS)
-        assert in_simulate == counts["calls"]
+        alone = []
+        for start, size in batch_slices(config.histories, config.batches):
+            counts["calls"] = 0
+            _transport_group(model, config.seed, start, [size], edges, config.capture,
+                             MAX_COLLISIONS)
+            alone.append(counts["calls"])
+        assert in_simulate == max(alone) < sum(alone)
 
 
 class TestSimulate:

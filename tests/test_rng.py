@@ -32,56 +32,78 @@ class TestPhiloxBlock:
             assert all(int(lane[i]) == int(s) for lane, s in zip(lanes, single))
 
 
+def emulated(counters, key0, key1):
+    """Lanes of the emulated Philox blocks as uniforms, shape (4, *counters.shape)."""
+    return (np.stack(philox4x64_block(counters, key0, key1)) >> np.uint64(11)) * 2.0**-53
+
+
 class TestUniformsAt:
     def test_range_and_dtype(self):
-        u = uniforms_at(1, np.arange(1000, dtype=np.uint64), np.uint64(0))
+        u = uniforms_at(1, 0, [0], [1000])
         assert u.dtype == np.float64
         assert u.shape == (4, 1000)
         assert np.all((u >= 0.0) & (u < 1.0))
 
     def test_pure_function_of_coordinates(self):
-        a = uniforms_at(9, np.array([3, 5, 7], dtype=np.uint64), np.array([0, 1, 2], dtype=np.uint64))
-        b = uniforms_at(9, np.array([3, 5, 7], dtype=np.uint64), np.array([0, 1, 2], dtype=np.uint64))
+        a = uniforms_at(9, 3, [3, 50], [2, 3])
+        b = uniforms_at(9, 3, [3, 50], [2, 3])
         np.testing.assert_array_equal(a, b)
 
+    def test_runs_are_laid_end_to_end(self):
+        # splitting a run, or adding empty runs, changes no block
+        whole = uniforms_at(9, 3, [10], [7])
+        split = uniforms_at(9, 3, [10, 5, 12], [2, 0, 5])
+        np.testing.assert_array_equal(whole, split)
+        assert uniforms_at(9, 3, [10, 20], [0, 0]).shape == (4, 0)
+
     def test_streams_differ(self):
-        idx = np.arange(512, dtype=np.uint64)
-        one = uniforms_at(1, np.uint64(0), idx)
-        two = uniforms_at(1, np.uint64(1), idx)
-        other_seed = uniforms_at(2, np.uint64(0), idx)
+        # another step key or another seed gives other blocks at the same counters
+        one = uniforms_at(1, 0, [0], [512])
+        two = uniforms_at(1, 1, [0], [512])
+        other_seed = uniforms_at(2, 0, [0], [512])
         assert not np.array_equal(one, two)
         assert not np.array_equal(one, other_seed)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("step", [0, 1, 2**40])
+    @pytest.mark.parametrize("first, count", [
+        (0, 9),              # numpy's counter starts all-ones and wraps to 0
+        (2**64 - 9, 9),      # the last counters before the first word wraps
+        (123_456_789, 17),   # mid-range
+    ])
+    def test_c_path_matches_emulation(self, seed, step, first, count):
+        counters = np.arange(count, dtype=np.uint64) + np.uint64(first)
+        np.testing.assert_array_equal(uniforms_at(seed, step, [first], [count]),
+                                      emulated(counters, seed, step))
+
     def test_lanes_are_the_block_words(self):
-        counters = np.array([0, 5, 9], dtype=np.uint64)
-        u = uniforms_at(4, np.uint64(6), counters)
-        for lane, words in zip(u, philox4x64_block(counters, 4, 6)):
-            np.testing.assert_array_equal(lane, (words >> np.uint64(11)) * 2.0**-53)
+        # runs laid end to end, each read from its own counters, in any order
+        firsts, counts = [41, 0, 2**40, 40, 3], [5, 3, 4, 1, 2]
+        counters = np.concatenate([np.arange(f, f + n, dtype=np.uint64)
+                                   for f, n in zip(firsts, counts)])
+        np.testing.assert_array_equal(uniforms_at(77, 5, firsts, counts),
+                                      emulated(counters, 77, 5))
 
     def test_statistical_sanity(self):
-        # lane 0 of 64 streams x 4096 blocks: mean 1/2, var 1/12, lag-1
+        # lane 0 of 64 keys x 4096 counters: mean 1/2, var 1/12, lag-1
         # correlation ~ 0
-        ids = np.arange(64, dtype=np.uint64)[:, None]
-        idx = np.arange(4096, dtype=np.uint64)[None, :]
-        u = uniforms_at(123, ids, idx)[0]
+        u = np.stack([uniforms_at(123, step, [0], [4096])[0] for step in range(64)])
         n = u.size
         assert abs(u.mean() - 0.5) < 4.0 / np.sqrt(12.0 * n)
         assert abs(u.var() - 1.0 / 12.0) < 5e-4
         flat = u.ravel()
         corr = np.corrcoef(flat[:-1], flat[1:])[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(n)
-        # cross-stream correlation
+        # the same counters under neighbouring keys (two lockstep steps)
         cross = np.corrcoef(u[0], u[1])[0, 1]
         assert abs(cross) < 4.0 / np.sqrt(4096)
 
-
     def test_lanes_uncorrelated(self):
         # the four lanes of a block feed one collision, so each pair must be
-        # uncorrelated over many (stream, counter) blocks; each lane is
+        # uncorrelated over many (key, counter) blocks; each lane is
         # uniform on its own
-        ids = np.arange(256, dtype=np.uint64)[:, None]
-        idx = np.arange(1024, dtype=np.uint64)[None, :]
-        lanes = uniforms_at(321, ids, idx).reshape(4, -1)
+        lanes = np.concatenate([uniforms_at(321, step, [0], [1024]) for step in range(256)],
+                               axis=1)
         n = lanes.shape[1]
         for lane in lanes:
             assert abs(lane.mean() - 0.5) < 5.0 / np.sqrt(12.0 * n)
@@ -100,17 +122,19 @@ class TestRandomStream:
         np.testing.assert_array_equal(drawn, second.uniform(300))
 
     def test_sequence_equals_random_access(self):
-        # variate i is lane i % 4 of block i // 4 (numpy's lane order)
+        # variate i is lane i % 4 of block (seed, stream_id; i // 4), numpy's
+        # lane order
         stream = RandomStream(seed=5, stream_id=11)
         drawn = np.concatenate([stream.uniform(n) for n in (1, 2, 597)])
-        direct = uniforms_at(5, 11, np.arange(150, dtype=np.uint64)).T.ravel()
+        direct = emulated(np.arange(150, dtype=np.uint64), 5, 11).T.ravel()
         np.testing.assert_array_equal(drawn, direct)
 
     def test_uniform_block_continues_sequence(self):
         stream = RandomStream(seed=5, stream_id=11)
         head = stream.uniform(3)
         block = stream.uniform(10)
-        direct = uniforms_at(5, 11, np.arange(4, dtype=np.uint64)).T.ravel()[:13]
+        assert stream.uniform(0).size == 0
+        direct = emulated(np.arange(4, dtype=np.uint64), 5, 11).T.ravel()[:13]
         np.testing.assert_array_equal(np.concatenate([head, block]), direct)
 
     def test_sequence_matches_numpy_lane_order(self):
@@ -129,7 +153,7 @@ class TestRandomStream:
     def test_negative_ids_wrap_to_uint64(self):
         # numpy refuses a negative uint64, so the stream masks its ids first
         stream = RandomStream(seed=-1, stream_id=-2)
-        direct = uniforms_at(2**64 - 1, np.uint64(2**64 - 2), np.uint64(0))
+        direct = emulated(np.uint64(0), 2**64 - 1, 2**64 - 2)
         np.testing.assert_array_equal(stream.uniform(4), direct)
 
     def test_rejects_negative_count(self):
