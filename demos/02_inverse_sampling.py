@@ -7,13 +7,13 @@ that sampling is an exact inverse: cdf(sample(xi)) returns xi.
 """
 
 import numpy as np
+from scipy import special
 
 from nonclassical_mc import (
     CrossSectionSpec,
     ModelKind,
     RandomStream,
     empirical_check,
-    invert_f,
     make_model,
     sample_path,
 )
@@ -22,9 +22,15 @@ xs = CrossSectionSpec(sigma_t=1.0, sigma_s=0.5)
 n = 1_000_000
 
 print("=== the shared inversion: f(z) = (1+z)e^[-z] ===")
-for y in (1.0, 2.0 / np.e, 0.25, 6.0 * np.exp(-5.0), 1e-9):
-    z = invert_f(y)
-    print(f"  invert_f({y:.9g}) = {z:.9g}   residual {abs((1+z)*np.exp(-z) - y):.1e}")
+print("  diffusion at sigma_t = 1 survives as f(sqrt(3) s): z = sqrt(3) sample(1 - y)")
+diffusion = make_model("diffusion", xs)
+for nominal in (0.9999, 2.0 / np.e, 0.25, 6.0 * np.exp(-5.0), 1e-9):
+    xi = 1.0 - nominal
+    y = 1.0 - xi  # the y that xi encodes; 1 - nominal rounds
+    z = np.sqrt(3.0) * sample_path(diffusion, xi)
+    lambert = -1.0 - special.lambertw(-y / np.e, k=-1).real
+    print(f"  y = {y:.9g}: z = {z:.9g}, Lambert W gives {lambert:.9g}, "
+          f"residual {abs((1+z)*np.exp(-z) - y):.1e}")
 
 print(f"\n=== {n:,} samples per law, stream (seed=7, id=0) ===")
 print(f"  {'law':10s} {'mean':>9s} {'+-':>8s} {'2nd mom':>9s} {'+-':>8s} "

@@ -22,8 +22,6 @@ result = simulate(config)
 print(f"\ncollisions/history = {result.collisions_per_history:.4f} "
       f"+- {result.collisions_per_history_se:.4f}  (balance: 1/(1-c) = 2)")
 print(f"absorbed weight/history = {result.absorbed_weight_per_history:.4f}  (expect 1)")
-print(f"first-flight mean square = {result.first_flight_msd:.4f} "
-      f"+- {result.first_flight_msd_se:.4f}  (2/sigma_t^2 = 2 for every law)")
 
 oracle = closed_form(make_model("diffusion", config.xs)).shell_averages(result.r_edges)
 with np.errstate(invalid="ignore", divide="ignore"):

@@ -28,7 +28,7 @@ from .reference import (
     solve_integral_equation,
 )
 from .rng import RandomStream
-from .sampler import MomentReport, empirical_check, invert_f, sample_path
+from .sampler import MomentReport, empirical_check, sample_path
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "make_model",
     "RandomStream",
     "MomentReport",
-    "invert_f",
     "sample_path",
     "empirical_check",
     "ProblemConfig",

@@ -53,7 +53,6 @@ class RunManifest:
     rmax: float | None = None
     shells: int = 64
     capture: str = "analog"
-    source_strength: float = 1.0
     s_min: float = 0.0
     s_max: float | None = None
     points: int = 601
@@ -93,8 +92,7 @@ class RunManifest:
         return ProblemConfig(
             kind=self.model, sigma_t=self.sigma_t, sigma_s=self.sigma_s,
             histories=self.histories, batches=self.batches, seed=self.seed,
-            source_strength=self.source_strength, r_max=self.rmax,
-            shells=self.shells, capture=self.capture,
+            r_max=self.rmax, shells=self.shells, capture=self.capture,
         )
 
     def curve_grid(self) -> np.ndarray:
@@ -168,16 +166,16 @@ def cmd_curves(manifest: RunManifest) -> list[str]:
     return paths
 
 
-def _tally_metadata(manifest: RunManifest, result) -> dict:
+def _tally_metadata(manifest: RunManifest, config: ProblemConfig, result) -> dict:
     return {
         "command": manifest.command,
         "model": manifest.model,
         "sigma_t": manifest.sigma_t,
         "sigma_s": manifest.sigma_s,
         "histories": result.histories,
-        "batches": result.batches,
-        "seed": result.seed,
-        "capture": result.capture,
+        "batches": config.batches,
+        "seed": config.seed,
+        "capture": config.capture,
         "collisions_per_history": result.collisions_per_history,
         "collisions_per_history_se": result.collisions_per_history_se,
         "zero_length_fraction": result.zero_length_fraction,
@@ -197,7 +195,7 @@ def cmd_simulate(manifest: RunManifest) -> str:
                result.f_mean, result.f_stderr, result.n_scores)
     path = _write_csv(
         os.path.join(manifest.out, "tally.csv"),
-        _tally_metadata(manifest, result),
+        _tally_metadata(manifest, config, result),
         ["r_lo", "r_hi", "f_mean", "f_stderr", "n_scores"],
         rows,
     )
@@ -205,7 +203,7 @@ def cmd_simulate(manifest: RunManifest) -> str:
     print(f"collisions/history = {_fmt(result.collisions_per_history)} "
           f"+- {_fmt(result.collisions_per_history_se)}")
     print(f"wall time = {elapsed:.3f} s")
-    print(f"seed = {result.seed}")
+    print(f"seed = {config.seed}")
     return path
 
 
@@ -310,8 +308,8 @@ def cmd_compare(manifest: RunManifest) -> tuple[bool, str]:
     f_oracle = closed_form(make_model(oracle_kind, config.xs)).shell_averages(result.r_edges)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (result.f_mean - f_oracle) / result.f_stderr
-    passed, counts = compare_verdict(z, result.n_scores, result.batches)
-    meta = _tally_metadata(manifest, result)
+    passed, counts = compare_verdict(z, result.n_scores, config.batches)
+    meta = _tally_metadata(manifest, config, result)
     meta.update({"command": "compare", "oracle_model": oracle_kind, **counts,
                  "verdict": "PASS" if passed else "FAIL"})
     rows = zip(result.r_mid, result.f_mean, result.f_stderr, f_oracle, z)

@@ -87,20 +87,12 @@ class TallyResult:
     f_stderr: np.ndarray
     n_scores: np.ndarray
     histories: int
-    batches: int
     collisions_per_history: float
     collisions_per_history_se: float
     zero_length_fraction: float
-    first_flight_msd: float
-    first_flight_msd_se: float
     absorbed_weight_per_history: float
     faults: int
     capped: int
-    kind: ModelKind
-    sigma_t: float
-    sigma_s: float
-    capture: str
-    seed: int
 
     @property
     def r_mid(self) -> np.ndarray:
@@ -126,7 +118,6 @@ class ProblemConfig:
     histories: int = 100_000
     batches: int = 100
     seed: int = 0
-    source_strength: float = 1.0
     r_max: float | None = None
     shells: int = 64
     capture: str = "analog"
@@ -148,9 +139,6 @@ class ProblemConfig:
             raise ValueError("need at least one shell")
         if self.capture not in ("analog", "implicit"):
             raise ValueError(f"unknown capture mode {self.capture!r}")
-        if not (0.0 < self.source_strength < math.inf):
-            raise ValueError(f"source_strength must be positive and finite, "
-                             f"got {self.source_strength}")
 
     @property
     def xs(self) -> CrossSectionSpec:
@@ -177,7 +165,6 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         "weight": np.zeros(nb * k_shells), "scores": np.zeros(nb * k_shells, dtype=np.int64),
         "histories": np.asarray(sizes, dtype=np.int64),
         "collisions": np.zeros(nb, dtype=np.int64), "zero_length": np.zeros(nb, dtype=np.int64),
-        "first_flight_s2": np.zeros(nb), "first_flights": np.zeros(nb, dtype=np.int64),
         "absorbed_weight": np.zeros(nb),
         "faults": np.zeros(nb, dtype=np.int64), "capped": np.zeros(nb, dtype=np.int64),
     }
@@ -201,9 +188,6 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
             u, s, radius = u[:, ok], s[ok], radius[ok]
             if not batch.size:
                 break
-        if step == 0:
-            out["first_flight_s2"] += np.bincount(batch, s * s, minlength=nb)
-            out["first_flights"] += live
         out["collisions"] += live
         out["zero_length"] += np.bincount(batch[s == 0.0], minlength=nb)
         shell = np.searchsorted(edges, radius, side="right") - 1
@@ -237,44 +221,33 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
     return out
 
 
-def _finalize(edges: np.ndarray, sums: dict, config: ProblemConfig) -> TallyResult:
+def _finalize(edges: np.ndarray, sums: dict) -> TallyResult:
     """Reduce the per-batch sums of a run to its TallyResult.
 
     The density is weight / (histories * shell volume); its standard error
     is the spread of the per-batch densities, and the same holds for the
-    collisions per history and the first-flight mean square (ProblemConfig
-    guarantees at least 10 batches, each with at least one history).
+    collisions per history (ProblemConfig guarantees at least 10 batches,
+    each with at least one history).
     """
-    q = config.source_strength
-    root_b = math.sqrt(config.batches)
-    v = 4.0 * math.pi / 3.0 * np.diff(edges**3)
     histories = sums["histories"]
+    root_b = math.sqrt(histories.size)
+    v = 4.0 * math.pi / 3.0 * np.diff(edges**3)
     n_total = int(histories.sum())
-    per_batch = q * sums["weight"] / (histories[:, None] * v)
+    per_batch = sums["weight"] / (histories[:, None] * v)
     cph_batch = sums["collisions"] / histories
-    s2_batch = sums["first_flight_s2"] / np.maximum(sums["first_flights"], 1)
     total_coll = int(sums["collisions"].sum())
-    first_n = int(sums["first_flights"].sum())
     return TallyResult(
         r_edges=edges,
-        f_mean=q * sums["weight"].sum(axis=0) / (n_total * v),
+        f_mean=sums["weight"].sum(axis=0) / (n_total * v),
         f_stderr=per_batch.std(axis=0, ddof=1) / root_b,
         n_scores=sums["scores"].sum(axis=0),
         histories=n_total,
-        batches=config.batches,
         collisions_per_history=total_coll / n_total,
         collisions_per_history_se=float(cph_batch.std(ddof=1) / root_b),
         zero_length_fraction=(sums["zero_length"].sum() / total_coll) if total_coll else 0.0,
-        first_flight_msd=(sums["first_flight_s2"].sum() / first_n) if first_n else math.nan,
-        first_flight_msd_se=float(s2_batch.std(ddof=1) / root_b),
-        absorbed_weight_per_history=q * float(sums["absorbed_weight"].sum()) / n_total,
+        absorbed_weight_per_history=float(sums["absorbed_weight"].sum()) / n_total,
         faults=int(sums["faults"].sum()),
         capped=int(sums["capped"].sum()),
-        kind=config.kind,
-        sigma_t=config.sigma_t,
-        sigma_s=config.sigma_s,
-        capture=config.capture,
-        seed=config.seed,
     )
 
 
@@ -334,4 +307,4 @@ def simulate(config: ProblemConfig) -> TallyResult:
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.starmap(_transport_group, tasks, chunksize=1)
     sums = {name: np.concatenate([res[name] for res in results]) for name in results[0]}
-    return _finalize(edges, sums, config)
+    return _finalize(edges, sums)

@@ -9,14 +9,14 @@ with an atom returns s = 0 for xi <= atom, and otherwise solves
 S(z) = (1 - xi) / (1 - atom). A cubic-Hermite table of z against
 v = sqrt(-ln S) gives a start that one Newton step on the analytic
 survival takes to rounding level. Each law's table is built once, on
-first use, and so is the table of f alone that invert_f reads. The
-identity z = -1 - W_{-1}(-y / e) with the lower Lambert-W branch is an
-independent cross-check oracle used in the tests, not the production
-path.
+first use. The identity z = -1 - W_{-1}(-y / e) with the lower Lambert-W
+branch inverts f itself; the tests check the diffusion law, S(z) =
+f(sqrt(3) z), against it.
 
 Sampling is a pure function of (model, xi), applied elementwise with a
 fixed sequence of array operations; all randomness is supplied by the
-caller, normally via :class:`~nonclassical_mc.rng.RandomStream`.
+caller: the engine passes lane 2 of each step's ``uniforms_at`` block,
+and :func:`empirical_check` a :class:`~nonclassical_mc.rng.RandomStream`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .kernels import ModelKind, PathLengthModel
 from .rng import RandomStream
 
 __all__ = [
-    "invert_f",
     "sample_path",
     "MomentReport",
     "empirical_check",
@@ -41,7 +40,6 @@ _TABLE_KNOTS = 2048
 # e^{-38} < 2^-53: the table covers the survival of every xi <= 1 - 2^-53
 _TABLE_T_MAX = 38.0
 _BUILD_STEPS = 8  # Newton steps per knot when a table is built; 6 converge
-_TAIL_STEPS = 3  # Newton steps of invert_f beyond the table
 
 
 @dataclass(frozen=True)
@@ -151,41 +149,6 @@ def _quantile(table: _QuantileTable, t, surv):
     return s
 
 
-def _tail_inverse(t):
-    """u with u - ln(1 + u) = t, for t beyond the f table."""
-    u = t + np.log1p(t)
-    for _ in range(_TAIL_STEPS):
-        u = u - (u - np.log1p(u) - t) * (1.0 + u) / u
-    return u
-
-
-def _unit_interval(x, open_low: bool, message: str):
-    """x as a 1-d float array; NaN or a value outside the domain raises."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.size:
-        lo, hi = arr.min(), arr.max()  # NaN propagates into both
-        if not ((lo > 0.0 and hi <= 1.0) if open_low else (lo >= 0.0 and hi < 1.0)):
-            raise ValueError(message)
-    return arr, np.ndim(x) == 0
-
-
-def invert_f(y):
-    """Invert f(z) = (1 + z) e^{-z} on z >= 0 for y in (0, 1].
-
-    Returns z with |f(z) - y| <= 1e-13 y: the f quantile table read at
-    t = -ln y plus one Newton step. Below the table (y < e^{-38}) a fixed
-    number of Newton steps on z - ln(1 + z) = t start from the tail
-    asymptote z0 = t + ln(1 + t). NaN raises ValueError.
-    """
-    arr, scalar = _unit_interval(y, True, "invert_f requires 0 < y <= 1")
-    t = -np.log(arr)
-    z = _quantile(_quantile_table((1.0,), (1.0,)), np.minimum(t, _TABLE_T_MAX), arr)
-    deep = t > _TABLE_T_MAX
-    if deep.any():
-        z[deep] = _tail_inverse(t[deep])
-    return float(z[0]) if scalar else z
-
-
 def sample_path(model: PathLengthModel, xi):
     """Map unit-interval variates to path lengths by inverting the CDF.
 
@@ -195,7 +158,9 @@ def sample_path(model: PathLengthModel, xi):
     xi <= atom returns exactly 0.0, which is how the atom at s = 0 is
     realized.
     """
-    arr, scalar = _unit_interval(xi, False, "xi must lie in [0, 1)")
+    arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):  # NaN fails both
+        raise ValueError("xi must lie in [0, 1)")
     st = model.xs.sigma_t
     if model.kind is ModelKind.CLASSICAL:
         s = -np.log1p(-arr) / st
@@ -213,7 +178,7 @@ def sample_path(model: PathLengthModel, xi):
         if atom:
             z = np.where(arr > atom, z, 0.0)
         s = z / st
-    return float(s[0]) if scalar else s
+    return float(s[0]) if np.ndim(xi) == 0 else s
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """CLI front end: CSV schemas, config handling, verdicts, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from nonclassical_mc import CrossSectionSpec, closed_form, make_model
-from nonclassical_mc.cli import allowed_over_3sigma, allowed_over_5sigma, compare_verdict, main
+from nonclassical_mc.cli import (_CONFIG_KEYS, allowed_over_3sigma, allowed_over_5sigma,
+                                 build_parser, compare_verdict, main)
 
 
 def read_csv(path):
@@ -327,6 +329,21 @@ class TestConfigHandling:
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == 1
+
+    def test_every_config_key_is_a_flag(self):
+        # a key that no flag sets is a knob that only a config file can turn
+        subcommands = next(action for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction)).choices
+        dests = {action.dest for sub in subcommands.values() for action in sub._actions}
+        assert not _CONFIG_KEYS - dests
+
+    def test_source_strength_is_an_unknown_key(self, tmp_path, capsys):
+        config_path = tmp_path / "q2.json"
+        config_path.write_text(json.dumps({"source_strength": 2.0}))
+        out = tmp_path / "new" / "out"
+        assert run_cli("compare", "--config", str(config_path), "--out", str(out)) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
 
 class TestExitCodes:

@@ -110,9 +110,9 @@ def history_loop(model, seed, start_id, sizes, edges, capture, max_collisions):
                 history.collide(block_uniforms(seed, step, first + r))
         step += 1
     out = {name: np.zeros(nb, dtype=np.int64) for name in (
-        "histories", "collisions", "zero_length", "first_flights", "faults", "capped")}
+        "histories", "collisions", "zero_length", "faults", "capped")}
     out.update(weight=np.zeros((nb, k)), scores=np.zeros((nb, k), dtype=np.int64),
-               first_flight_s2=np.zeros(nb), absorbed_weight=np.zeros(nb))
+               absorbed_weight=np.zeros(nb))
     for b, batch in enumerate(batches):
         for history in batch:
             for radius, weight in zip(history.radii, history.weights):
@@ -121,9 +121,6 @@ def history_loop(model, seed, start_id, sizes, edges, capture, max_collisions):
                     out["weight"][b, shell] += weight
                     out["scores"][b, shell] += 1
             flights = history.flights
-            if flights:
-                out["first_flight_s2"][b] += flights[0] * flights[0]
-                out["first_flights"][b] += 1
             out["histories"][b] += 1
             out["collisions"][b] += len(flights)
             out["zero_length"][b] += flights.count(0.0)
@@ -146,10 +143,8 @@ class TestProblemConfig:
         dict(r_max=1.0),                        # under 5 mean free paths
         dict(shells=0),
         dict(capture="weighted"),
-        dict(source_strength=0.0),
         dict(r_max=math.nan),
         dict(r_max=math.inf),
-        dict(source_strength=math.inf),
     ])
     def test_rejections(self, overrides):
         with pytest.raises(ValueError):
@@ -233,7 +228,7 @@ class TestScalarVectorEquivalence:
         assert (group["capped"] > 0).all()
         assert group.keys() == oracle.keys()
         for name in group:
-            if name in ("first_flight_s2", "absorbed_weight"):
+            if name == "absorbed_weight":
                 np.testing.assert_allclose(group[name], oracle[name], rtol=1e-12)
             else:
                 np.testing.assert_array_equal(group[name], oracle[name])
@@ -247,7 +242,6 @@ class TestScalarVectorEquivalence:
             radii, weights, flights, absorbed, _ = run_history(model, 9, 40 + b, capture)
             assert out["collisions"][b] == len(flights)
             assert out["zero_length"][b] == flights.count(0.0)
-            assert out["first_flight_s2"][b] == flights[0] ** 2
             assert out["absorbed_weight"][b] == pytest.approx(absorbed, rel=1e-12)
             assert out["scores"][b].sum() == sum(r < EDGES[-1] for r in radii)
 
@@ -258,7 +252,7 @@ class TestScalarVectorEquivalence:
         sizes = [size for _, size in batch_slices(config.histories, config.batches)]
         sums = history_loop(make_model(config.kind, config.xs), config.seed, 0, sizes, edges,
                             config.capture, MAX_COLLISIONS)
-        manual = engine._finalize(edges, sums, config)
+        manual = engine._finalize(edges, sums)
         np.testing.assert_array_equal(result.f_mean, manual.f_mean)
         np.testing.assert_array_equal(result.f_stderr, manual.f_stderr)
         np.testing.assert_array_equal(result.n_scores, manual.n_scores)
@@ -319,10 +313,10 @@ class TestStreamLayout:
             alone = _transport_group(model, 3, start, [size], EDGES, capture, 12)
             start += size
             for name in ("weight", "scores", "histories", "collisions", "zero_length",
-                         "first_flights", "faults", "capped"):
+                         "faults", "capped"):
                 np.testing.assert_array_equal(group[name][b], alone[name][0])
-            for name in ("first_flight_s2", "absorbed_weight"):
-                assert group[name][b] == pytest.approx(alone[name][0], rel=1e-12)
+            assert group["absorbed_weight"][b] == pytest.approx(
+                alone["absorbed_weight"][0], rel=1e-12)
 
     def test_batches_share_one_lockstep(self, monkeypatch):
         # on one worker, 20 batches of 50 run in one lockstep: it takes as
@@ -369,13 +363,6 @@ class TestSimulate:
         else:
             z = (result.collisions_per_history - expected) / result.collisions_per_history_se
             assert abs(z) <= 4.0
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_first_flight_second_moment(self, kind):
-        # E[s^2] over first flights equals the classical 2/sigma_t^2
-        result = simulate(small_config(kind=kind, histories=40_000, seed=33))
-        z = (result.first_flight_msd - 2.0) / result.first_flight_msd_se
-        assert abs(z) <= 4.0
 
     def test_classical_pure_absorber_matches_first_flight_kernel(self):
         config = small_config(kind="classical", sigma_s=0.0, histories=200_000,
@@ -429,7 +416,7 @@ class TestSimulate:
         base = results["1"]
         for workers in ("2", "8"):
             for name in ("f_mean", "f_stderr", "n_scores", "absorbed_weight_per_history",
-                         "first_flight_msd", "zero_length_fraction"):
+                         "zero_length_fraction"):
                 np.testing.assert_array_equal(getattr(results[workers], name),
                                               getattr(base, name))
 
@@ -439,12 +426,6 @@ class TestSimulate:
         second = simulate(config)
         np.testing.assert_array_equal(first.f_mean, second.f_mean)
         np.testing.assert_array_equal(first.f_stderr, second.f_stderr)
-
-    def test_source_strength_scales_density(self):
-        weak = simulate(small_config(histories=5_000, batches=10, seed=49))
-        strong = simulate(small_config(histories=5_000, batches=10, seed=49,
-                                       source_strength=3.0))
-        np.testing.assert_allclose(strong.f_mean, 3.0 * weak.f_mean, rtol=1e-12)
 
 
 class TestBatchSlices:
