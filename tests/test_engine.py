@@ -143,8 +143,10 @@ class TestProblemConfig:
         dict(r_max=1.0),                        # under 5 mean free paths
         dict(shells=0),
         dict(capture="weighted"),
+        dict(histories=20_000.5),               # counts must be integral
         dict(r_max=math.nan),
         dict(r_max=math.inf),
+        dict(sigma_t=math.inf),                 # medium must be finite
     ])
     def test_rejections(self, overrides):
         with pytest.raises(ValueError):
