@@ -36,6 +36,15 @@ histories, and each (batch, shell) cell receives its additions in
 (collision index, history id) order whatever the batch's group-mates are;
 per-batch results are reduced in batch order.
 
+Positions are three 1-D arrays x, y, z, advanced in the scalar order
+x += s (sin(theta) cos(phi)), y += s (sin(theta) sin(phi)), z += s mu, with
+r = sqrt(x x + y y + z z). The tally grid is the uniform one np.linspace
+builds, so a collision's shell is r over the shell width, corrected by one
+step against the edges, which equals a search of the edges. Analog capture
+carries no weight array, since every analog weight is 1: a cell's weight is
+its score count, and a batch's absorbed weight the number of its histories
+that were absorbed.
+
 Particles that leave the tally grid keep transporting (the medium is
 infinite) but score nothing; histories are never truncated spatially.
 """
@@ -68,14 +77,6 @@ WEIGHT_CUTOFF = 0.01
 ROULETTE_SURVIVAL = 0.1
 WORKERS_ENV = "NONCLASSICAL_MC_WORKERS"
 LANES = 16_384  # group width cap, near a 1e4-history batch, so peak memory does not grow
-
-
-def _directions(u1, u2):
-    """Isotropic unit vectors from uniform cos(theta) and uniform azimuth."""
-    mu = 2.0 * u1 - 1.0
-    phi = 2.0 * math.pi * u2
-    sin_theta = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-    return np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), mu], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,19 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
     index. Each lockstep step makes one ``uniforms_at`` call with one run of
     counters per batch (module docstring); lanes stay sorted by batch and
     history, so the call's columns line up with the lanes. One block is used
-    per collision, plus one per faulted flight.
+    per collision, plus one per faulted flight. edges must be the grid
+    np.linspace(0, r_max, shells + 1) builds (else ValueError).
 
     Returns per-batch arrays by name, in batch order, for _finalize.
     """
     k_shells = edges.size - 1
+    r_max = edges[-1]
+    if not np.array_equal(edges, np.linspace(0.0, r_max, k_shells + 1)):
+        raise ValueError("edges must be np.linspace(0, r_max, shells + 1)")
+    to_shell = k_shells / r_max
     nb = len(sizes)
     c = model.xs.c
+    analog = capture == "analog"
     out = {
         "weight": np.zeros(nb * k_shells), "scores": np.zeros(nb * k_shells, dtype=np.int64),
         "histories": np.asarray(sizes, dtype=np.int64),
@@ -170,54 +177,74 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
     }
     firsts = start_id + np.cumsum(out["histories"]) - out["histories"]
     batch = np.repeat(np.arange(nb), sizes)
-    pos = np.zeros((batch.size, 3))
-    w = np.ones(batch.size)
+    live = out["histories"].copy()  # live histories per batch
+    x, y, z = np.zeros((3, batch.size))
+    w = None if analog else np.ones(batch.size)  # analog weights are all 1
     step = 0
     while batch.size:
-        live = np.bincount(batch, minlength=nb)
         u = uniforms_at(seed, step, firsts, live)
         s = sample_path(model, u[2])
-        pos += s[:, None] * _directions(u[0], u[1])
-        radius = np.sqrt(np.einsum("ij,ij->i", pos, pos))
+        mu = 2.0 * u[0] - 1.0
+        phi = 2.0 * math.pi * u[1]
+        sin_theta = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
+        x += s * (sin_theta * np.cos(phi))
+        y += s * (sin_theta * np.sin(phi))
+        z += s * mu
+        radius = np.sqrt(x * x + y * y + z * z)
+        xi = u[3]
         ok = np.isfinite(radius)
         if not ok.all():
             faulted = np.bincount(batch[~ok], minlength=nb)
             out["faults"] += faulted
             live -= faulted
-            batch, pos, w = batch[ok], pos[ok], w[ok]
-            u, s, radius = u[:, ok], s[ok], radius[ok]
+            batch, x, y, z, xi, s, radius = (a[ok] for a in (batch, x, y, z, xi, s, radius))
+            if w is not None:
+                w = w[ok]
             if not batch.size:
                 break
         out["collisions"] += live
         out["zero_length"] += np.bincount(batch[s == 0.0], minlength=nb)
-        shell = np.searchsorted(edges, radius, side="right") - 1
-        hit = shell < k_shells
-        cell = batch[hit] * k_shells + shell[hit]
-        np.add.at(out["weight"], cell, w[hit])
-        np.add.at(out["scores"], cell, 1)
+        # the uniform grid's shell, estimated within one of the true index (at
+        # most k_shells, as r < r_max) and corrected against the edges: exactly
+        # searchsorted(edges, r, "right") - 1
+        hit = radius < r_max
+        r = radius[hit]
+        shell = (r * to_shell).astype(np.intp)
+        shell -= r < edges[shell]
+        shell += r >= edges[shell + 1]
+        cell = batch[hit] * k_shells + shell
+        out["scores"] += np.bincount(cell, minlength=nb * k_shells)
         step += 1
-        if capture == "analog":
-            die = u[3] < (1.0 - c)
-            out["absorbed_weight"] += np.bincount(batch[die], w[die], minlength=nb)
-            alive = ~die
+        if analog:
+            alive = xi >= 1.0 - c
         else:
+            np.add.at(out["weight"], cell, w[hit])
             out["absorbed_weight"] += np.bincount(batch, w * (1.0 - c), minlength=nb)
             w = w * c
             alive = np.ones(batch.size, dtype=bool)
             need = w < WEIGHT_CUTOFF
             if need.any():
-                survive = u[3, need] < ROULETTE_SURVIVAL
+                survive = xi[need] < ROULETTE_SURVIVAL
                 boosted = w[need]
                 boosted[survive] = boosted[survive] / ROULETTE_SURVIVAL
                 w[need] = boosted
                 alive[need] = survive
+        survivors = live
+        if not alive.all():
+            idx = np.flatnonzero(alive)
+            batch, x, y, z = batch[idx], x[idx], y[idx], z[idx]
+            if w is not None:
+                w = w[idx]
+            survivors = np.bincount(batch, minlength=nb)
+        if analog:
+            out["absorbed_weight"] += live - survivors
         if step >= max_collisions:
-            out["capped"] += np.bincount(batch[alive], minlength=nb)
+            out["capped"] += survivors
             break
-        idx = np.nonzero(alive)[0]
-        batch, pos, w = batch[idx], pos[idx], w[idx]
-    out["weight"] = out["weight"].reshape(nb, k_shells)
+        live = survivors
     out["scores"] = out["scores"].reshape(nb, k_shells)
+    # analog scores carry weight 1, so each weight sum is its exact score count
+    out["weight"] = out["scores"].astype(float) if analog else out["weight"].reshape(nb, k_shells)
     return out
 
 

@@ -174,6 +174,60 @@ class TestTransportGroup:
                                "analog", MAX_COLLISIONS)
         np.testing.assert_array_equal(out["scores"][0], [1, 2])
 
+    @pytest.mark.parametrize("r_max", [10.0, ProblemConfig("classical", sigma_t=3.0).r_max,
+                                       0.7, 1e3 * math.pi])
+    @pytest.mark.parametrize("shells", [1, 7, 64, 1000])
+    def test_shell_index_is_searchsorted(self, r_max, shells, monkeypatch):
+        # one history per batch flies along +z from the origin and is absorbed
+        # at c = 0, so each batch's scores are one-hot at the kernel's shell
+        # index: 0, every edge and both its neighbours, and beyond the grid.
+        # At r_max = 10/3 and 7 shells, r_max's lower neighbour estimates shell 7
+        edges = np.linspace(0.0, r_max, shells + 1)
+        flights = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                  np.nextafter(edges, np.inf), [2.0 * r_max, 1e150]])
+        flights = np.unique(flights[flights >= 0.0])
+        radius = np.sqrt(flights * flights)  # the kernel's radius on the z axis
+        expected = np.searchsorted(edges, radius, side="right") - 1
+        model = make_model("classical", CrossSectionSpec(1.0, 0.0))
+        monkeypatch.setattr(engine, "uniforms_at", lambda seed, step, firsts, counts:
+                            np.repeat([[1.0], [0.0], [0.0], [0.0]], sum(counts), axis=1))
+        for lo in range(0, flights.size, 256):
+            chunk = slice(lo, lo + 256)
+            monkeypatch.setattr(engine, "sample_path", lambda model, xi: flights[chunk])
+            out = _transport_group(model, 0, 0, [1] * flights[chunk].size, edges,
+                                   "analog", MAX_COLLISIONS)
+            scores = np.zeros_like(out["scores"])
+            on_grid = expected[chunk] < shells
+            scores[np.flatnonzero(on_grid), expected[chunk][on_grid]] = 1
+            np.testing.assert_array_equal(out["scores"], scores)
+
+    @pytest.mark.parametrize("edges", [
+        np.array([0.0, 1.0, 3.0]),
+        np.linspace(1.0, 10.0, 65),
+        np.concatenate([EDGES[:9], [np.nextafter(EDGES[9], 0.0)], EDGES[10:]]),
+    ])
+    def test_refuses_a_nonuniform_grid(self, edges, monkeypatch):
+        # the grid is checked once, before the group's first step
+        counts = TestStreamLayout.count_blocks(monkeypatch)
+        model = make_model("diffusion", CrossSectionSpec(1.0, 0.5))
+        with pytest.raises(ValueError):
+            _transport_group(model, 3, 0, [50, 50], edges, "analog", MAX_COLLISIONS)
+        assert counts["calls"] == 0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_analog_tallies_are_counts(self, kind, monkeypatch):
+        # every analog weight is 1: each weight sum is its score count, and
+        # every history that neither faulted nor was capped was absorbed
+        TestStreamLayout.count_blocks(monkeypatch)
+        model = make_model(kind, CrossSectionSpec(1.0, 0.9))
+        out = _transport_group(model, 3, 40, [300, 250, 320], EDGES, "analog", 12)
+        assert (out["faults"] > 0).all()
+        assert (out["capped"] > 0).all()
+        assert out["weight"].dtype == np.float64
+        np.testing.assert_array_equal(out["weight"], out["scores"])
+        np.testing.assert_array_equal(out["absorbed_weight"],
+                                      out["histories"] - out["faults"] - out["capped"])
+
     def test_nonfinite_position_is_a_counted_fault(self, monkeypatch):
         monkeypatch.setattr(engine, "sample_path", lambda model, xi: np.full(xi.shape, np.inf))
         model = make_model("diffusion", CrossSectionSpec(1.0, 0.5))

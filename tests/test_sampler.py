@@ -1,5 +1,6 @@
 """Inverse-transform sampling: exactness, round trips, sampled statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -273,6 +274,31 @@ class TestQuantileTable:
         np.testing.assert_allclose(table.slope[1:], 2.0 * table.v[1:] / hazard, rtol=1e-12)
         if kind == "sp3":
             assert table.slope[0] == pytest.approx(math.sqrt(18.0 / 55.0), rel=1e-15)
+
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_largest_variate_stays_inside_the_table(self, kind, monkeypatch):
+        # xi = 1 - 2^-53 gives t = -ln S <= 53 ln 2 < 38, so the knot interval
+        # _quantile reads is at most floor(sqrt(53 ln 2) (knots - 1) / sqrt(38))
+        # = 2012 of the table's knots - 1 = 2047 intervals
+        model = make_model(kind, XS)
+        table = _law_table(model)
+        read = []
+
+        class RecordingCoef(np.ndarray):
+            def take(self, indices, *args, **kwargs):
+                read.append(int(np.max(indices)))
+                return np.asarray(self).take(indices, *args, **kwargs)
+
+        recording = dataclasses.replace(table, coef=table.coef.view(RecordingCoef))
+        monkeypatch.setattr(sampler, "_law_table", lambda m: recording)
+        s = sample_path(model, np.array([0.5, np.nextafter(1.0, 0.0)]))
+        assert np.all(np.isfinite(s))
+        bound = math.floor(math.sqrt(53.0 * math.log(2.0)) * (table.knots - 1) / table.v[-1])
+        assert bound == 2012
+        assert read[0] <= bound <= table.knots - 2
+        if not model.atom_at_zero:
+            assert read[0] == bound
 
 
 class TestEmpiricalCheck:
