@@ -8,32 +8,37 @@ coordinate reset to zero. Zero-length sp2 flights score in the shell
 containing the current position and still roll the absorption test.
 
 Every variate comes from the counter-based Philox4x64-10 blocks of
-``rng``. Lockstep step j (collision j of every live history) reads key
-(seed, j): the r-th live history of a batch, counting in history order,
-reads the counter s + r, where s is the id of the batch's first history.
-So at step 0 history h reads counter h, and a batch of one history reads
-(seed, j; h) at every step. Key j is read first at step j, and which
-counter a history takes there depends only on earlier blocks, so given the
-past the variates of step j are independent and uniform. Each step's block
-spends its lanes on one collision: lanes 0-1 give the direction of flight
-j (the birth direction for j = 0, the post-scatter direction after that),
-lane 2 the flight variate, and lane 3 the analog capture test, or in
-implicit capture the roulette test (read only when the weight falls below
-the cutoff). The result of a run is therefore a pure function of (seed,
-histories, batches) no matter how batches are distributed over worker
-processes (set NONCLASSICAL_MC_WORKERS to override the default of all
-available CPUs).
+``rng``. A batch's collision j reads key (seed, j): the r-th live history
+of the batch, counting in history order, reads the counter s + r, where s
+is the id of the batch's first history. So a history's first collision
+reads counter h, and a batch of one history reads (seed, j; h) at every
+collision j. A batch reads key j first at its collision j, and which
+counter a history takes there depends only on earlier blocks, so given
+the past the variates of collision j are independent and uniform. Each
+block spends its lanes on one collision: lanes 0-1 give the direction of
+flight j (the birth direction for j = 0, the post-scatter direction after
+that), lane 2 the flight variate, and lane 3 the analog capture test, or
+in implicit capture the roulette test (read only when the weight falls
+below the cutoff). The result of a run is therefore a pure function of
+(seed, histories, batches) no matter how batches are distributed over
+worker processes (set NONCLASSICAL_MC_WORKERS to override the default of
+all available CPUs).
 
-The unit of parallel work is a group of consecutive batches, run in one
-lockstep over collisions so that the per-step cost is shared and the step
-count follows the group's longest history. There are at least as many
-groups as workers, and enough that a group holds about LANES histories at
-most (a single batch where one batch is larger). The grouping thus
-depends on the worker count, but the output does not: every history of a
-group starts at step 0 and compaction keeps the live lanes in history
-order, so a batch's counters at each step depend only on its own
-histories, and each (batch, shell) cell receives its additions in
-(collision index, history id) order whatever the batch's group-mates are;
+Each worker runs one contiguous range of batches (as many ranges as
+workers, at most one per batch) in a refilling lockstep over collisions,
+so the per-step cost is shared. Before each step the lockstep admits the
+next batches in order, each whole, while its width stays within LANES
+histories; a batch wider than LANES joins only an empty lockstep. As
+histories die, lanes free up and later batches join, so the width stays
+near LANES, and the step count follows the total collisions over the
+width rather than the longest history of each group of batches. One step thus holds batches at
+different collision indices, and its one ``uniforms_at`` call gives each
+batch a run of counters under the key of its own collision index. The
+grouping depends on the worker count, but the output does not: admission
+appends batches in order and compaction keeps the live lanes in history
+order, so a batch's counters at each collision depend only on its own
+histories, each (batch, shell) cell receives its additions in (collision
+index, history id) order whatever the batch's step-mates are, and
 per-batch results are reduced in batch order.
 
 Positions are three 1-D arrays x, y, z, advanced in the scalar order
@@ -76,7 +81,7 @@ MAX_COLLISIONS = 100_000  # guards pathological configurations; unreachable for 
 WEIGHT_CUTOFF = 0.01
 ROULETTE_SURVIVAL = 0.1
 WORKERS_ENV = "NONCLASSICAL_MC_WORKERS"
-LANES = 16_384  # group width cap, near a 1e4-history batch, so peak memory does not grow
+LANES = 16_384  # lockstep width cap, near a 1e4-history batch, so peak memory does not grow
 
 
 @dataclass(frozen=True)
@@ -148,14 +153,20 @@ class ProblemConfig:
 
 def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
                      edges: np.ndarray, capture: str, max_collisions: int) -> dict:
-    """Run consecutive batches in one lockstep over collisions.
+    """Run consecutive batches in one refilling lockstep over collisions.
 
     Batch b holds the sizes[b] histories that follow those of batch b - 1,
-    the first starting at history start_id; every lane carries its batch
-    index. Each lockstep step makes one ``uniforms_at`` call with one run of
-    counters per batch (module docstring); lanes stay sorted by batch and
-    history, so the call's columns line up with the lanes. One block is used
-    per collision, plus one per faulted flight. edges must be the grid
+    the first starting at history start_id. Before each step the kernel
+    admits the next batches in order, each whole, while the width stays
+    within LANES (a batch wider than LANES only into an empty lockstep);
+    a batch admitted at step t takes its collision j at step t + j. Every
+    lane carries its batch index, counted from the oldest batch in the
+    lockstep. Each step makes one ``uniforms_at`` call with one run of
+    counters per batch, keyed by the batch's collision index (module
+    docstring); lanes stay sorted by batch and history, so the call's
+    columns line up with the lanes. One block is used per collision, plus
+    one per faulted flight, and a batch's histories still live after
+    max_collisions collisions are capped. edges must be the grid
     np.linspace(0, r_max, shells + 1) builds (else ValueError).
 
     Returns per-batch arrays by name, in batch order, for _finalize.
@@ -175,14 +186,34 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         "absorbed_weight": np.zeros(nb),
         "faults": np.zeros(nb, dtype=np.int64), "capped": np.zeros(nb, dtype=np.int64),
     }
-    firsts = start_id + np.cumsum(out["histories"]) - out["histories"]
-    batch = np.repeat(np.arange(nb), sizes)
-    live = out["histories"].copy()  # live histories per batch
-    x, y, z = np.zeros((3, batch.size))
-    w = None if analog else np.ones(batch.size)  # analog weights are all 1
+    sizes = out["histories"]
+    firsts = start_id + np.cumsum(sizes) - sizes
+    admitted = np.zeros(nb, dtype=np.int64)  # the step each batch joins at
+    live = np.zeros(nb, dtype=np.int64)  # live histories per batch
+    batch = np.zeros(0, dtype=np.intp)
+    x = y = z = np.zeros(0)
+    w = None if analog else np.zeros(0)  # analog weights are all 1
+    lo = hi = 0  # the lockstep holds batches lo .. hi - 1
     step = 0
-    while batch.size:
-        u = uniforms_at(seed, step, firsts, live)
+    while True:
+        width, joined = batch.size, hi
+        while hi < nb and (width == 0 or width + sizes[hi] <= LANES):
+            width += sizes[hi]
+            hi += 1
+        if hi > joined:
+            admitted[joined:hi] = step
+            live[joined:hi] = sizes[joined:hi]
+            new = width - batch.size
+            batch = np.concatenate([batch, np.repeat(np.arange(joined - lo, hi - lo),
+                                                     sizes[joined:hi])])
+            x, y, z = (np.concatenate([a, np.zeros(new)]) for a in (x, y, z))
+            if w is not None:
+                w = np.concatenate([w, np.ones(new)])
+        if not width:
+            break
+        held = slice(lo, hi)
+        nh = hi - lo
+        u = uniforms_at(seed, step - admitted[held], firsts[held], live[held])
         s = sample_path(model, u[2])
         mu = 2.0 * u[0] - 1.0
         phi = 2.0 * math.pi * u[1]
@@ -194,16 +225,14 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         xi = u[3]
         ok = np.isfinite(radius)
         if not ok.all():
-            faulted = np.bincount(batch[~ok], minlength=nb)
-            out["faults"] += faulted
-            live -= faulted
+            faulted = np.bincount(batch[~ok], minlength=nh)
+            out["faults"][held] += faulted
+            live[held] -= faulted
             batch, x, y, z, xi, s, radius = (a[ok] for a in (batch, x, y, z, xi, s, radius))
             if w is not None:
                 w = w[ok]
-            if not batch.size:
-                break
-        out["collisions"] += live
-        out["zero_length"] += np.bincount(batch[s == 0.0], minlength=nb)
+        out["collisions"][held] += live[held]
+        out["zero_length"][held] += np.bincount(batch[s == 0.0], minlength=nh)
         # the uniform grid's shell, estimated within one of the true index (at
         # most k_shells, as r < r_max) and corrected against the edges: exactly
         # searchsorted(edges, r, "right") - 1
@@ -213,13 +242,14 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         shell -= r < edges[shell]
         shell += r >= edges[shell + 1]
         cell = batch[hit] * k_shells + shell
-        out["scores"] += np.bincount(cell, minlength=nb * k_shells)
+        cells = slice(lo * k_shells, hi * k_shells)
+        out["scores"][cells] += np.bincount(cell, minlength=nh * k_shells)
         step += 1
         if analog:
             alive = xi >= 1.0 - c
         else:
-            np.add.at(out["weight"], cell, w[hit])
-            out["absorbed_weight"] += np.bincount(batch, w * (1.0 - c), minlength=nb)
+            np.add.at(out["weight"][cells], cell, w[hit])
+            out["absorbed_weight"][held] += np.bincount(batch, w * (1.0 - c), minlength=nh)
             w = w * c
             alive = np.ones(batch.size, dtype=bool)
             need = w < WEIGHT_CUTOFF
@@ -229,19 +259,31 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
                 boosted[survive] = boosted[survive] / ROULETTE_SURVIVAL
                 w[need] = boosted
                 alive[need] = survive
-        survivors = live
+        survivors = live[held]
         if not alive.all():
             idx = np.flatnonzero(alive)
             batch, x, y, z = batch[idx], x[idx], y[idx], z[idx]
             if w is not None:
                 w = w[idx]
-            survivors = np.bincount(batch, minlength=nb)
+            survivors = np.bincount(batch, minlength=nh)
         if analog:
-            out["absorbed_weight"] += live - survivors
-        if step >= max_collisions:
-            out["capped"] += survivors
-            break
-        live = survivors
+            out["absorbed_weight"][held] += live[held] - survivors
+        live[held] = survivors
+        if step - admitted[lo] >= max_collisions:
+            # admission order makes the batches at the cap the oldest ones, and
+            # their histories the first lanes
+            done = slice(lo, lo + np.searchsorted(admitted[held], step - max_collisions, "right"))
+            out["capped"][done] += live[done]
+            cut = int(live[done].sum())
+            live[done] = 0
+            batch, x, y, z = batch[cut:], x[cut:], y[cut:], z[cut:]
+            if w is not None:
+                w = w[cut:]
+        gone = lo
+        while lo < hi and not live[lo]:
+            lo += 1
+        if lo > gone:
+            batch -= lo - gone
     out["scores"] = out["scores"].reshape(nb, k_shells)
     # analog scores carry weight 1, so each weight sum is its exact score count
     out["weight"] = out["scores"].astype(float) if analog else out["weight"].reshape(nb, k_shells)
@@ -319,16 +361,14 @@ def simulate(config: ProblemConfig) -> TallyResult:
     model = make_model(config.kind, config.xs)
     edges = np.linspace(0.0, config.r_max, config.shells + 1)
     slices = batch_slices(config.histories, config.batches)
-    workers = configured_workers()
-    n_groups = min(config.batches, max(workers, math.ceil(config.histories / LANES)))
+    workers = min(config.batches, configured_workers())
     tasks = [
         (model, config.seed, slices[first][0],
          [size for _, size in slices[first:first + count]], edges, config.capture,
          MAX_COLLISIONS)
-        for first, count in batch_slices(config.batches, n_groups)
+        for first, count in batch_slices(config.batches, workers)
     ]
-    workers = min(workers, len(tasks))
-    if workers <= 1:
+    if workers == 1:
         results = [_transport_group(*task) for task in tasks]
     else:
         with multiprocessing.Pool(processes=workers) as pool:

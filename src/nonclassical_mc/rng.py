@@ -5,10 +5,12 @@ its four 64-bit lanes give four uniform variates (the top 53 bits of each
 word, numpy's double conversion). Blocks are random-access, so a result
 never depends on how work is split across workers.
 
-``uniforms_at`` reads runs of consecutive counters under the key (seed,
-step) through numpy's C Philox: one generator per call, advanced to the
-first counter of each run. The transport engine keys lockstep step j by
-(seed, j) and gives each batch one run of counters (see ``engine``).
+``uniforms_at`` reads runs of consecutive counters, each under its own key
+(seed, step), through numpy's C Philox: one generator serves each stretch
+of consecutive runs that share a key, advanced over the gaps between
+runs, and runs that continue one another are read in one call. The
+transport engine gives each batch in a lockstep step one run of counters,
+keyed by the batch's collision index (see ``engine``).
 ``RandomStream`` reads the key (seed, stream_id) as a sequence: variate i
 is lane i % 4 of block i // 4, numpy's lane order.
 
@@ -22,6 +24,7 @@ drops any buffered variates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,26 +79,43 @@ def philox4x64_block(counter, key0, key1):
         return c0, c1, c2, c3
 
 
-def uniforms_at(seed: int, step: int, firsts, counts) -> np.ndarray:
-    """All four lanes of runs of consecutive Philox blocks under one key.
+def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
+    """All four lanes of runs of consecutive Philox blocks.
 
     Run i covers the counters firsts[i] .. firsts[i] + counts[i] - 1 of the
-    key (seed, step); the runs are laid end to end. The output is float64
-    of shape (4, sum(counts)), row k holding lane k, column n the n-th block
-    read. A counter past 2**64 - 1 carries into numpy's second counter word.
+    key (seed, step[i]), or of (seed, step) for every run when step is a
+    scalar (firsts and a per-run step are sequences, indexed by run); the
+    runs are laid end to end. Key words wrap modulo 2**64. The
+    output is float64 of shape (4, sum(counts)), row k holding lane k,
+    column n the n-th block read. A counter past 2**64 - 1 carries into
+    numpy's second counter word.
     """
-    counts = [int(n) for n in counts]
-    out = np.empty((sum(counts), 4))
-    key = np.array([seed & _MASK64, step & _MASK64], dtype=np.uint64)
-    bits = np.random.Philox(key=key, counter=_COUNTER_WRAP - 1)  # reads counter 0 next
-    draw = np.random.Generator(bits).random
-    end = at = 0
-    for first, n in zip(firsts, counts):
-        if n:
-            bits.advance((int(first) - at) % _COUNTER_WRAP)
-            draw(out=out[end:end + n])
-            at = int(first) + n
-            end += n
+    counts = np.asarray(counts, dtype=np.int64)
+    out = np.empty((int(counts.sum()), 4))
+    runs = np.flatnonzero(counts)
+    steps = itertools.repeat(step) if np.ndim(step) == 0 else (step[i] for i in runs.tolist())
+    key = None
+    at = lo = hi = 0  # out[lo:hi] is due from the generator's counters at, at + 1, ...
+    for i, run_step, n in zip(runs.tolist(), steps, counts[runs].tolist()):
+        run_key = int(run_step) & _MASK64
+        first = int(firsts[i])
+        if run_key != key or first != at + hi - lo:
+            if hi > lo:
+                draw(out=out[lo:hi])
+            at += hi - lo
+            lo = hi
+            if run_key != key:  # one generator per stretch of runs under one key
+                key = run_key
+                bits = np.random.Philox(key=np.array([seed & _MASK64, key], dtype=np.uint64),
+                                        counter=_COUNTER_WRAP - 1)  # reads counter 0 next
+                draw = np.random.Generator(bits).random
+                at = 0
+            if first != at:
+                bits.advance((first - at) % _COUNTER_WRAP)
+                at = first
+        hi += n
+    if hi > lo:
+        draw(out=out[lo:hi])
     return out.T
 
 

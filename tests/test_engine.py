@@ -267,13 +267,17 @@ class TestRunHistory:
 
 
 class TestScalarVectorEquivalence:
+    @pytest.mark.parametrize("lanes", [engine.LANES, 400, 1])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_batch_kernel_reproduces_run_history(self, kind, capture, monkeypatch):
+    def test_batch_kernel_reproduces_run_history(self, kind, capture, lanes, monkeypatch):
         # three uneven batches from history 40, each with faulted flights and
         # capped histories; implicit capture reaches its roulette at collision
         # 7. At c = 0.5 every weight is dyadic (the boost 2^-7 / 0.1 rounds to
-        # 5 * 2^-6), so the weight sums are exact in any order
+        # 5 * 2^-6), so the weight sums are exact in any order. Under 400
+        # lanes the later batches join mid-run, under 1 lane each joins when
+        # the one before has ended; the oracle runs them all from step 0
+        monkeypatch.setattr(engine, "LANES", lanes)
         TestStreamLayout.count_blocks(monkeypatch)
         model = make_model(kind, CrossSectionSpec(1.0, 0.5))
         cap = {"analog": 4, "implicit": 8}[capture]
@@ -284,7 +288,7 @@ class TestScalarVectorEquivalence:
         assert (group["capped"] > 0).all()
         assert group.keys() == oracle.keys()
         for name in group:
-            if name == "absorbed_weight":
+            if name == "absorbed_weight" and capture == "implicit":
                 np.testing.assert_allclose(group[name], oracle[name], rtol=1e-12)
             else:
                 np.testing.assert_array_equal(group[name], oracle[name])
@@ -318,17 +322,18 @@ class TestScalarVectorEquivalence:
 class TestStreamLayout:
     @staticmethod
     def count_blocks(monkeypatch):
-        """Record uniforms_at calls and the (step, counter) blocks they read;
-        fault the flights with xi > 0.995."""
+        """Record uniforms_at calls, the (key, first, count) of each run they
+        read and the (key, counter) blocks; fault the flights with xi > 0.995."""
         real_uniforms, real_sample = engine.uniforms_at, engine.sample_path
-        counts = {"calls": 0, "steps": 0, "keys": [], "blocks": []}
+        counts = {"calls": 0, "steps": 0, "runs": [], "blocks": []}
 
         def counting_uniforms(seed, step, firsts, lengths):
             out = real_uniforms(seed, step, firsts, lengths)
+            runs = [(int(key), int(first), int(n))
+                    for key, first, n in zip(np.broadcast_to(step, len(lengths)), firsts, lengths)]
             counts["calls"] += 1
-            counts["keys"].append(step)
-            counts["blocks"] += [(step, int(first) + r)
-                                 for first, n in zip(firsts, lengths) for r in range(n)]
+            counts["runs"].append(runs)
+            counts["blocks"] += [(key, first + r) for key, first, n in runs for r in range(n)]
             assert out.shape == (4, sum(lengths))
             return out
 
@@ -340,11 +345,14 @@ class TestStreamLayout:
         monkeypatch.setattr(engine, "sample_path", faulting_sample)
         return counts
 
+    @pytest.mark.parametrize("lanes", [engine.LANES, 1000])
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_one_block_per_collision(self, capture, monkeypatch):
-        # one uniforms_at call per lockstep step, keyed by the step index;
-        # every flight reads one Philox block, a faulted flight included, and
-        # no (step, counter) block is read twice
+    def test_one_block_per_collision(self, capture, lanes, monkeypatch):
+        # one uniforms_at call per lockstep step; the k-th step a batch takes
+        # part in reads key k, whenever the batch joined; every flight reads
+        # one Philox block, a faulted flight included, and no (key, counter)
+        # block is read twice
+        monkeypatch.setattr(engine, "LANES", lanes)
         counts = self.count_blocks(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         out = _transport_group(model, 3, 40, [700, 650, 650], EDGES, capture, 30)
@@ -352,12 +360,27 @@ class TestStreamLayout:
         assert (out["capped"] > 0).all()
         blocks = counts["blocks"]
         assert len(set(blocks)) == len(blocks) == out["collisions"].sum() + out["faults"].sum()
-        assert counts["keys"] == list(range(counts["steps"]))
+        keys = {}
+        for step, runs in enumerate(counts["runs"]):
+            for key, first, n in runs:
+                if n:
+                    keys.setdefault(first, []).append((step, key))
+        assert sorted(keys) == [40, 740, 1390]
+        for taken in keys.values():
+            assert [key for _, key in taken] == list(range(len(taken)))
+        joined = [taken[0][0] for taken in keys.values()]  # the step each batch joined at
+        if lanes < 2000:
+            assert 0 == joined[0] < joined[1] < joined[2]
+        else:
+            assert joined == [0, 0, 0]
         assert counts["calls"] == counts["steps"]
 
+    @pytest.mark.parametrize("lanes", [engine.LANES, 400, 1])
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_group_equals_separate_batches(self, capture, monkeypatch):
-        # a batch's tallies do not depend on the batches it shares a lockstep with
+    def test_group_equals_separate_batches(self, capture, lanes, monkeypatch):
+        # a batch's tallies do not depend on the batches it shares a lockstep
+        # with, nor on the step it joins at
+        monkeypatch.setattr(engine, "LANES", lanes)
         self.count_blocks(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         sizes = [300, 250, 320]
@@ -368,16 +391,27 @@ class TestStreamLayout:
         for b, size in enumerate(sizes):
             alone = _transport_group(model, 3, start, [size], EDGES, capture, 12)
             start += size
-            for name in ("weight", "scores", "histories", "collisions", "zero_length",
-                         "faults", "capped"):
+            for name in group:
                 np.testing.assert_array_equal(group[name][b], alone[name][0])
-            assert group["absorbed_weight"][b] == pytest.approx(
-                alone["absorbed_weight"][0], rel=1e-12)
 
     def test_batches_share_one_lockstep(self, monkeypatch):
         # on one worker, 20 batches of 50 run in one lockstep: it takes as
         # many steps as the longest of the batches run alone
+        in_simulate, alone = self.steps_in_simulate_and_alone(monkeypatch, engine.LANES)
+        assert in_simulate == max(alone) < sum(alone)
+
+    def test_batches_refill_the_lockstep(self, monkeypatch):
+        # two batches of 50 fit in 100 lanes, and the next batch joins as
+        # lanes free up: more steps than the longest batch alone, fewer than
+        # the batches one after another
+        in_simulate, alone = self.steps_in_simulate_and_alone(monkeypatch, 100)
+        assert max(alone) < in_simulate < sum(alone)
+
+    def steps_in_simulate_and_alone(self, monkeypatch, lanes):
+        """uniforms_at calls of a one-worker simulate of 20 batches of 50
+        under the width cap lanes, and of each batch run alone."""
         monkeypatch.setenv(WORKERS_ENV, "1")
+        monkeypatch.setattr(engine, "LANES", lanes)
         counts = self.count_blocks(monkeypatch)
         config = small_config(histories=1000, batches=20)
         simulate(config)
@@ -390,7 +424,7 @@ class TestStreamLayout:
             _transport_group(model, config.seed, start, [size], edges, config.capture,
                              MAX_COLLISIONS)
             alone.append(counts["calls"])
-        assert in_simulate == max(alone) < sum(alone)
+        return in_simulate, alone
 
 
 class TestSimulate:

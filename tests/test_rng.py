@@ -84,6 +84,30 @@ class TestUniformsAt:
         np.testing.assert_array_equal(uniforms_at(77, 5, firsts, counts),
                                       emulated(counters, 77, 5))
 
+    @pytest.mark.parametrize("steps", [
+        [3, 3, 5, 3],                     # a key recurs after another one
+        [-1, 2**63, 2**64 - 1, 2**63],    # keys wrap modulo 2**64
+    ])
+    def test_per_run_keys(self, steps):
+        # run i reads key (seed, steps[i]); an empty run reads nothing, and
+        # leaves the key of its neighbours alone
+        firsts, counts = [10, 40, 0, 17], [3, 2, 4, 5]
+        expected = np.concatenate(
+            [emulated(np.arange(f, f + n, dtype=np.uint64), 2**64 - 3, s % 2**64)
+             for s, f, n in zip(steps, firsts, counts)], axis=1)
+        np.testing.assert_array_equal(uniforms_at(-3, steps, firsts, counts), expected)
+        padded = uniforms_at(-3, [7] + steps[:2] + [8] + steps[2:] + [9],
+                             [5] + firsts[:2] + [99] + firsts[2:] + [0],
+                             [0] + counts[:2] + [0] + counts[2:] + [0])
+        np.testing.assert_array_equal(padded, expected)
+
+    def test_scalar_step_is_every_runs_key(self):
+        firsts, counts = [41, 0, 2**40], [5, 3, 4]
+        np.testing.assert_array_equal(uniforms_at(77, 5, firsts, counts),
+                                      uniforms_at(77, [5, 5, 5], firsts, counts))
+        np.testing.assert_array_equal(uniforms_at(77, -5, firsts, counts),
+                                      uniforms_at(77, [2**64 - 5] * 3, firsts, counts))
+
     def test_statistical_sanity(self):
         # lane 0 of 64 keys x 4096 counters: mean 1/2, var 1/12, lag-1
         # correlation ~ 0
