@@ -30,11 +30,10 @@ so the per-step cost is shared. Before each step the lockstep admits the
 next batches in order, each whole, while its width stays within LANES
 histories; a batch wider than LANES joins only an empty lockstep. As
 histories die, lanes free up and later batches join, so the width stays
-near LANES, and the step count follows the total collisions over the
-width rather than the longest history of each group of batches. One step thus holds batches at
-different collision indices, and its one ``uniforms_at`` call gives each
-batch a run of counters under the key of its own collision index. The
-grouping depends on the worker count, but the output does not: admission
+near LANES and the step count follows the range's collisions over the
+width. One step thus holds batches at different collision indices, and
+its one ``uniforms_at`` call gives each batch a run of counters under the
+key of its own collision index. The grouping depends on the worker count, but the output does not: admission
 appends batches in order and compaction keeps the live lanes in history
 order, so a batch's counters at each collision depend only on its own
 histories, each (batch, shell) cell receives its additions in (collision

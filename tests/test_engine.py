@@ -267,17 +267,27 @@ class TestRunHistory:
 
 
 class TestScalarVectorEquivalence:
-    @pytest.mark.parametrize("lanes", [engine.LANES, 400, 1])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_batch_kernel_reproduces_run_history(self, kind, capture, lanes, monkeypatch):
+    def test_batch_kernel_reproduces_run_history(self, kind, capture, monkeypatch):
         # three uneven batches from history 40, each with faulted flights and
         # capped histories; implicit capture reaches its roulette at collision
         # 7. At c = 0.5 every weight is dyadic (the boost 2^-7 / 0.1 rounds to
-        # 5 * 2^-6), so the weight sums are exact in any order. Under 400
-        # lanes the later batches join mid-run, under 1 lane each joins when
-        # the one before has ended; the oracle runs them all from step 0
+        # 5 * 2^-6), so the weight sums are exact in any order
+        self.check_against_history_loop(kind, capture, monkeypatch)
+
+    @pytest.mark.parametrize("lanes", [400, 1])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    def test_staggered_batches_reproduce_run_history(self, kind, capture, lanes, monkeypatch):
+        # under 400 lanes the later batches join mid-run, under 1 lane each
+        # joins when the one before has ended; the oracle runs them all from
+        # step 0
         monkeypatch.setattr(engine, "LANES", lanes)
+        self.check_against_history_loop(kind, capture, monkeypatch)
+
+    @staticmethod
+    def check_against_history_loop(kind, capture, monkeypatch):
         TestStreamLayout.count_blocks(monkeypatch)
         model = make_model(kind, CrossSectionSpec(1.0, 0.5))
         cap = {"analog": 4, "implicit": 8}[capture]
@@ -345,14 +355,23 @@ class TestStreamLayout:
         monkeypatch.setattr(engine, "sample_path", faulting_sample)
         return counts
 
-    @pytest.mark.parametrize("lanes", [engine.LANES, 1000])
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_one_block_per_collision(self, capture, lanes, monkeypatch):
+    def test_one_block_per_collision(self, capture, monkeypatch):
         # one uniforms_at call per lockstep step; the k-th step a batch takes
-        # part in reads key k, whenever the batch joined; every flight reads
-        # one Philox block, a faulted flight included, and no (key, counter)
-        # block is read twice
-        monkeypatch.setattr(engine, "LANES", lanes)
+        # part in reads key k; every flight reads one Philox block, a faulted
+        # flight included, and no (key, counter) block is read twice
+        assert self.steps_joined(capture, monkeypatch) == [0, 0, 0]
+
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    def test_one_block_per_collision_staggered(self, capture, monkeypatch):
+        # under 1000 lanes no two of the batches start together
+        monkeypatch.setattr(engine, "LANES", 1000)
+        joined = self.steps_joined(capture, monkeypatch)
+        assert 0 == joined[0] < joined[1] < joined[2]
+
+    def steps_joined(self, capture, monkeypatch):
+        """Transport three batches, check their blocks and keys, and return
+        the step each batch first took part in."""
         counts = self.count_blocks(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         out = _transport_group(model, 3, 40, [700, 650, 650], EDGES, capture, 30)
@@ -360,27 +379,30 @@ class TestStreamLayout:
         assert (out["capped"] > 0).all()
         blocks = counts["blocks"]
         assert len(set(blocks)) == len(blocks) == out["collisions"].sum() + out["faults"].sum()
-        keys = {}
+        assert counts["calls"] == counts["steps"]
+        taken = {}  # the (step, key) of each call a batch has blocks in, by first counter
         for step, runs in enumerate(counts["runs"]):
             for key, first, n in runs:
                 if n:
-                    keys.setdefault(first, []).append((step, key))
-        assert sorted(keys) == [40, 740, 1390]
-        for taken in keys.values():
-            assert [key for _, key in taken] == list(range(len(taken)))
-        joined = [taken[0][0] for taken in keys.values()]  # the step each batch joined at
-        if lanes < 2000:
-            assert 0 == joined[0] < joined[1] < joined[2]
-        else:
-            assert joined == [0, 0, 0]
-        assert counts["calls"] == counts["steps"]
+                    taken.setdefault(first, []).append((step, key))
+        assert sorted(taken) == [40, 740, 1390]
+        for first in taken:
+            assert [key for _, key in taken[first]] == list(range(len(taken[first])))
+        return [taken[first][0][0] for first in sorted(taken)]
 
-    @pytest.mark.parametrize("lanes", [engine.LANES, 400, 1])
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_group_equals_separate_batches(self, capture, lanes, monkeypatch):
-        # a batch's tallies do not depend on the batches it shares a lockstep
-        # with, nor on the step it joins at
+    def test_group_equals_separate_batches(self, capture, monkeypatch):
+        # a batch's tallies do not depend on the batches it shares a lockstep with
+        self.check_group_against_alone(capture, monkeypatch)
+
+    @pytest.mark.parametrize("lanes", [400, 1])
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    def test_staggered_group_equals_separate_batches(self, capture, lanes, monkeypatch):
+        # nor on the step it joins the lockstep at
         monkeypatch.setattr(engine, "LANES", lanes)
+        self.check_group_against_alone(capture, monkeypatch)
+
+    def check_group_against_alone(self, capture, monkeypatch):
         self.count_blocks(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         sizes = [300, 250, 320]
