@@ -31,14 +31,14 @@ next batches in order, each whole, while its width stays within LANES
 histories; a batch wider than LANES joins only an empty lockstep. As
 histories die, lanes free up and later batches join, so the width stays
 near LANES and the step count follows the range's collisions over the
-width. One step thus holds batches at different collision indices, and
-its one ``uniforms_at`` call gives each batch a run of counters under the
-key of its own collision index. The grouping depends on the worker count, but the output does not: admission
-appends batches in order and compaction keeps the live lanes in history
-order, so a batch's counters at each collision depend only on its own
-histories, each (batch, shell) cell receives its additions in (collision
-index, history id) order whatever the batch's step-mates are, and
-per-batch results are reduced in batch order.
+width. One step thus holds batches at different collision indices, and its
+one ``uniforms_at`` call gives each batch a run of counters under the key
+of its own collision index. The grouping depends on the worker count, but
+the output does not: admission appends batches in order and compaction
+keeps the live lanes in history order, so a batch's counters at each
+collision depend only on its own histories, each (batch, shell) cell
+receives its additions in (collision index, history id) order whatever the
+batch's step-mates are, and per-batch results are reduced in batch order.
 
 Positions are three 1-D arrays x, y, z, advanced in the scalar order
 x += s (sin(theta) cos(phi)), y += s (sin(theta) sin(phi)), z += s mu, with

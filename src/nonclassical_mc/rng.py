@@ -7,9 +7,8 @@ never depends on how work is split across workers.
 
 ``uniforms_at`` reads runs of consecutive counters, each under its own key
 (seed, step), through numpy's C Philox: one generator serves each stretch
-of consecutive runs that share a key, advanced over the gaps between
-runs, and runs that continue one another are read in one call. The
-transport engine gives each batch in a lockstep step one run of counters,
+of consecutive runs that share a key, advanced to the first counter of
+each run. The transport engine gives each batch in a lockstep step one run of counters,
 keyed by the batch's collision index (see ``engine``).
 ``RandomStream`` reads the key (seed, stream_id) as a sequence: variate i
 is lane i % 4 of block i // 4, numpy's lane order.
@@ -84,38 +83,29 @@ def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
 
     Run i covers the counters firsts[i] .. firsts[i] + counts[i] - 1 of the
     key (seed, step[i]), or of (seed, step) for every run when step is a
-    scalar (firsts and a per-run step are sequences, indexed by run); the
-    runs are laid end to end. Key words wrap modulo 2**64. The
+    scalar; the runs are laid end to end. Key words wrap modulo 2**64. The
     output is float64 of shape (4, sum(counts)), row k holding lane k,
     column n the n-th block read. A counter past 2**64 - 1 carries into
     numpy's second counter word.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    out = np.empty((int(counts.sum()), 4))
-    runs = np.flatnonzero(counts)
-    steps = itertools.repeat(step) if np.ndim(step) == 0 else (step[i] for i in runs.tolist())
+    counts = [int(n) for n in counts]
+    out = np.empty((sum(counts), 4))
+    steps = itertools.repeat(step) if np.ndim(step) == 0 else step
     key = None
-    at = lo = hi = 0  # out[lo:hi] is due from the generator's counters at, at + 1, ...
-    for i, run_step, n in zip(runs.tolist(), steps, counts[runs].tolist()):
-        run_key = int(run_step) & _MASK64
-        first = int(firsts[i])
-        if run_key != key or first != at + hi - lo:
-            if hi > lo:
-                draw(out=out[lo:hi])
-            at += hi - lo
-            lo = hi
+    end = at = 0
+    for first, run_step, n in zip(firsts, steps, counts):
+        if n:
+            run_key = int(run_step) & _MASK64
             if run_key != key:  # one generator per stretch of runs under one key
                 key = run_key
                 bits = np.random.Philox(key=np.array([seed & _MASK64, key], dtype=np.uint64),
                                         counter=_COUNTER_WRAP - 1)  # reads counter 0 next
                 draw = np.random.Generator(bits).random
                 at = 0
-            if first != at:
-                bits.advance((first - at) % _COUNTER_WRAP)
-                at = first
-        hi += n
-    if hi > lo:
-        draw(out=out[lo:hi])
+            bits.advance((int(first) - at) % _COUNTER_WRAP)
+            draw(out=out[end:end + n])
+            at = int(first) + n
+            end += n
     return out.T
 
 

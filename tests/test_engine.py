@@ -425,9 +425,10 @@ class TestStreamLayout:
     def test_batches_refill_the_lockstep(self, monkeypatch):
         # two batches of 50 fit in 100 lanes, and the next batch joins as
         # lanes free up: more steps than the longest batch alone, fewer than
-        # the batches one after another
+        # fixed pairs of batches one pair after another would take
         in_simulate, alone = self.steps_in_simulate_and_alone(monkeypatch, 100)
-        assert max(alone) < in_simulate < sum(alone)
+        in_fixed_pairs = sum(max(pair) for pair in zip(alone[::2], alone[1::2]))
+        assert max(alone) < in_simulate < in_fixed_pairs < sum(alone)
 
     def steps_in_simulate_and_alone(self, monkeypatch, lanes):
         """uniforms_at calls of a one-worker simulate of 20 batches of 50
