@@ -17,6 +17,7 @@ output is printed with 9 significant digits. Exit codes: 0 success/PASS,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,6 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 from .engine import ProblemConfig, _integral, configured_workers, simulate
 from .kernels import CrossSectionSpec, ModelKind, make_model
@@ -245,6 +245,30 @@ def cmd_reference(manifest: RunManifest) -> str:
     return path
 
 
+def _t_tail(t: float, dof: int) -> float:
+    """P(|T| > t) for Student's t with dof degrees of freedom, t > sqrt(3).
+
+    It is the regularized incomplete beta I_x(a, b) at a = dof/2, b = 1/2
+    and x = dof / (dof + t^2), here by its continued fraction (modified
+    Lentz, as in Numerical Recipes' betacf), which converges fast for
+    x < (a + 1) / (a + b + 2), that is for every dof once t^2 > 3.
+    """
+    a, b = 0.5 * dof, 0.5
+    x = dof / (dof + t * t)
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 - a * math.log1p(t * t / dof) + b * math.log(t * t / (dof + t * t)))
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    c, h = 1.0, d
+    for m in itertools.count(1):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            h *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            return math.exp(log_front) * h / a
+
+
 def _allowed_over(threshold: float, n_eligible: int, batches: int) -> int:
     """Shells over |z| = threshold that a correct run exceeds with
     probability <= VERDICT_ALPHA.
@@ -256,10 +280,17 @@ def _allowed_over(threshold: float, n_eligible: int, batches: int) -> int:
     Binomial(n_eligible, p); the allowance is the smallest k with
     P(Binomial > k) <= VERDICT_ALPHA.
     """
-    p = 2.0 * special.stdtr(batches - 1, -threshold)
-    k = 0
-    while special.bdtrc(k, n_eligible, p) > VERDICT_ALPHA:
+    p = _t_tail(threshold, batches - 1)
+    n = n_eligible
+
+    def pmf(k):
+        return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                        + k * math.log(p) + (n - k) * math.log1p(-p))
+
+    k, below = 0, pmf(0)  # below is P(Binomial <= k)
+    while 1.0 - below > VERDICT_ALPHA:
         k += 1
+        below += pmf(k)
     return k
 
 

@@ -170,6 +170,12 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
 
     Returns per-batch arrays by name, in batch order, for _finalize.
     """
+    # Allocate and free one 4 MiB block: glibc's malloc then raises its
+    # dynamic mmap threshold to 4 MiB (and its trim threshold to 8 MiB), so
+    # the per-step temporaries below, 128 KiB and more at full width, reuse
+    # heap memory instead of being mmapped, faulted in and unmapped on every
+    # step. Under any other allocator it is one short-lived allocation.
+    np.empty(1 << 19)
     k_shells = edges.size - 1
     r_max = edges[-1]
     if not np.array_equal(edges, np.linspace(0.0, r_max, k_shells + 1)):

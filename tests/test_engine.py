@@ -1,6 +1,11 @@
 """Monte Carlo engine: history semantics, tallies, balance, determinism."""
 
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +245,40 @@ class TestTransportGroup:
         out = _transport_group(model, 4, 0, [200], EDGES, "analog", 5)
         assert out["collisions"][0] == 5 * 200
         assert out["capped"][0] == 200
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="pins glibc malloc's dynamic mmap threshold")
+    def test_repeat_group_reuses_heap_memory(self):
+        # a fresh process, so nothing else has moved malloc's thresholds: the
+        # second identical group finds its per-step arrays on the heap and
+        # faults fewer pages than it takes steps (not one mmap per array)
+        script = """
+import json, resource, sys
+import numpy as np
+from nonclassical_mc import CrossSectionSpec, engine, make_model
+steps = 0
+def counted(*args, _uniforms=engine.uniforms_at):
+    global steps
+    steps += 1
+    return _uniforms(*args)
+engine.uniforms_at = counted
+model = make_model("sp3", CrossSectionSpec(1.0, 0.5))
+task = (model, 1, 0, [10_000] * 10, np.linspace(0.0, 10.0, 65), "analog", engine.MAX_COLLISIONS)
+engine._transport_group(*task)
+steps = 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+engine._transport_group(*task)
+print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, steps]))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(engine.__file__))]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        faults, steps = json.loads(done.stdout)
+        assert steps > 10
+        assert faults < steps
 
 
 class TestRunHistory:

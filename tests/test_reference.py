@@ -1,10 +1,14 @@
-"""Deterministic oracles: kernel profiles, closed forms, integral solver."""
+"""Deterministic oracles: kernel profiles, closed forms, integral solver.
+
+The package runs on numpy alone; scipy serves here as the independent
+oracle for its quadratures, its exponential integral and its LU solve.
+"""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg, special
 
 from nonclassical_mc import (
     ConvergenceError,
@@ -17,7 +21,7 @@ from nonclassical_mc import (
     make_model,
     solve_integral_equation,
 )
-from nonclassical_mc.reference import collision_matrix
+from nonclassical_mc.reference import _exp1, collision_matrix
 
 ALL_KINDS = list(ModelKind)
 NON_CLASSICAL = [kind for kind in ModelKind if kind is not ModelKind.CLASSICAL]
@@ -482,3 +486,41 @@ class TestShellAverages:
             for a, b in zip(lo, hi)]) / volumes
         expected[0] += exact.origin_mass / volumes[0]
         np.testing.assert_allclose(exact.shell_averages(edges), expected, rtol=1e-12)
+
+
+class TestAgainstScipy:
+    def test_exp1_matches_scipy(self):
+        # the series on (0, 2] and the continued fraction above, densest
+        # around the switch at 2
+        x = np.concatenate([np.geomspace(1e-300, 700.0, 20_001), np.linspace(1.9, 2.1, 2_001)])
+        np.testing.assert_allclose(_exp1(x), special.exp1(x), rtol=5e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("scattering", [0.3, 0.5, 0.99, 0.9999])
+    def test_solve_matches_lapack(self, grid, kind, scattering):
+        # rcond from the second right-hand side against LAPACK's gecon
+        # estimate, and f against a getrf/getrs solve of the same matrix
+        xs = CrossSectionSpec(1.0, scattering)
+        model = make_model(kind, xs)
+        solution = solve_integral_equation(model, xs, grid, tol=1e-8)
+        kernel = RadialKernel(model)
+        a = -scattering * collision_matrix(kernel, grid)
+        a[np.diag_indices_from(a)] += 1.0 - scattering * model.atom_at_zero
+        lu, piv = linalg.lu_factor(a)
+        gecon = linalg.get_lapack_funcs("gecon", (a,))
+        rcond = float(gecon(lu, linalg.norm(a, 1))[0])
+        src = (scattering * solution.origin_mass + 1.0) * kernel.point_kernel(grid.nodes)
+        f = linalg.lu_solve((lu, piv), src)
+        assert abs(solution.rcond - rcond) < 1e-6
+        np.testing.assert_allclose(solution.f, f, rtol=1e-12, atol=0.0)
+
+    def test_singular_to_rounding_is_refused(self, grid, monkeypatch):
+        # A = I plus a 1e20 above the diagonal factors without a zero pivot,
+        # so only rcond (far below eps) finds it singular
+        xs = CrossSectionSpec(1.0, 0.5)
+        k = np.zeros((grid.nodes.size,) * 2)
+        k[0, 1] = -1e20 / xs.c  # A = I - cK
+        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix", lambda kernel, g: k)
+        with pytest.raises(ConvergenceError, match="singular") as excinfo:
+            solve_integral_equation(make_model("diffusion", xs), xs, grid)
+        assert "rcond 0.000e+00" not in str(excinfo.value)

@@ -8,13 +8,16 @@ Gauss-Legendre rule, built nowhere but make_model; the only other rule is
 the classical closed form's quadrature of its continuum. Only the group
 kernel transports histories: a second caller of the sampler or of the
 Philox blocks in the engine would be a second copy of the lane roles. The
-oracles are a closed form and a direct solve, so importing the package
-loads no adaptive quadrature, and compare scores against the closed form
-alone: only the reference command runs the solver.
+oracles are a closed form and a direct solve, and compare scores against the
+closed form alone: only the reference command runs the solver. The package
+runs on numpy alone: neither importing it nor running any command loads
+scipy, which only the tests and a demo use, as an oracle.
 """
 
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +100,40 @@ def test_import_loads_no_scipy_integrate():
          " if m.startswith('scipy.integrate')))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
+
+
+COMMANDS = [
+    pytest.param([], id="import"),
+    pytest.param(["curves", "--points", "11"], id="curves"),
+    pytest.param(["simulate", "--model", "sp3", "--histories", "200", "--batches", "10"],
+                 id="simulate"),
+    pytest.param(["compare", "--model", "sp2", "--histories", "200", "--batches", "10"],
+                 id="compare"),
+    *(pytest.param(["reference", "--model", law, "--oracle-nodes", "256"], id=f"reference-{law}")
+      for law in ("classical", "diffusion", "sp2", "sp3")),
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_no_command_loads_scipy(argv, tmp_path):
+    env = dict(os.environ, NONCLASSICAL_MC_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = ("import json, sys\n"
+              "from nonclassical_mc import cli\n"
+              "argv = json.loads(sys.argv[1])\n"
+              "code = cli.main(argv) if argv else 0\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    args = argv + ["--out", str(tmp_path)] if argv else []
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(args)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code in (0, 2)  # a compare FAIL still ran the command
+    assert loaded == []
