@@ -92,8 +92,8 @@ def _exp1(x):
 
 
 class ConvergenceError(RuntimeError):
-    """The oracle solve failed (singular matrix, or f not finite or not
-    within tolerance of the fixed point); carries the residual."""
+    """The oracle solve failed (singular matrix, f not finite, not within
+    tolerance of the fixed point, or negative); carries the residual."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -227,7 +227,7 @@ class RadialSolution:
     of the solved matrix A (1 for a pure absorber, where no matrix is
     solved); solve_integral_equation reads ||A^-1||_1 off a second
     right-hand side of the same solve, exactly but for the last node while
-    A^-1 >= 0.
+    A^-1 >= 0, which solve_integral_equation checks as f >= 0.
     """
 
     grid: RadialGrid
@@ -258,8 +258,11 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     the origin point mass
     M = (4/9) / (1 - 4c/9) feeds the volumetric first-flight source.
     Raises ConvergenceError when the matrix is singular (rcond below machine
-    epsilon), f is not finite, or the fixed-point residual
-    max|c(atom f + K f) + src - f| / max|f| is not below tol.
+    epsilon), f is not finite, the fixed-point residual
+    max|c(atom f + K f) + src - f| / max|f| is not below tol, or f dips
+    below -tol max|f|: A is a Z-matrix and src > 0, so f >= 0 exactly when
+    A^-1 >= 0, and a negative f means a supercritical discrete operator
+    (the classical quadrature over-integrates its kernel near c = 1).
     """
     if model.xs != xs:
         raise ValueError("model was built for a different medium than xs")
@@ -296,6 +299,10 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
             f"oracle solve left residual {residual:.3e} (rcond {rcond:.3e}, c={c}, tol={tol})",
             residual=residual, iterations=1,
         )
+    if np.min(f) < -tol * np.max(np.abs(f)):
+        raise ConvergenceError(
+            f"oracle collision density is negative (min f {np.min(f):.3e}, c={c}): "
+            "the discrete operator is supercritical", residual=residual, iterations=1)
     return RadialSolution(grid, f, origin_mass, 1, residual, rcond)
 
 

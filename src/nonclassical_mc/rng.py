@@ -10,8 +10,6 @@ never depends on how work is split across workers.
 of consecutive runs that share a key, advanced to the first counter of
 each run. The transport engine gives each batch in a lockstep step one run of counters,
 keyed by the batch's collision index (see ``engine``).
-``RandomStream`` reads the key (seed, stream_id) as a sequence: variate i
-is lane i % 4 of block i // 4, numpy's lane order.
 
 ``philox4x64_block`` is a numpy emulation of the same block function, with
 the counter (counter, 0, 0, 0); the test suite checks the C path against it
@@ -23,12 +21,9 @@ drops any buffered variates.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["RandomStream", "uniforms_at", "philox4x64_block"]
+__all__ = ["uniforms_at", "philox4x64_block"]
 
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
@@ -82,18 +77,16 @@ def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
     """All four lanes of runs of consecutive Philox blocks.
 
     Run i covers the counters firsts[i] .. firsts[i] + counts[i] - 1 of the
-    key (seed, step[i]), or of (seed, step) for every run when step is a
-    scalar; the runs are laid end to end. Key words wrap modulo 2**64. The
-    output is float64 of shape (4, sum(counts)), row k holding lane k,
-    column n the n-th block read. A counter past 2**64 - 1 carries into
-    numpy's second counter word.
+    key (seed, step[i]); the runs are laid end to end. Key words wrap modulo
+    2**64. The output is float64 of shape (4, sum(counts)), row k holding
+    lane k, column n the n-th block read. A counter past 2**64 - 1 carries
+    into numpy's second counter word.
     """
     counts = [int(n) for n in counts]
     out = np.empty((sum(counts), 4))
-    steps = itertools.repeat(step) if np.ndim(step) == 0 else step
     key = None
     end = at = 0
-    for first, run_step, n in zip(firsts, steps, counts):
+    for first, run_step, n in zip(firsts, step, counts):
         if n:
             run_key = int(run_step) & _MASK64
             if run_key != key:  # one generator per stretch of runs under one key
@@ -107,31 +100,3 @@ def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
             at = int(first) + n
             end += n
     return out.T
-
-
-@dataclass
-class RandomStream:
-    """Deterministic variate stream, read as a sequence.
-
-    The same (seed, stream_id) always replays the identical sequence, on any
-    machine and regardless of what other streams are doing. Distinct
-    stream_ids give statistically independent Philox streams. Variate i is
-    lane i % 4 of the block with key (seed, stream_id) and counter i // 4.
-    """
-
-    seed: int
-    stream_id: int
-    _cursor: int = field(default=0, repr=False)
-
-    def __post_init__(self):
-        self.seed = int(self.seed) & _MASK64
-        self.stream_id = int(self.stream_id) & _MASK64
-
-    def uniform(self, n: int) -> np.ndarray:
-        """Draw the next n variates as an array (consumes n draws)."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        first, skip = divmod(self._cursor, 4)
-        self._cursor += n
-        blocks = -(-(skip + n) // 4)
-        return uniforms_at(self.seed, self.stream_id, [first], [blocks]).T.ravel()[skip:skip + n]

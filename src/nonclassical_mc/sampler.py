@@ -15,8 +15,7 @@ f(sqrt(3) z), against it.
 
 Sampling is a pure function of (model, xi), applied elementwise with a
 fixed sequence of array operations; all randomness is supplied by the
-caller: the engine passes lane 2 of each step's ``uniforms_at`` block,
-and :func:`empirical_check` a :class:`~nonclassical_mc.rng.RandomStream`.
+caller: the engine passes lane 2 of each step's ``uniforms_at`` block.
 """
 
 from __future__ import annotations
@@ -28,13 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import ModelKind, PathLengthModel
-from .rng import RandomStream
 
-__all__ = [
-    "sample_path",
-    "MomentReport",
-    "empirical_check",
-]
+__all__ = ["sample_path"]
 
 _TABLE_KNOTS = 2048
 # e^{-38} < 2^-53: the table covers the survival of every xi <= 1 - 2^-53
@@ -178,52 +172,3 @@ def sample_path(model: PathLengthModel, xi):
             z = np.where(arr > atom, z, 0.0)
         s = z / st
     return float(s[0]) if np.ndim(xi) == 0 else s
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Sampling statistics from empirical_check, with standard errors."""
-
-    n: int
-    mean: float
-    mean_se: float
-    second_moment: float
-    second_moment_se: float
-    max_cdf_gap: float
-    max_cdf_gap_se: float
-    max_cdf_gap_at: float
-    zero_fraction: float
-    zero_fraction_se: float
-
-
-def empirical_check(model: PathLengthModel, n: int, stream: RandomStream) -> MomentReport:
-    """Draw n samples and compare empirical statistics to the analytic law.
-
-    Reports the sample mean and second moment, the largest |empirical CDF -
-    analytic CDF| over a fixed probe grid (101 points on [0, 10] mean free
-    paths), and the fraction of exact zeros, each with a standard error.
-    """
-    if n < 10_000:
-        raise ValueError("empirical_check needs n >= 1e4 for stable error estimates")
-    xi = stream.uniform(n)
-    s = sample_path(model, xi)
-    s2 = s * s
-    root_n = math.sqrt(n)
-    probes = np.linspace(0.0, 10.0, 101) / model.xs.sigma_t
-    ecdf = np.searchsorted(np.sort(s), probes, side="right") / n
-    gaps = np.abs(ecdf - model.cdf(probes))
-    j = int(np.argmax(gaps))
-    f_at_j = float(model.cdf(probes[j]))
-    p_zero = float(np.mean(s == 0.0))
-    return MomentReport(
-        n=n,
-        mean=float(s.mean()),
-        mean_se=float(s.std(ddof=1) / root_n),
-        second_moment=float(s2.mean()),
-        second_moment_se=float(s2.std(ddof=1) / root_n),
-        max_cdf_gap=float(gaps[j]),
-        max_cdf_gap_se=math.sqrt(max(f_at_j * (1.0 - f_at_j), 0.0) / n),
-        max_cdf_gap_at=float(probes[j]),
-        zero_fraction=p_zero,
-        zero_fraction_se=math.sqrt(max(p_zero * (1.0 - p_zero), 0.0) / n),
-    )

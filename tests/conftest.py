@@ -1,10 +1,14 @@
 """Shared fixtures."""
 
+import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from nonclassical_mc import CrossSectionSpec, make_model
+from nonclassical_mc import CrossSectionSpec, make_model, sample_path
+from nonclassical_mc.rng import uniforms_at
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +29,61 @@ def sp3():
         A_plus=w_plus * lam_plus**2,
         A_minus=w_minus * lam_minus**2,
     )
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    """Sampling statistics from empirical_check, with standard errors."""
+
+    n: int
+    mean: float
+    mean_se: float
+    second_moment: float
+    second_moment_se: float
+    max_cdf_gap: float
+    max_cdf_gap_se: float
+    max_cdf_gap_at: float
+    zero_fraction: float
+    zero_fraction_se: float
+
+
+def _empirical_check(model, n, seed, stream_id):
+    """Draw n samples and compare empirical statistics to the analytic law.
+
+    The variates are stream (seed, stream_id) read as a sequence: variate i
+    is lane i % 4 of the Philox block at counter i // 4, numpy's lane
+    order. Reports the sample mean and second moment, the largest
+    |empirical CDF - analytic CDF| over a fixed probe grid (101 points on
+    [0, 10] mean free paths), and the fraction of exact zeros, each with a
+    standard error.
+    """
+    if n < 10_000:
+        raise ValueError("empirical_check needs n >= 1e4 for stable error estimates")
+    xi = uniforms_at(seed, [stream_id], [0], [-(-n // 4)]).T.ravel()[:n]
+    s = sample_path(model, xi)
+    s2 = s * s
+    root_n = math.sqrt(n)
+    probes = np.linspace(0.0, 10.0, 101) / model.xs.sigma_t
+    ecdf = np.searchsorted(np.sort(s), probes, side="right") / n
+    gaps = np.abs(ecdf - model.cdf(probes))
+    j = int(np.argmax(gaps))
+    f_at_j = float(model.cdf(probes[j]))
+    p_zero = float(np.mean(s == 0.0))
+    return MomentReport(
+        n=n,
+        mean=float(s.mean()),
+        mean_se=float(s.std(ddof=1) / root_n),
+        second_moment=float(s2.mean()),
+        second_moment_se=float(s2.std(ddof=1) / root_n),
+        max_cdf_gap=float(gaps[j]),
+        max_cdf_gap_se=math.sqrt(max(f_at_j * (1.0 - f_at_j), 0.0) / n),
+        max_cdf_gap_at=float(probes[j]),
+        zero_fraction=p_zero,
+        zero_fraction_se=math.sqrt(max(p_zero * (1.0 - p_zero), 0.0) / n),
+    )
+
+
+@pytest.fixture(scope="session")
+def empirical_check():
+    """empirical_check(model, n, seed, stream_id) -> MomentReport."""
+    return _empirical_check

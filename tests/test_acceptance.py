@@ -32,9 +32,7 @@ from nonclassical_mc import (
     ModelKind,
     ProblemConfig,
     RadialGrid,
-    RandomStream,
     closed_form,
-    empirical_check,
     make_model,
     sample_path,
     simulate,
@@ -155,9 +153,9 @@ class TestCriterion5SamplerStatistics:
     N = 1_000_000
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_moments_and_round_trip(self, kind):
+    def test_moments_and_round_trip(self, kind, empirical_check):
         model = make_model(kind, CrossSectionSpec(1.0, 0.0))
-        rep = empirical_check(model, self.N, RandomStream(seed=2, stream_id=0))
+        rep = empirical_check(model, self.N, seed=2, stream_id=0)
         z_mean = abs(rep.mean - model.moment(1)) / rep.mean_se
         z_m2 = abs(rep.second_moment - model.moment(2)) / rep.second_moment_se
         xi = np.linspace(model.atom_at_zero + 1e-9, 1.0 - 1e-9, 10_000)
@@ -169,9 +167,9 @@ class TestCriterion5SamplerStatistics:
         assert z_m2 <= 4.0
         assert rt <= 1e-9
 
-    def test_sp2_zero_fraction(self):
+    def test_sp2_zero_fraction(self, empirical_check):
         model = make_model("sp2", CrossSectionSpec(1.0, 0.0))
-        rep = empirical_check(model, self.N, RandomStream(seed=2, stream_id=1))
+        rep = empirical_check(model, self.N, seed=2, stream_id=1)
         z = abs(rep.zero_fraction - 4.0 / 9.0) / rep.zero_fraction_se
         ok = z <= 4.0
         report("5", ok, f"sp2 exact-zero fraction {rep.zero_fraction:.6f} vs 4/9 (z={z:.2f})")

@@ -323,6 +323,15 @@ class TestReference:
                        "--sigma-s", "0.5", "--out", str(tmp_path)) == 3
         assert "oracle solve failed" in capsys.readouterr().err
 
+    def test_supercritical_oracle_exits_3(self, tmp_path, capsys):
+        # the classical quadrature at c = 0.9999 on a long refined domain
+        # would give f < 0 at 2,398 of 3,072 nodes
+        assert run_cli("reference", "--model", "classical", "--sigma-s", "0.9999",
+                       "--oracle-rmax", "60", "--oracle-nodes", "3072",
+                       "--out", str(tmp_path)) == 3
+        assert "supercritical" in capsys.readouterr().err
+        assert not (tmp_path / "reference.csv").exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path, monkeypatch):

@@ -423,6 +423,16 @@ class TestSolver:
         assert 1e-30 <= excinfo.value.residual < 1e-12
         assert excinfo.value.iterations == 1
 
+    def test_supercritical_discrete_operator_is_refused(self):
+        # at c = 0.9999 on [0, 60] the O(h) quadrature over-integrates the
+        # classical law's log-singular kernel, so A^-1 has negative entries
+        # and f dips to -0.11 on 512 nodes, with a residual that passes
+        xs = CrossSectionSpec(1.0, 0.9999)
+        with pytest.raises(ConvergenceError, match="negative.*supercritical") as excinfo:
+            solve_integral_equation(make_model("classical", xs), xs,
+                                    RadialGrid.uniform(60.0, 512))
+        assert excinfo.value.residual < 1e-10
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_high_scattering_hits_discrete_fixed_point(self, kind, grid):
         # the direct solve leaves no c/(1-c) amplification of the stopping

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nonclassical_mc.rng import RandomStream, philox4x64_block, uniforms_at
+from nonclassical_mc.rng import philox4x64_block, uniforms_at
 
 
 class TestPhiloxBlock:
@@ -39,28 +39,28 @@ def emulated(counters, key0, key1):
 
 class TestUniformsAt:
     def test_range_and_dtype(self):
-        u = uniforms_at(1, 0, [0], [1000])
+        u = uniforms_at(1, [0], [0], [1000])
         assert u.dtype == np.float64
         assert u.shape == (4, 1000)
         assert np.all((u >= 0.0) & (u < 1.0))
 
     def test_pure_function_of_coordinates(self):
-        a = uniforms_at(9, 3, [3, 50], [2, 3])
-        b = uniforms_at(9, 3, [3, 50], [2, 3])
+        a = uniforms_at(9, [3, 3], [3, 50], [2, 3])
+        b = uniforms_at(9, [3, 3], [3, 50], [2, 3])
         np.testing.assert_array_equal(a, b)
 
     def test_runs_are_laid_end_to_end(self):
         # splitting a run, or adding empty runs, changes no block
-        whole = uniforms_at(9, 3, [10], [7])
-        split = uniforms_at(9, 3, [10, 5, 12], [2, 0, 5])
+        whole = uniforms_at(9, [3], [10], [7])
+        split = uniforms_at(9, [3, 3, 3], [10, 5, 12], [2, 0, 5])
         np.testing.assert_array_equal(whole, split)
-        assert uniforms_at(9, 3, [10, 20], [0, 0]).shape == (4, 0)
+        assert uniforms_at(9, [3, 3], [10, 20], [0, 0]).shape == (4, 0)
 
     def test_streams_differ(self):
         # another step key or another seed gives other blocks at the same counters
-        one = uniforms_at(1, 0, [0], [512])
-        two = uniforms_at(1, 1, [0], [512])
-        other_seed = uniforms_at(2, 0, [0], [512])
+        one = uniforms_at(1, [0], [0], [512])
+        two = uniforms_at(1, [1], [0], [512])
+        other_seed = uniforms_at(2, [0], [0], [512])
         assert not np.array_equal(one, two)
         assert not np.array_equal(one, other_seed)
 
@@ -73,7 +73,7 @@ class TestUniformsAt:
     ])
     def test_c_path_matches_emulation(self, seed, step, first, count):
         counters = np.arange(count, dtype=np.uint64) + np.uint64(first)
-        np.testing.assert_array_equal(uniforms_at(seed, step, [first], [count]),
+        np.testing.assert_array_equal(uniforms_at(seed, [step], [first], [count]),
                                       emulated(counters, seed, step))
 
     def test_lanes_are_the_block_words(self):
@@ -81,7 +81,7 @@ class TestUniformsAt:
         firsts, counts = [41, 0, 2**40, 40, 3], [5, 3, 4, 1, 2]
         counters = np.concatenate([np.arange(f, f + n, dtype=np.uint64)
                                    for f, n in zip(firsts, counts)])
-        np.testing.assert_array_equal(uniforms_at(77, 5, firsts, counts),
+        np.testing.assert_array_equal(uniforms_at(77, [5] * len(firsts), firsts, counts),
                                       emulated(counters, 77, 5))
 
     @pytest.mark.parametrize("steps", [
@@ -101,17 +101,10 @@ class TestUniformsAt:
                              [0] + counts[:2] + [0] + counts[2:] + [0])
         np.testing.assert_array_equal(padded, expected)
 
-    def test_scalar_step_is_every_runs_key(self):
-        firsts, counts = [41, 0, 2**40], [5, 3, 4]
-        np.testing.assert_array_equal(uniforms_at(77, 5, firsts, counts),
-                                      uniforms_at(77, [5, 5, 5], firsts, counts))
-        np.testing.assert_array_equal(uniforms_at(77, -5, firsts, counts),
-                                      uniforms_at(77, [2**64 - 5] * 3, firsts, counts))
-
     def test_statistical_sanity(self):
         # lane 0 of 64 keys x 4096 counters: mean 1/2, var 1/12, lag-1
         # correlation ~ 0
-        u = np.stack([uniforms_at(123, step, [0], [4096])[0] for step in range(64)])
+        u = np.stack([uniforms_at(123, [step], [0], [4096])[0] for step in range(64)])
         n = u.size
         assert abs(u.mean() - 0.5) < 4.0 / np.sqrt(12.0 * n)
         assert abs(u.var() - 1.0 / 12.0) < 5e-4
@@ -126,7 +119,7 @@ class TestUniformsAt:
         # the four lanes of a block feed one collision, so each pair must be
         # uncorrelated over many (key, counter) blocks; each lane is
         # uniform on its own
-        lanes = np.concatenate([uniforms_at(321, step, [0], [1024]) for step in range(256)],
+        lanes = np.concatenate([uniforms_at(321, [step], [0], [1024]) for step in range(256)],
                                axis=1)
         n = lanes.shape[1]
         for lane in lanes:
@@ -136,50 +129,3 @@ class TestUniformsAt:
             for j in range(i + 1, 4):
                 assert abs(corr[i, j]) < 5.0 / np.sqrt(n), (i, j, corr[i, j])
 
-
-class TestRandomStream:
-    def test_replay_is_identical(self):
-        # one variate at a time or all at once: the same sequence
-        first = RandomStream(seed=2024, stream_id=17)
-        second = RandomStream(seed=2024, stream_id=17)
-        drawn = np.concatenate([first.uniform(1) for _ in range(300)])
-        np.testing.assert_array_equal(drawn, second.uniform(300))
-
-    def test_sequence_equals_random_access(self):
-        # variate i is lane i % 4 of block (seed, stream_id; i // 4), numpy's
-        # lane order
-        stream = RandomStream(seed=5, stream_id=11)
-        drawn = np.concatenate([stream.uniform(n) for n in (1, 2, 597)])
-        direct = emulated(np.arange(150, dtype=np.uint64), 5, 11).T.ravel()
-        np.testing.assert_array_equal(drawn, direct)
-
-    def test_uniform_block_continues_sequence(self):
-        stream = RandomStream(seed=5, stream_id=11)
-        head = stream.uniform(3)
-        block = stream.uniform(10)
-        assert stream.uniform(0).size == 0
-        direct = emulated(np.arange(4, dtype=np.uint64), 5, 11).T.ravel()[:13]
-        np.testing.assert_array_equal(np.concatenate([head, block]), direct)
-
-    def test_sequence_matches_numpy_lane_order(self):
-        # numpy's Philox serves the lanes of counter k + 1 as raw words
-        # 4k .. 4k + 3, so its raw stream is our stream from block 1 on
-        raw = np.random.Philox(key=np.array([5, 11], dtype=np.uint64)).random_raw(8)
-        stream = RandomStream(seed=5, stream_id=11)
-        stream.uniform(4)
-        np.testing.assert_array_equal(stream.uniform(8), (raw >> np.uint64(11)) * 2.0**-53)
-
-    def test_distinct_streams_are_uncorrelated(self):
-        a = RandomStream(seed=77, stream_id=0).uniform(8192)
-        b = RandomStream(seed=77, stream_id=1).uniform(8192)
-        assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(8192)
-
-    def test_negative_ids_wrap_to_uint64(self):
-        # numpy refuses a negative uint64, so the stream masks its ids first
-        stream = RandomStream(seed=-1, stream_id=-2)
-        direct = emulated(np.uint64(0), 2**64 - 1, 2**64 - 2)
-        np.testing.assert_array_equal(stream.uniform(4), direct)
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            RandomStream(seed=1, stream_id=1).uniform(-1)

@@ -12,8 +12,6 @@ from scipy import special
 from nonclassical_mc import (
     CrossSectionSpec,
     ModelKind,
-    RandomStream,
-    empirical_check,
     make_model,
     sample_path,
 )
@@ -302,33 +300,32 @@ class TestQuantileTable:
 
 
 class TestEmpiricalCheck:
-    def test_rejects_small_n(self):
+    def test_rejects_small_n(self, empirical_check):
         model = make_model("classical", XS)
         with pytest.raises(ValueError):
-            empirical_check(model, 100, RandomStream(seed=0, stream_id=0))
+            empirical_check(model, 100, seed=0, stream_id=0)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_moments_within_four_sigma(self, kind):
+    def test_moments_within_four_sigma(self, kind, empirical_check):
         model = make_model(kind, XS)
-        report = empirical_check(model, 200_000, RandomStream(seed=11, stream_id=0))
+        report = empirical_check(model, 200_000, seed=11, stream_id=0)
         assert abs(report.mean - model.moment(1)) <= 4.0 * report.mean_se
         assert abs(report.second_moment - model.moment(2)) <= 4.0 * report.second_moment_se
         # the largest ECDF gap should look like ordinary binomial noise
         assert report.max_cdf_gap <= 5.0 * max(report.max_cdf_gap_se, 1e-6)
 
-    def test_sp2_zero_fraction(self):
+    def test_sp2_zero_fraction(self, empirical_check):
         model = make_model("sp2", XS)
-        report = empirical_check(model, 200_000, RandomStream(seed=12, stream_id=0))
+        report = empirical_check(model, 200_000, seed=12, stream_id=0)
         assert abs(report.zero_fraction - 4.0 / 9.0) <= 4.0 * report.zero_fraction_se
 
-    def test_nonatomic_laws_have_no_zeros(self):
+    def test_nonatomic_laws_have_no_zeros(self, empirical_check):
         for kind in (ModelKind.CLASSICAL, ModelKind.DIFFUSION, ModelKind.SP3):
-            report = empirical_check(make_model(kind, XS), 20_000,
-                                     RandomStream(seed=13, stream_id=0))
+            report = empirical_check(make_model(kind, XS), 20_000, seed=13, stream_id=0)
             assert report.zero_fraction == 0.0
 
-    def test_deterministic_given_stream(self):
+    def test_deterministic_given_stream(self, empirical_check):
         model = make_model("diffusion", XS)
-        a = empirical_check(model, 20_000, RandomStream(seed=21, stream_id=3))
-        b = empirical_check(model, 20_000, RandomStream(seed=21, stream_id=3))
+        a = empirical_check(model, 20_000, seed=21, stream_id=3)
+        b = empirical_check(model, 20_000, seed=21, stream_id=3)
         assert a == b

@@ -11,7 +11,9 @@ Philox blocks in the engine would be a second copy of the lane roles. The
 oracles are a closed form and a direct solve, and compare scores against the
 closed form alone: only the reference command runs the solver. The package
 runs on numpy alone: neither importing it nor running any command loads
-scipy, which only the tests and a demo use, as an oracle.
+scipy, which only the tests and a demo use, as an oracle. And src holds
+only what a command runs: every function in it is called by some command,
+apart from a short allowlist that gives each entry's reason.
 """
 
 import ast
@@ -137,3 +139,80 @@ def test_no_command_loads_scipy(argv, tmp_path):
     code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code in (0, 2)  # a compare FAIL still ran the command
     assert loaded == []
+
+
+def defined_functions():
+    """(module, qualified name) -> (file, first line) of every def in src.
+
+    The first line is that of the code object: the first decorator's, if
+    the function has any.
+    """
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(path.stem, prefix + child.name)] = (str(path), first)
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    return found
+
+
+UNCALLED_BY_COMMANDS = {
+    ("rng", "philox4x64_block"): "numpy emulation of the Philox block: the tests' oracle "
+                                 "for uniforms_at and the benchmark's rng.blocks_per_s micro",
+    ("rng", "_mulhilo"): "part of philox4x64_block",
+    ("kernels", "PathLengthModel.moment"): "exact moments the tests score sampling against",
+    ("kernels", "CrossSectionSpec.sigma_a"): "public field of the medium; no command reads it",
+    ("reference", "ClosedForm.density"): "exact density the tests score the solver against; "
+                                         "compare reads shell averages",
+}
+
+
+def test_every_function_is_run_by_a_command(tmp_path, monkeypatch):
+    """src holds only what a command runs: curves, simulate (analog and
+    implicit, one through --config), compare for every law, and reference,
+    a pure absorber for three laws and a supercritical refusal, together
+    call every function but the few listed, each with its reason."""
+    from nonclassical_mc import cli, sampler
+
+    monkeypatch.setenv("NONCLASSICAL_MC_WORKERS", "1")
+    sampler._quantile_table.cache_clear()  # earlier tests may have built the tables
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": "sp2", "capture": "implicit", "histories": 200,
+                                  "batches": 10}))
+    small = ["--histories", "200", "--batches", "10"]
+    runs = [["curves", "--points", "11"],
+            ["simulate", "--model", "sp3", *small],
+            ["simulate", "--config", str(config)],
+            *(["compare", "--model", law, *small]
+              for law in ("classical", "diffusion", "sp2", "sp3")),
+            *(["reference", "--model", law, "--sigma-s", "0"]
+              for law in ("classical", "sp2", "sp3")),
+            ["reference", "--model", "classical", "--sigma-s", "0.9999",
+             "--oracle-rmax", "60", "--oracle-nodes", "3072"]]
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    codes = []
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for argv in runs:
+            codes.append(cli.main(argv + ["--out", str(tmp_path)]))
+    finally:
+        sys.setprofile(previous)
+    assert codes[-1] == 3  # the supercritical oracle is refused
+    assert all(code in (0, 2) for code in codes[:-1])  # a compare FAIL still ran
+    uncalled = {name for name, site in defined_functions().items() if site not in called}
+    assert uncalled == set(UNCALLED_BY_COMMANDS)
