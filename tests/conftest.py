@@ -47,19 +47,35 @@ class MomentReport:
     zero_fraction_se: float
 
 
+def _stream_uniforms(seed, stream_id, skip, n):
+    """Variates skip .. skip + n - 1 of key (seed, stream_id) read as a sequence.
+
+    Variate i is lane i % 4 of the Philox block at counter i // 4, numpy's
+    lane order.
+    """
+    first, offset = divmod(skip, 4)
+    blocks = -(-(offset + n) // 4)
+    return uniforms_at(seed, [stream_id], [first], [blocks]).T.ravel()[offset:offset + n]
+
+
+@pytest.fixture(scope="session")
+def stream_uniforms():
+    """stream_uniforms(seed, stream_id, skip, n) -> variates skip .. skip + n - 1."""
+    return _stream_uniforms
+
+
 def _empirical_check(model, n, seed, stream_id):
     """Draw n samples and compare empirical statistics to the analytic law.
 
-    The variates are stream (seed, stream_id) read as a sequence: variate i
-    is lane i % 4 of the Philox block at counter i // 4, numpy's lane
-    order. Reports the sample mean and second moment, the largest
+    The variates are the first n of stream (seed, stream_id) read as a
+    sequence (``_stream_uniforms``). Reports the sample mean and second moment, the largest
     |empirical CDF - analytic CDF| over a fixed probe grid (101 points on
     [0, 10] mean free paths), and the fraction of exact zeros, each with a
     standard error.
     """
     if n < 10_000:
         raise ValueError("empirical_check needs n >= 1e4 for stable error estimates")
-    xi = uniforms_at(seed, [stream_id], [0], [-(-n // 4)]).T.ravel()[:n]
+    xi = _stream_uniforms(seed, stream_id, 0, n)
     s = sample_path(model, xi)
     s2 = s * s
     root_n = math.sqrt(n)

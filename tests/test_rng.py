@@ -129,3 +129,44 @@ class TestUniformsAt:
             for j in range(i + 1, 4):
                 assert abs(corr[i, j]) < 5.0 / np.sqrt(n), (i, j, corr[i, j])
 
+
+class TestRandomStream:
+    """Key (seed, stream_id) read as a sequence through uniforms_at, as the
+    empirical checks read their variates."""
+
+    def test_replay_is_identical(self, stream_uniforms):
+        # one variate at a time or all at once: the same sequence
+        drawn = np.concatenate([stream_uniforms(2024, 17, i, 1) for i in range(300)])
+        np.testing.assert_array_equal(drawn, stream_uniforms(2024, 17, 0, 300))
+
+    def test_sequence_equals_random_access(self, stream_uniforms):
+        # variate i is lane i % 4 of block (seed, stream_id; i // 4), numpy's
+        # lane order
+        drawn = np.concatenate([stream_uniforms(5, 11, skip, n)
+                                for skip, n in ((0, 1), (1, 2), (3, 597))])
+        direct = emulated(np.arange(150, dtype=np.uint64), 5, 11).T.ravel()
+        np.testing.assert_array_equal(drawn, direct)
+
+    def test_uniform_block_continues_sequence(self, stream_uniforms):
+        head = stream_uniforms(5, 11, 0, 3)
+        block = stream_uniforms(5, 11, 3, 10)
+        assert stream_uniforms(5, 11, 13, 0).size == 0
+        direct = emulated(np.arange(4, dtype=np.uint64), 5, 11).T.ravel()[:13]
+        np.testing.assert_array_equal(np.concatenate([head, block]), direct)
+
+    def test_sequence_matches_numpy_lane_order(self, stream_uniforms):
+        # numpy's Philox serves the lanes of counter k + 1 as raw words
+        # 4k .. 4k + 3, so its raw stream is our stream from block 1 on
+        raw = np.random.Philox(key=np.array([5, 11], dtype=np.uint64)).random_raw(8)
+        np.testing.assert_array_equal(stream_uniforms(5, 11, 4, 8),
+                                      (raw >> np.uint64(11)) * 2.0**-53)
+
+    def test_distinct_streams_are_uncorrelated(self, stream_uniforms):
+        a = stream_uniforms(77, 0, 0, 8192)
+        b = stream_uniforms(77, 1, 0, 8192)
+        assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(8192)
+
+    def test_negative_ids_wrap_to_uint64(self, stream_uniforms):
+        # numpy refuses a negative uint64, so uniforms_at masks the key words first
+        direct = emulated(np.uint64(0), 2**64 - 1, 2**64 - 2)
+        np.testing.assert_array_equal(stream_uniforms(-1, -2, 0, 4), direct)
