@@ -15,12 +15,12 @@ reads counter h, and a batch of one history reads (seed, j; h) at every
 collision j. A batch reads key j first at its collision j, and which
 counter a history takes there depends only on earlier blocks, so given
 the past the variates of collision j are independent and uniform. Each
-block spends its lanes on one collision: lanes 0-1 give the direction of
-flight j (the birth direction for j = 0, the post-scatter direction after
-that), lane 2 the flight variate, and lane 3 the analog capture test, or
-in implicit capture the roulette test (read only when the weight falls
-below the cutoff). The result of a run is therefore a pure function of
-(seed, histories, batches) no matter how batches are distributed over
+block spends its lanes on one collision: lane 0 gives flight j's cosine to
+the radius vector (at birth for j = 0, after the scatter after that), lane 1
+is not read, lane 2 gives the flight variate, and lane 3 the analog capture
+test, or in implicit capture the roulette test (read only when the weight
+falls below the cutoff). The result of a run is therefore a pure function
+of (seed, histories, batches) no matter how batches are distributed over
 worker processes (set NONCLASSICAL_MC_WORKERS to override the default of
 all available CPUs).
 
@@ -40,14 +40,13 @@ collision depend only on its own histories, each (batch, shell) cell
 receives its additions in (collision index, history id) order whatever the
 batch's step-mates are, and per-batch results are reduced in batch order.
 
-Positions are three 1-D arrays x, y, z, advanced in the scalar order
-x += s (sin(theta) cos(phi)), y += s (sin(theta) sin(phi)), z += s mu, with
-r = sqrt(x x + y y + z z). The tally grid is the uniform one np.linspace
-builds, so a collision's shell is r over the shell width, corrected by one
-step against the edges, which equals a search of the edges. Analog capture
-carries no weight array, since every analog weight is 1: a cell's weight is
-its score count, and a batch's absorbed weight the number of its histories
-that were absorbed.
+The source, the scattering and the tally are spherically symmetric, so a
+history carries only its radius (``_radius_after``). The tally grid is the
+uniform one np.linspace builds, so a collision's shell is r over the shell
+width, corrected by one step against the edges, which equals a search of the
+edges. Analog capture carries no weight array, since every analog weight is
+1: a cell's weight is its score count, and a batch's absorbed weight the
+number of its histories that were absorbed.
 
 Particles that leave the tally grid keep transporting (the medium is
 infinite) but score nothing; histories are never truncated spatially.
@@ -150,6 +149,15 @@ class ProblemConfig:
         return CrossSectionSpec(self.sigma_t, self.sigma_s)
 
 
+def _radius_after(r, s, u0):
+    """Radius after a flight s from radius r at cosine mu = 2 u0 - 1 to the
+    radius vector; for isotropic mu, the 3-D walk's radius in law. 1 - mu^2
+    is 4 u0 (1 - u0), 1 - u0 exact on numpy's 2^-53 grid: no cancellation
+    through the origin, and s = 0 returns r bit for bit (sqrt(r r) = r)."""
+    along = r + s * (2.0 * u0 - 1.0)
+    return np.sqrt(along * along + s * s * (4.0 * u0 * (1.0 - u0)))
+
+
 def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
                      edges: np.ndarray, capture: str, max_collisions: int) -> dict:
     """Run consecutive batches in one refilling lockstep over collisions.
@@ -196,7 +204,7 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
     admitted = np.zeros(nb, dtype=np.int64)  # the step each batch joins at
     live = np.zeros(nb, dtype=np.int64)  # live histories per batch
     batch = np.zeros(0, dtype=np.intp)
-    x = y = z = np.zeros(0)
+    radius = np.zeros(0)
     w = None if analog else np.zeros(0)  # analog weights are all 1
     lo = hi = 0  # the lockstep holds batches lo .. hi - 1
     step = 0
@@ -211,7 +219,7 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
             new = width - batch.size
             batch = np.concatenate([batch, np.repeat(np.arange(joined - lo, hi - lo),
                                                      sizes[joined:hi])])
-            x, y, z = (np.concatenate([a, np.zeros(new)]) for a in (x, y, z))
+            radius = np.concatenate([radius, np.zeros(new)])
             if w is not None:
                 w = np.concatenate([w, np.ones(new)])
         if not width:
@@ -220,20 +228,14 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         nh = hi - lo
         u = uniforms_at(seed, step - admitted[held], firsts[held], live[held])
         s = sample_path(model, u[2])
-        mu = 2.0 * u[0] - 1.0
-        phi = 2.0 * math.pi * u[1]
-        sin_theta = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
-        x += s * (sin_theta * np.cos(phi))
-        y += s * (sin_theta * np.sin(phi))
-        z += s * mu
-        radius = np.sqrt(x * x + y * y + z * z)
+        radius = _radius_after(radius, s, u[0])
         xi = u[3]
         ok = np.isfinite(radius)
         if not ok.all():
             faulted = np.bincount(batch[~ok], minlength=nh)
             out["faults"][held] += faulted
             live[held] -= faulted
-            batch, x, y, z, xi, s, radius = (a[ok] for a in (batch, x, y, z, xi, s, radius))
+            batch, radius, xi, s = (a[ok] for a in (batch, radius, xi, s))
             if w is not None:
                 w = w[ok]
         out["collisions"][held] += live[held]
@@ -267,7 +269,7 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         survivors = live[held]
         if not alive.all():
             idx = np.flatnonzero(alive)
-            batch, x, y, z = batch[idx], x[idx], y[idx], z[idx]
+            batch, radius = batch[idx], radius[idx]
             if w is not None:
                 w = w[idx]
             survivors = np.bincount(batch, minlength=nh)
@@ -281,7 +283,7 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
             out["capped"][done] += live[done]
             cut = int(live[done].sum())
             live[done] = 0
-            batch, x, y, z = batch[cut:], x[cut:], y[cut:], z[cut:]
+            batch, radius = batch[cut:], radius[cut:]
             if w is not None:
                 w = w[cut:]
         gone = lo

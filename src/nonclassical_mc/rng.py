@@ -6,17 +6,16 @@ word, numpy's double conversion). Blocks are random-access, so a result
 never depends on how work is split across workers.
 
 ``uniforms_at`` reads runs of consecutive counters, each under its own key
-(seed, step), through numpy's C Philox: one generator serves each stretch
-of consecutive runs that share a key, advanced to the first counter of
-each run. The transport engine gives each batch in a lockstep step one run of counters,
-keyed by the batch's collision index (see ``engine``).
+(seed, step), through numpy's C Philox: one generator serves every run of
+a call, its state written to each run's key and first counter before the
+run is drawn. The transport engine gives each batch in a lockstep step one
+run of counters, keyed by the batch's collision index (see ``engine``).
 
 ``philox4x64_block`` is a numpy emulation of the same block function, with
 the counter (counter, 0, 0, 0); the test suite checks the C path against it
 bit for bit. numpy increments its four-word counter before each block, so
-a generator at counter k - 1 (all four words set for k = 0, which wraps to
-0) yields block k next; ``advance`` adds to the counter modulo 2**256 and
-drops any buffered variates.
+a generator whose state holds counter k - 1 (all four words set for k = 0,
+which wraps to 0) and an empty buffer yields block k next.
 """
 
 from __future__ import annotations
@@ -84,19 +83,18 @@ def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
     """
     counts = [int(n) for n in counts]
     out = np.empty((sum(counts), 4))
-    key = None
-    end = at = 0
+    bits = np.random.Philox(key=0)
+    draw = np.random.Generator(bits).random
+    key, counter = [seed & _MASK64, 0], [0] * 4
+    state = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    end = 0
     for first, run_step, n in zip(firsts, step, counts):
         if n:
-            run_key = int(run_step) & _MASK64
-            if run_key != key:  # one generator per stretch of runs under one key
-                key = run_key
-                bits = np.random.Philox(key=np.array([seed & _MASK64, key], dtype=np.uint64),
-                                        counter=_COUNTER_WRAP - 1)  # reads counter 0 next
-                draw = np.random.Generator(bits).random
-                at = 0
-            bits.advance((int(first) - at) % _COUNTER_WRAP)
+            at = (int(first) - 1) % _COUNTER_WRAP  # an empty buffer reads at + 1 next
+            key[1] = int(run_step) & _MASK64
+            counter[:] = [(at >> shift) & _MASK64 for shift in (0, 64, 128, 192)]
+            bits.state = state
             draw(out=out[end:end + n])
-            at = int(first) + n
             end += n
     return out.T

@@ -6,9 +6,11 @@ import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nonclassical_mc import CrossSectionSpec, ModelKind, ProblemConfig, make_model, simulate
 from nonclassical_mc import engine
@@ -41,17 +43,19 @@ def block_uniforms(seed, step, counter):
 class ScalarHistory:
     """One history, transported collision by collision from blocks it is given.
 
-    A block's lanes 0-1 give the direction, lane 2 the flight variate and
-    lane 3 the capture or roulette test. The flight length comes from
-    engine.sample_path, looked up at call time, so a sampler a test patches
-    in applies to both paths. Records the radius and weight of every scored
+    A block's lane 0 gives the flight's cosine to the radius vector (lane 1
+    is not read), lane 2 the flight variate and lane 3 the capture or
+    roulette test. The radius follows the kernel's recurrence in the
+    kernel's order of operations, so the two agree bit for bit. The flight
+    length comes from engine.sample_path, looked up at call time, so a
+    sampler a test patches in applies to both paths. Records the radius and weight of every scored
     collision, the flight lengths, the absorbed weight and how the history
     ended (end: None while live, then "done", "fault" or "capped").
     """
 
     def __init__(self, model, capture, max_collisions):
         self.model, self.capture, self.max_collisions = model, capture, max_collisions
-        self.x = self.y = self.z = 0.0
+        self.r = 0.0
         self.weight, self.absorbed = 1.0, 0.0
         self.radii, self.weights, self.flights = [], [], []
         self.end = None
@@ -59,16 +63,12 @@ class ScalarHistory:
     def collide(self, u):
         c = self.model.xs.c
         s = float(engine.sample_path(self.model, u[2]))
-        mu = 2.0 * u[0] - 1.0
-        phi = 2.0 * math.pi * u[1]
-        sin_theta = math.sqrt(max(1.0 - mu * mu, 0.0))
-        self.x += s * (sin_theta * math.cos(phi))
-        self.y += s * (sin_theta * math.sin(phi))
-        self.z += s * mu
-        radius = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        along = self.r + s * (2.0 * u[0] - 1.0)
+        radius = math.sqrt(along * along + s * s * (4.0 * u[0] * (1.0 - u[0])))
         if not math.isfinite(radius):
             self.end = "fault"
             return
+        self.r = radius
         self.radii.append(radius)
         self.weights.append(self.weight)
         self.flights.append(s)
@@ -87,6 +87,48 @@ class ScalarHistory:
                 self.weight /= ROULETTE_SURVIVAL
         if len(self.flights) >= self.max_collisions:
             self.end = "capped"
+
+
+def walk_3d(model, rng, n, collisions):
+    """Radii of n histories after collisions 1 .. collisions of a 3-D walk
+    in x, y, z from the origin, the reference for the radial chain's law:
+    the direction's cosine from u0, its azimuth from u1, the flight from u2."""
+    x, y, z = np.zeros(n), np.zeros(n), np.zeros(n)
+    radii = []
+    for _ in range(collisions):
+        u = rng.random((3, n))
+        s = engine.sample_path(model, u[2])
+        mu = 2.0 * u[0] - 1.0
+        phi = 2.0 * math.pi * u[1]
+        sin_theta = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
+        x += s * (sin_theta * np.cos(phi))
+        y += s * (sin_theta * np.sin(phi))
+        z += s * mu
+        radii.append(np.sqrt(x * x + y * y + z * z))
+    return radii
+
+
+def walk_radial(model, rng, n, collisions):
+    """Radii of n histories after collisions 1 .. collisions of the kernel's
+    radial chain from the origin, the cosine from u0 and the flight from u1."""
+    r = np.zeros(n)
+    radii = []
+    for _ in range(collisions):
+        u = rng.random((2, n))
+        r = engine._radius_after(r, engine.sample_path(model, u[1]), u[0])
+        radii.append(r)
+    return radii
+
+
+def exact_radius(r, s, u0):
+    """The recurrence's radius for the float inputs, in exact rationals,
+    rounded to the nearest float (the integer square root carries 200 bits
+    below the float's last one)."""
+    r, s, u0 = (Fraction(v) for v in (r, s, u0))
+    square = (r + s * (2 * u0 - 1)) ** 2 + s * s * 4 * u0 * (1 - u0)
+    scale = 2**200
+    root = math.isqrt(square.numerator * square.denominator * scale * scale)
+    return float(Fraction(root, square.denominator * scale))
 
 
 def run_history(model, seed, h, capture="analog", max_collisions=MAX_COLLISIONS):
@@ -303,6 +345,41 @@ class TestRunHistory:
         p = repeats / pairs
         se = math.sqrt(p * (1.0 - p) / pairs)
         assert abs(p - 4.0 / 9.0) <= 4.0 * se
+
+
+class TestRadialChain:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_radius_has_the_3d_walks_law(self, kind):
+        # after each of the first four collisions, the radial chain's radii
+        # and the 3-D walk's radii, 20,000 a side from independent streams,
+        # pass a two-sample Kolmogorov-Smirnov test at p > 0.001
+        model = make_model(kind, CrossSectionSpec(1.0, 0.9))
+        radial = walk_radial(model, np.random.default_rng(11), 20_000, 4)
+        walk = walk_3d(model, np.random.default_rng(12), 20_000, 4)
+        for collision, (a, b) in enumerate(zip(radial, walk), start=1):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3, collision
+
+    @pytest.mark.parametrize("s", [0.1, 1.0 / 3.0, math.pi, 7.3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 17])
+    def test_flight_back_through_the_origin(self, s, k):
+        # from r = s, a flight s at mu = 2 u0 - 1 with u0 = k 2^-53 ends
+        # 2 s sqrt(u0) from the origin: the kernel's radius is within 2 ulp
+        # of the exact one, the naive r^2 + s^2 + 2 r s mu over 1000 ulp off
+        u0 = k * 2.0**-53
+        exact = exact_radius(s, s, u0)
+        got = float(engine._radius_after(np.array([s]), np.array([s]), np.array([u0]))[0])
+        assert abs(got - exact) <= 2 * math.ulp(exact)
+        mu = 2.0 * u0 - 1.0
+        naive = math.sqrt(max(s * s + s * s + 2.0 * s * s * mu, 0.0))
+        assert abs(naive - exact) > 1000 * math.ulp(exact)
+
+    def test_zero_length_flight_keeps_the_radius(self):
+        # sqrt(r r) = r in binary floating point while r r neither underflows
+        # nor overflows, for every cosine
+        rng = np.random.default_rng(13)
+        r = np.concatenate([[0.0, 1e-150, 1.0, 1e150], rng.exponential(3.0, 10_000)])
+        u0 = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53, 2.0**-53], rng.random(10_000)])
+        np.testing.assert_array_equal(engine._radius_after(r, np.zeros_like(r), u0), r)
 
 
 class TestScalarVectorEquivalence:
