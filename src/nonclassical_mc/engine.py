@@ -158,6 +158,25 @@ def _radius_after(r, s, u0):
     return np.sqrt(along * along + s * s * (4.0 * u0 * (1.0 - u0)))
 
 
+_heap_prepared = False
+
+
+def _prepare_heap() -> None:
+    """Once per process: free a 4 MiB block, so that glibc's malloc raises its
+    dynamic mmap threshold to 4 MiB (and its trim threshold to 8 MiB), then
+    write one such block on the heap and free it. The lockstep's temporaries,
+    128 KiB and more at full width, then reuse pages already faulted in, in
+    every group, instead of being mmapped, faulted in and unmapped on every
+    step (a block per group would come from the heap and stretch it into new
+    pages). Under any other allocator these are two short-lived allocations.
+    """
+    global _heap_prepared
+    if not _heap_prepared:
+        np.empty(1 << 19)
+        np.ones(1 << 19)
+        _heap_prepared = True
+
+
 def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
                      edges: np.ndarray, capture: str, max_collisions: int) -> dict:
     """Run consecutive batches in one refilling lockstep over collisions.
@@ -178,12 +197,7 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
 
     Returns per-batch arrays by name, in batch order, for _finalize.
     """
-    # Allocate and free one 4 MiB block: glibc's malloc then raises its
-    # dynamic mmap threshold to 4 MiB (and its trim threshold to 8 MiB), so
-    # the per-step temporaries below, 128 KiB and more at full width, reuse
-    # heap memory instead of being mmapped, faulted in and unmapped on every
-    # step. Under any other allocator it is one short-lived allocation.
-    np.empty(1 << 19)
+    _prepare_heap()
     k_shells = edges.size - 1
     r_max = edges[-1]
     if not np.array_equal(edges, np.linspace(0.0, r_max, k_shells + 1)):
