@@ -22,7 +22,7 @@ test, or in implicit capture the roulette test (read only when the weight
 falls below the cutoff). The result of a run is therefore a pure function
 of (seed, histories, batches) no matter how batches are distributed over
 worker processes (set NONCLASSICAL_MC_WORKERS to override the default of
-all available CPUs).
+all CPUs the process may run on).
 
 Each worker runs one contiguous range of batches (as many ranges as
 workers, at most one per batch) in a refilling lockstep over collisions,
@@ -354,13 +354,17 @@ def batch_slices(histories: int, batches: int) -> list[tuple[int, int]]:
 
 
 def configured_workers() -> int:
-    """Worker processes from NONCLASSICAL_MC_WORKERS, else all CPUs.
+    """Worker processes from NONCLASSICAL_MC_WORKERS, else all CPUs this
+    process may run on (its affinity mask where the platform has one, so a
+    taskset or cpuset limit counts).
 
     Raises ValueError when the variable is set to anything but a positive
     integer.
     """
     raw = os.environ.get(WORKERS_ENV)
     if not raw:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         count = int(raw)

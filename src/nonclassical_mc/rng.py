@@ -6,10 +6,13 @@ word, numpy's double conversion). Blocks are random-access, so a result
 never depends on how work is split across workers.
 
 ``uniforms_at`` reads runs of consecutive counters, each under its own key
-(seed, step), through numpy's C Philox: one generator serves every run of
-a call, its state written to each run's key and first counter before the
-run is drawn. The transport engine gives each batch in a lockstep step one
-run of counters, keyed by the batch's collision index (see ``engine``).
+(seed, step), through numpy's C Philox: one reader per process, built on
+the first call, serves every run, its state written to each run's key and
+first counter before the run is drawn, so no call leaves anything to the
+next. The reader is shared, so concurrent threads must not call
+``uniforms_at``; worker processes each build their own. The transport
+engine gives each batch in a lockstep step one run of counters, keyed by
+the batch's collision index (see ``engine``).
 
 ``philox4x64_block`` is a numpy emulation of the same block function, with
 the counter (counter, 0, 0, 0); the test suite checks the C path against it
@@ -72,22 +75,29 @@ def philox4x64_block(counter, key0, key1):
         return c0, c1, c2, c3
 
 
+_reader = None  # (Philox, its Generator's random, their state dict)
+
+
 def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
     """All four lanes of runs of consecutive Philox blocks.
 
     Run i covers the counters firsts[i] .. firsts[i] + counts[i] - 1 of the
     key (seed, step[i]); the runs are laid end to end. Key words wrap modulo
-    2**64. The output is float64 of shape (4, sum(counts)), row k holding
-    lane k, column n the n-th block read. A counter past 2**64 - 1 carries
-    into numpy's second counter word.
+    2**64. The output is C-contiguous float64 of shape (4, sum(counts)),
+    row k holding lane k, column n the n-th block read. A counter past
+    2**64 - 1 carries into numpy's second counter word.
     """
+    global _reader
+    if _reader is None:
+        bits = np.random.Philox(key=0)
+        state = {"bit_generator": "Philox", "state": {"key": [0, 0], "counter": [0] * 4},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _reader = bits, np.random.Generator(bits).random, state
+    bits, draw, state = _reader
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    key[0] = seed & _MASK64
     counts = [int(n) for n in counts]
     out = np.empty((sum(counts), 4))
-    bits = np.random.Philox(key=0)
-    draw = np.random.Generator(bits).random
-    key, counter = [seed & _MASK64, 0], [0] * 4
-    state = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     end = 0
     for first, run_step, n in zip(firsts, step, counts):
         if n:
@@ -97,4 +107,4 @@ def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
             bits.state = state
             draw(out=out[end:end + n])
             end += n
-    return out.T
+    return out.T.copy()  # unit-stride lanes for the engine's elementwise work

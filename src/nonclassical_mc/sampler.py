@@ -5,13 +5,13 @@ classical law is s = -ln(1 - xi) / sigma_t. Every other law is an atom
 plus a Gamma(2) mixture in z = sigma_t s (see :mod:`.kernels`), and its
 continuous part has the survival S(z) = sum_j w_j f(mu_j z) with the
 weights normalized to sum_j w_j = 1, where f(u) = (1 + u) e^{-u}. A law
-with an atom returns s = 0 for xi <= atom, and otherwise solves
-S(z) = (1 - xi) / (1 - atom). A cubic-Hermite table of z against
-v = sqrt(-ln S) gives a start that one Newton step on the analytic
-survival takes to rounding level. Each law's table is built once, on
-first use. The identity z = -1 - W_{-1}(-y / e) with the lower Lambert-W
-branch inverts f itself; the tests check the diffusion law, S(z) =
-f(sqrt(3) z), against it.
+with an atom returns s = 0 for xi <= atom, and inverts only the other
+lanes, solving S(z) = (1 - xi) / (1 - atom). A cubic-Hermite table of z
+against v = sqrt(-ln S) gives a start that one Newton step on the
+analytic survival takes to rounding level. Each law's table is built
+once, on first use. The identity z = -1 - W_{-1}(-y / e) with the lower
+Lambert-W branch inverts f itself; the tests check the diffusion law,
+S(z) = f(sqrt(3) z), against it.
 
 Sampling is a pure function of (model, xi), applied elementwise with a
 fixed sequence of array operations; all randomness is supplied by the
@@ -160,15 +160,18 @@ def sample_path(model: PathLengthModel, xi):
     else:
         atom = model.atom_at_zero
         if atom:
-            # the continuous part: conditional CDF q and survival 1 - q, each
-            # formed where it is exact, and -ln(1 - q) from the accurate one
-            q = np.maximum(arr - atom, 0.0) / (1.0 - atom)
-            surv = (1.0 - arr) / (1.0 - atom)
+            # only the lanes past the atom are inverted, the rest stay 0.0
+            # (selected by index: a boolean mask reads and writes ~3x slower):
+            # the conditional CDF q and survival 1 - q, each formed where it
+            # is exact, and -ln(1 - q) from the accurate one
+            cont = np.flatnonzero(arr > atom)
+            x = arr.take(cont)
+            q = (x - atom) / (1.0 - atom)
+            surv = (1.0 - x) / (1.0 - atom)
             t = np.where(q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(surv))
+            z = np.zeros(arr.shape)
+            z[cont] = _quantile(_law_table(model), t, surv)
         else:
-            t, surv = -np.log1p(-arr), 1.0 - arr
-        z = _quantile(_law_table(model), t, surv)
-        if atom:
-            z = np.where(arr > atom, z, 0.0)
+            z = _quantile(_law_table(model), -np.log1p(-arr), 1.0 - arr)
         s = z / st
     return float(s[0]) if np.ndim(xi) == 0 else s

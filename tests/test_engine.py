@@ -666,3 +666,20 @@ class TestBatchSlices:
         assert slices[-1] == (93, 10)
         sizes = {size for _, size in slices}
         assert sizes == {10, 11}
+
+
+class TestConfiguredWorkers:
+    def test_default_is_the_affinity_mask(self, monkeypatch):
+        # a taskset or cpuset limit, not the host's CPU count, sets the default
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert engine.configured_workers() == 3
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert engine.configured_workers() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert engine.configured_workers() == 1

@@ -1,9 +1,16 @@
 """Counter-based stream construction, checked against numpy's Philox."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nonclassical_mc.rng import philox4x64_block, uniforms_at
+
+MASK64 = 2**64 - 1
 
 
 class TestPhiloxBlock:
@@ -37,11 +44,31 @@ def emulated(counters, key0, key1):
     return (np.stack(philox4x64_block(counters, key0, key1)) >> np.uint64(11)) * 2.0**-53
 
 
+def philox_int(counter, key0, key1):
+    """Philox4x64-10 on a full four-word counter, in Python integers: the
+    block's four words, for counters that carry past 2**64."""
+    c = [(counter >> shift) & MASK64 for shift in (0, 64, 128, 192)]
+    k0, k1 = key0 & MASK64, key1 & MASK64
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k0, p1 & MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & MASK64]
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & MASK64, (k1 + 0xBB67AE8584CAA73B) & MASK64
+    return c
+
+
+def expected_runs(seed, steps, firsts, counts):
+    """uniforms_at's result, block by block from philox_int."""
+    words = [philox_int(first + i, seed, step)
+             for step, first, n in zip(steps, firsts, counts) for i in range(n)]
+    return (np.array(words, dtype=np.uint64).reshape(-1, 4).T >> np.uint64(11)) * 2.0**-53
+
+
 class TestUniformsAt:
     def test_range_and_dtype(self):
         u = uniforms_at(1, [0], [0], [1000])
         assert u.dtype == np.float64
         assert u.shape == (4, 1000)
+        assert u.flags.c_contiguous  # each lane a unit-stride row
         assert np.all((u >= 0.0) & (u < 1.0))
 
     def test_pure_function_of_coordinates(self):
@@ -100,6 +127,40 @@ class TestUniformsAt:
                              [5] + firsts[:2] + [99] + firsts[2:] + [0],
                              [0] + counts[:2] + [0] + counts[2:] + [0])
         np.testing.assert_array_equal(padded, expected)
+
+    def test_reader_carries_no_state_between_calls(self):
+        # the one reader per process is rewritten by every run: calls with
+        # other seeds, keys and counters in between change no block, in
+        # either order
+        calls = [(5, [3], [0], [7]),                                # counter wraps to 0
+                 (2**64 - 1, [2**40, 1], [2**64 - 2, 9], [5, 3]),  # carries past 2**64
+                 (-3, [0, 7], [123_456_789, 0], [4, 2]),
+                 (77, [2**63], [3 * 2**64 + 5], [3])]              # second word set
+        expected = [expected_runs(*call) for call in calls]
+        for order in (calls, calls[::-1], calls + calls):
+            for call in order:
+                np.testing.assert_array_equal(uniforms_at(*call), expected[calls.index(call)])
+        # the Python-integer reference is numpy's emulation below 2**64
+        counters = np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+        np.testing.assert_array_equal(expected_runs(2**64 - 1, [9] * 4, counters.tolist(),
+                                                    [1] * 4),
+                                      emulated(counters, 2**64 - 1, 9))
+
+    def test_reader_is_built_on_first_call(self):
+        # importing the package builds no reader and loads no numpy.random;
+        # the first call builds it, and later calls reuse it
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                      if env.get("PYTHONPATH") else []))
+        script = ("import sys, nonclassical_mc\n"
+                  "from nonclassical_mc import rng\n"
+                  "assert rng._reader is None and 'numpy.random' not in sys.modules\n"
+                  "rng.uniforms_at(1, [0], [0], [3])\n"
+                  "reader = rng._reader\n"
+                  "rng.uniforms_at(2, [5], [9], [4])\n"
+                  "assert reader is not None and rng._reader is reader\n")
+        subprocess.run([sys.executable, "-c", script], env=env, timeout=120, check=True)
 
     def test_statistical_sanity(self):
         # lane 0 of 64 keys x 4096 counters: mean 1/2, var 1/12, lag-1

@@ -39,6 +39,19 @@ def lambert_inverse(y):
 DIFFUSION = make_model("diffusion", XS)
 
 
+def sp2_all_lanes(model, xi):
+    """sample_path's atom branch as it was when every lane was inverted and
+    the atom lanes were overwritten with 0.0 afterwards."""
+    arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    atom = model.atom_at_zero
+    q = np.maximum(arr - atom, 0.0) / (1.0 - atom)
+    surv = (1.0 - arr) / (1.0 - atom)
+    t = np.where(q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(surv))
+    z = sampler._quantile(_law_table(model), t, surv)
+    s = np.where(arr > atom, z, 0.0) / model.xs.sigma_t
+    return float(s[0]) if np.ndim(xi) == 0 else s
+
+
 def invert_f(y):
     """The inverse of f through the one sampling path, and the y it inverted.
 
@@ -217,6 +230,20 @@ class TestTableSampling:
             sample_path(model, xi)
             counts.add(tuple(calls))
         assert len(counts) == 1
+
+    @pytest.mark.parametrize("sigma_t", [1.0, 2.5])
+    def test_sp2_atom_lanes_skip_the_inversion_bitwise(self, sigma_t):
+        # inverting only the lanes past the atom changes no bit of any lane
+        model = make_model("sp2", CrossSectionSpec(sigma_t, 0.0))
+        edges = [0.0, np.nextafter(SP2_ATOM, 0.0), SP2_ATOM, np.nextafter(SP2_ATOM, 1.0),
+                 1.0 - 2.0**-53]
+        xi = np.concatenate([edges, np.random.default_rng(19).random(100_000)])
+        expected = sp2_all_lanes(model, xi)
+        assert sample_path(model, xi).tobytes() == expected.tobytes()
+        assert sample_path(model, np.repeat(xi, 2)[::2]).tobytes() == expected.tobytes()
+        for i in [*range(len(edges)), *range(-50, 0)]:  # scalar input
+            one = sample_path(model, float(xi[i]))
+            assert isinstance(one, float) and np.float64(one).tobytes() == expected[i].tobytes()
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_cdf_residual_bound(self, kind):
