@@ -17,14 +17,13 @@ from nonclassical_mc import (
     CrossSectionSpec,
     ModelKind,
     RadialGrid,
-    RadialKernel,
     closed_form,
     make_model,
     solve_integral_equation,
 )
 
 xs = CrossSectionSpec(sigma_t=1.0, sigma_s=0.5)
-grid = RadialGrid.uniform(12.0, 512)
+grid = RadialGrid(12.0, 512)
 
 print("=== solve f = c K[f] + first flight on", grid.nodes.size, "radial nodes ===")
 print(f"  {'law':10s} {'residual':>10s} {'integral f dV':>14s} {'origin mass':>12s}")
@@ -61,7 +60,7 @@ print("\n=== solver's max nodal gap to the closed form, c = 0.9, r_max = 40, r i
 xs_h = CrossSectionSpec(sigma_t=1.0, sigma_s=0.9)
 print(f"  {'nodes':>6s} {'sp3':>10s} {'classical':>10s}")
 for nodes in (512, 1024, 2048):
-    fine = RadialGrid.uniform(40.0, nodes)
+    fine = RadialGrid(40.0, nodes)
     inside = (fine.nodes >= 0.5) & (fine.nodes <= 10.0)
     gaps = []
     for kind in ("sp3", "classical"):
@@ -88,6 +87,7 @@ xs0 = CrossSectionSpec(sigma_t=1.0, sigma_s=0.0)
 for kind in ModelKind:
     model = make_model(kind, xs0)
     sol = solve_integral_equation(model, xs0, grid)
-    bare = RadialKernel(model).point_kernel(grid.nodes)
+    r = grid.nodes
+    bare = model.density(r) / (4.0 * np.pi * r * r)
     print(f"  {kind.value:10s} f == p(r)/(4 pi r^2) exactly: "
           f"{np.array_equal(sol.f, bare)}")

@@ -24,7 +24,6 @@ from .reference import (
     ClosedForm,
     ConvergenceError,
     RadialGrid,
-    RadialKernel,
     RadialSolution,
     closed_form,
     solve_integral_equation,
@@ -46,7 +45,6 @@ __all__ = [
     "ClosedForm",
     "closed_form",
     "RadialGrid",
-    "RadialKernel",
     "RadialSolution",
     "solve_integral_equation",
     "__version__",

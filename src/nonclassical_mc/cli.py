@@ -29,14 +29,14 @@ import numpy as np
 
 from .engine import ProblemConfig, _integral, configured_workers, simulate
 from .kernels import CrossSectionSpec, ModelKind, make_model
-from .reference import (MIN_GRID_NODES, ConvergenceError, RadialGrid, closed_form,
-                        solve_integral_equation)
+from .reference import ConvergenceError, RadialGrid, closed_form, solve_integral_equation
 
 __all__ = ["RunManifest", "cmd_curves", "cmd_simulate", "cmd_reference", "cmd_compare",
            "allowed_over_3sigma", "allowed_over_5sigma", "compare_verdict", "main"]
 
 VERDICT_ALPHA = 0.01  # false-FAIL rate each verdict leg allows on a correct run
 MIN_SCORES = 100  # scores a shell needs before its z-score counts
+MIN_GRID_NODES = 256  # fewest oracle nodes reference accepts
 
 
 @dataclass
@@ -211,18 +211,22 @@ def cmd_reference(manifest: RunManifest) -> str:
     """Solve the integral equation on the oracle grid; write reference.csv.
 
     The metadata and the printout carry mass_error, |(1 - c) * volume
-    integral - 1|: the share of the infinite medium's collisions that the
-    grid's domain misses.
+    integral - 1|, the solution's miss of the infinite medium's balance,
+    and closed_form_gap, sum w r^2 |f - f_exact| / sum w r^2 f_exact over
+    the nodes, its distance from the exact density.
     """
     kind = manifest.oracle_model or manifest.model
     xs = CrossSectionSpec(manifest.sigma_t, manifest.sigma_s)
     model = make_model(kind, xs)
-    grid = RadialGrid.uniform(manifest.oracle_rmax, manifest.oracle_nodes)
+    grid = RadialGrid(manifest.oracle_rmax, manifest.oracle_nodes)
     solution = solve_integral_equation(model, xs, grid, tol=manifest.oracle_tol)
     volume = solution.volume_integral()
     # a unit source makes 1/(1 - c) collisions in the infinite medium; the
-    # truncated grid loses the rest, most of it at high c
+    # truncated domain loses some and the quadrature may add some
     mass_error = abs((1.0 - xs.c) * volume - 1.0)
+    g = grid.weights * grid.nodes**2
+    exact = closed_form(model).density(grid.nodes)
+    gap = np.sum(g * np.abs(solution.f - exact)) / np.sum(g * exact)
     meta = {
         "command": "reference",
         "model": kind,
@@ -237,11 +241,13 @@ def cmd_reference(manifest: RunManifest) -> str:
         "origin_mass": solution.origin_mass,
         "volume_integral": volume,
         "mass_error": mass_error,
+        "closed_form_gap": gap,
     }
     path = _write_csv(os.path.join(manifest.out, "reference.csv"), meta,
                       ["r", "f"], zip(grid.nodes, solution.f))
     print(f"wrote {path}")
     print(f"mass_error = {_fmt(mass_error)}")
+    print(f"closed_form_gap = {_fmt(gap)}")
     return path
 
 

@@ -53,11 +53,8 @@ class ModelKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CrossSectionSpec:
-    """Macroscopic cross sections of the homogeneous medium (1/length).
-
-    sigma_a and the scattering ratio c are derived, never stored, so
-    sigma_a + sigma_s == sigma_t holds exactly.
-    """
+    """Macroscopic cross sections of the homogeneous medium (1/length);
+    the scattering ratio c is derived, never stored."""
 
     sigma_t: float
     sigma_s: float
@@ -69,10 +66,6 @@ class CrossSectionSpec:
             raise ValueError(
                 f"need 0 <= sigma_s < sigma_t, got sigma_s={self.sigma_s}, sigma_t={self.sigma_t}"
             )
-
-    @property
-    def sigma_a(self) -> float:
-        return self.sigma_t - self.sigma_s
 
     @property
     def c(self) -> float:
@@ -208,8 +201,9 @@ def make_model(kind: ModelKind | str, xs: CrossSectionSpec) -> PathLengthModel:
     mu = tuple(float(1.0 / node) for node in t[t > 0.0])
     weights = [float(w) for w in g[t > 0.0]]
     weights[-1] = (1.0 - atom) - sum(weights[:-1])
-    second = sum(6.0 * w / m**2 for m, w in zip(mu, weights))
+    model = PathLengthModel(kind=kind, xs=xs, atom_at_zero=atom, mu=mu, weights=tuple(weights))
+    second = model.moment(2) * xs.sigma_t**2
     if min(weights) <= 0.0 or abs(second - 2.0) > 1e-14:
         raise ArithmeticError(f"{kind.value} rule is no law: weights {weights}, "
                               f"second moment {second!r} (want 2)")
-    return PathLengthModel(kind=kind, xs=xs, atom_at_zero=atom, mu=mu, weights=tuple(weights))
+    return model

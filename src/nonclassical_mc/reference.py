@@ -6,8 +6,10 @@ Two oracles are provided:
   e^{-kappa_j r} / (4 pi r), with no grid, truncated domain or tolerance,
   against which Monte Carlo tallies are scored; and
 * a radial solver for the collision-rate balance f = c K[f] + first
-  flight, valid for every law: the discretized equation is solved
-  directly by one LU factorization (nodal error O(h^2), classical O(h)).
+  flight, valid for every law, which only the reference command runs:
+  the discretized equation is solved directly by one LU factorization
+  (nodal error O(h^2), classical O(h)), and the command reports the
+  solution's weighted gap to the closed form.
 
 Both run on numpy alone: the classical profile's exponential integral E1
 is computed here, and the solve is one np.linalg.solve.
@@ -17,8 +19,9 @@ for spherically symmetric fields, to the 1-D form
 
     K[g](r) = (1 / 2r) * integral_0^inf r' g(r') [P(|r - r'|) - P(r + r')] dr'
 
-with the kernel profile P(u) = integral_u^inf p(s) / s ds known in closed
-form per law. P is finite at 0+ for all laws except the classical one,
+with the kernel profile P(u) = integral_u^inf p(s) / s ds read in closed
+form off the model's mixture, or E1 for the classical law, which has none.
+P is finite at 0+ for all laws except the classical one,
 whose exponential-integral profile diverges logarithmically; the quadrature
 handles that by integrating P analytically over the grid cells adjacent to
 the diagonal instead of evaluating it at the singular node.
@@ -37,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kernels import CrossSectionSpec, ModelKind, PathLengthModel
+from .kernels import CrossSectionSpec, PathLengthModel
 
 __all__ = [
-    "RadialKernel",
     "RadialGrid",
     "RadialSolution",
     "ConvergenceError",
@@ -101,91 +103,49 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class RadialKernel:
-    """Radial reduction of one law's flight kernel.
-
-    profile(u) is P(u) = integral_u^inf p(s)/s ds; profile_integral(x) is
-    its exact integral over [0, x] (needed near the diagonal where the
-    classical profile is singular); point_kernel(r) is the continuous
-    first-flight density p(r) / (4 pi r^2).
-    """
-
-    model: PathLengthModel
-
-    def profile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0):
-            raise ValueError("profile requires u > 0")
-        st = self.model.xs.sigma_t
-        if self.model.kind is ModelKind.CLASSICAL:
-            return st * _exp1(st * u)
-        return st * sum(w * m * np.exp(-m * st * u)
-                        for m, w in zip(self.model.mu, self.model.weights))
-
-    def profile_integral(self, x):
-        """integral_0^x P(u) du, exactly (tends to 1 - atom as x -> inf)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("profile_integral requires x >= 0")
-        st = self.model.xs.sigma_t
-        if self.model.kind is ModelKind.CLASSICAL:
-            w = st * x
-            return np.where(w > 0.0, w * _exp1(np.where(w > 0.0, w, 1.0)) - np.exp(-w) + 1.0, 0.0)
-        return -sum(w * np.expm1(-m * st * x) for m, w in zip(self.model.mu, self.model.weights))
-
-    def point_kernel(self, r):
-        """Continuous flight kernel p(r) / (4 pi r^2) for r > 0."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
-            raise ValueError("point_kernel requires r > 0")
-        return self.model.density(r) / (4.0 * math.pi * r * r)
+def _profile(model: PathLengthModel, u):
+    """Kernel profile P(u) = integral_u^inf p(s)/s ds at u > 0."""
+    st = model.xs.sigma_t
+    if not model.mu:
+        return st * _exp1(st * u)
+    return st * sum(w * m * np.exp(-m * st * u) for m, w in zip(model.mu, model.weights))
 
 
-MIN_GRID_NODES = 256
+def _profile_integral(model: PathLengthModel, x):
+    """integral_0^x P(u) du at x > 0, exactly (tends to 1 - atom as x -> inf);
+    the cell integral that stands in for the classical profile's log
+    singularity next to the diagonal."""
+    st = model.xs.sigma_t
+    if not model.mu:
+        w = st * x
+        return w * _exp1(w) - np.exp(-w) + 1.0
+    return -sum(w * np.expm1(-m * st * x) for m, w in zip(model.mu, model.weights))
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial nodes 0 < r_1 < ... < r_M with trapezoid weights."""
+    """m uniform radial nodes r_j = j r_max / m, j = 1..m, with trapezoid
+    weights (the last node's halved)."""
 
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < MIN_GRID_NODES:
-            raise ValueError(f"grid needs at least {MIN_GRID_NODES} nodes")
-        if nodes[0] <= 0.0:
-            raise ValueError("nodes must be strictly positive")
-        steps = np.diff(nodes)
-        h = nodes[0]
-        if np.any(np.abs(steps - h) > 1e-9 * h) or abs(nodes[1] - 2 * h) > 1e-9 * h:
-            raise ValueError("grid must be uniform with nodes at j * h")
-
-    @classmethod
-    def uniform(cls, r_max: float, m: int = 512) -> "RadialGrid":
-        if r_max <= 0.0:
-            raise ValueError("r_max must be positive")
-        h = r_max / m
-        return cls(nodes=np.linspace(h, r_max, m))
+    r_max: float
+    m: int
 
     @property
     def spacing(self) -> float:
-        return float(self.nodes[0])
+        return self.r_max / self.m
 
     @property
-    def r_max(self) -> float:
-        return float(self.nodes[-1])
+    def nodes(self) -> np.ndarray:
+        return np.linspace(self.spacing, self.r_max, self.m)
 
     @property
     def weights(self) -> np.ndarray:
-        w = np.full(self.nodes.size, self.spacing)
+        w = np.full(self.m, self.spacing)
         w[-1] = 0.5 * self.spacing
         return w
 
 
-def collision_matrix(kernel: RadialKernel, grid: RadialGrid) -> np.ndarray:
+def collision_matrix(model: PathLengthModel, grid: RadialGrid) -> np.ndarray:
     """Discretize K on the grid: K[g] at the nodes is matrix @ g.
 
     Nodal trapezoid everywhere except the two cells adjacent to each row's
@@ -199,14 +159,14 @@ def collision_matrix(kernel: RadialKernel, grid: RadialGrid) -> np.ndarray:
     r = grid.nodes
     m = r.size
     h = grid.spacing
-    p = kernel.profile(h * np.arange(1, 2 * m + 1))  # p[k - 1] = P(kh)
+    p = _profile(model, h * np.arange(1, 2 * m + 1))  # p[k - 1] = P(kh)
     # row i of the Toeplitz part is P(|i - j| h), a window of the mirrored
     # column [P((m-1)h) .. P(h), 0, P(h) .. P((m-1)h)]; row i of the Hankel
     # part is P((i + j + 2) h), a window of p[1:]
     mirrored = np.concatenate((p[m - 2::-1], [0.0], p[:m - 1]))
     coef = sliding_window_view(mirrored, m)[::-1] - sliding_window_view(p[1:], m)
     coef *= grid.weights
-    ip = float(kernel.profile_integral(h))
+    ip = float(_profile_integral(model, h))
     idx = np.arange(m)
     coef[idx, idx] += ip
     coef[m - 1, m - 1] -= 0.5 * ip  # last node has no right cell
@@ -268,13 +228,12 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
         raise ValueError("model was built for a different medium than xs")
     c = xs.c
     atom = model.atom_at_zero
-    kernel = RadialKernel(model)
-    k_first = kernel.point_kernel(grid.nodes)
+    r = grid.nodes
     origin_mass = atom / (1.0 - atom * c)
-    src = (c * origin_mass + 1.0) * k_first
+    src = (c * origin_mass + 1.0) * (model.density(r) / (4.0 * math.pi * r * r))
     if c == 0.0:
         return RadialSolution(grid, src, origin_mass, 0, 0.0, 1.0)
-    a = collision_matrix(kernel, grid)
+    a = collision_matrix(model, grid)
     a *= -c
     diag = np.arange(a.shape[0])
     a[diag, diag] += 1.0 - c * atom
@@ -284,7 +243,7 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     # largest column sum of A^-1: G A^-1 G^-1 e, as A^T = G A G^-1 with
     # G = diag(w r^2) but for the last node's near-diagonal pair (where w
     # halves); the second right-hand side is G^-1 e.
-    g = grid.weights * grid.nodes**2
+    g = grid.weights * r**2
     try:
         f, y = np.linalg.solve(a, np.column_stack((src, 1.0 / g))).T
         rcond = 1.0 / (np.max(2.0 * a.diagonal() - a.sum(axis=0)) * np.max(np.abs(g * y)))

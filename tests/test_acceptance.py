@@ -202,7 +202,7 @@ class TestCriterion7MonteCarloVsSolverOracle:
     def test_oracle_self_check_against_diffusion_closed_form(self):
         xs = CrossSectionSpec(1.0, 0.5)
         model = make_model("diffusion", xs)
-        grid = RadialGrid.uniform(12.0, 512)
+        grid = RadialGrid(12.0, 512)
         solution = solve_integral_equation(model, xs, grid, tol=1e-10)
         window = (grid.nodes >= 0.5) & (grid.nodes <= 8.0)
         exact = closed_form(model).density(grid.nodes[window])

@@ -316,9 +316,38 @@ class TestReference:
         assert low <= mass_error < high
         assert f"mass_error = {metadata['mass_error']}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("law, c, bound", [
+        ("diffusion", "0", 1e-14), ("sp2", "0", 1e-14), ("sp3", "0", 1e-14),
+        ("classical", "0", 1e-7), ("sp3", "0.5", 1e-3)])
+    def test_closed_form_gap_where_the_solve_is_right(self, tmp_path, capsys, law, c, bound):
+        # at c = 0 f is the first flight, which the rational closed forms
+        # equal to rounding and the classical one to its continuum rule's
+        # error; at c = 0.5 the sp3 gap is the O(h^2) quadrature error
+        assert run_cli("reference", "--model", law, "--sigma-s", c, "--out", str(tmp_path)) == 0
+        metadata, _, _ = read_csv(tmp_path / "reference.csv")
+        assert 0.0 <= float(metadata["closed_form_gap"]) < bound
+        assert f"closed_form_gap = {metadata['closed_form_gap']}\n" in capsys.readouterr().out
+
+    def test_closed_form_gap_flags_the_classical_overshoot(self, tmp_path):
+        # on [0, 60] with 3,072 nodes the classical O(h) quadrature
+        # over-integrates its log-singular kernel at c = 0.99: f ends up 49%
+        # above the closed form at r = 30, and the solve still passes
+        assert run_cli("reference", "--model", "classical", "--sigma-s", "0.99",
+                       "--oracle-rmax", "60", "--oracle-nodes", "3072",
+                       "--out", str(tmp_path)) == 0
+        metadata, _, col = read_csv(tmp_path / "reference.csv")
+        gap = float(metadata["closed_form_gap"])
+        assert gap > 0.1
+        r, f = col["r"], col["f"]
+        exact = closed_form(make_model("classical", CrossSectionSpec(1.0, 0.99))).density(r)
+        w = np.full(r.size, r[0])  # the trapezoid weights, halved at r_max
+        w[-1] /= 2.0
+        expected = np.sum(w * r * r * np.abs(f - exact)) / np.sum(w * r * r * exact)
+        assert gap == pytest.approx(expected, rel=1e-6)  # f is written to 9 digits
+
     def test_singular_oracle_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
-                            lambda kernel, g: np.eye(g.nodes.size) / 0.5)
+                            lambda model, g: np.eye(g.nodes.size) / 0.5)
         assert run_cli("reference", "--model", "sp3", "--sigma-t", "1",
                        "--sigma-s", "0.5", "--out", str(tmp_path)) == 3
         assert "oracle solve failed" in capsys.readouterr().err

@@ -62,9 +62,7 @@ def quad_tail(model, lo=0.0, hi=None):
 class TestCrossSectionSpec:
     def test_derived_quantities(self):
         xs = CrossSectionSpec(2.0, 1.0)
-        assert xs.sigma_a == 1.0
         assert xs.c == 0.5
-        assert xs.sigma_a + xs.sigma_s == xs.sigma_t
 
     @pytest.mark.parametrize("sigma_t,sigma_s", [(0.0, 0.0), (-1.0, 0.0), (1.0, 1.0),
                                                  (1.0, 1.5), (1.0, -0.1), (math.inf, 0.0)])

@@ -16,12 +16,11 @@ from nonclassical_mc import (
     ModelKind,
     PathLengthModel,
     RadialGrid,
-    RadialKernel,
     closed_form,
     make_model,
     solve_integral_equation,
 )
-from nonclassical_mc.reference import _exp1, collision_matrix
+from nonclassical_mc.reference import _exp1, _profile, _profile_integral, collision_matrix
 
 ALL_KINDS = list(ModelKind)
 NON_CLASSICAL = [kind for kind in ModelKind if kind is not ModelKind.CLASSICAL]
@@ -32,10 +31,15 @@ MASS_CASES = ([(kind, c) for c in (0.0, 0.5, 0.9, 0.99) for kind in NON_CLASSICA
 
 @pytest.fixture(scope="module")
 def grid():
-    return RadialGrid.uniform(12.0, 512)
+    return RadialGrid(12.0, 512)
 
 
-def dense_collision_matrix(kernel, grid):
+def point_kernel(model, r):
+    """Continuous first-flight density p(r) / (4 pi r^2) at r > 0."""
+    return model.density(r) / (4.0 * math.pi * r * r)
+
+
+def dense_collision_matrix(model, grid):
     """Independent oracle for collision_matrix: P evaluated at every |r - r'|
     and r + r' of the M x M node pairs, no Toeplitz/Hankel structure."""
     r = grid.nodes
@@ -45,17 +49,17 @@ def dense_collision_matrix(kernel, grid):
     sep = np.abs(r[:, None] - r[None, :])
     profile_sep = np.zeros((m, m))
     off = sep > 0.0
-    profile_sep[off] = kernel.profile(sep[off])
+    profile_sep[off] = _profile(model, sep[off])
     coef = w[None, :] * profile_sep
-    ip = float(kernel.profile_integral(h))
-    p_h = float(kernel.profile(h))
+    ip = float(_profile_integral(model, h))
+    p_h = float(_profile(model, h))
     idx = np.arange(m)
     coef[idx, idx] += ip
     coef[m - 1, m - 1] -= 0.5 * ip
     near = 0.5 * ip - 0.5 * h * p_h
     coef[idx[:-1], idx[:-1] + 1] += near
     coef[idx[1:], idx[1:] - 1] += near
-    coef -= w[None, :] * kernel.profile(r[:, None] + r[None, :])
+    coef -= w[None, :] * _profile(model, r[:, None] + r[None, :])
     return coef * r[None, :] / (2.0 * r[:, None])
 
 
@@ -65,36 +69,33 @@ class TestRadialKernel:
     def test_profile_matches_quadrature(self, kind, u):
         # P(u) = integral_u^inf p(s)/s ds, checked against direct quadrature
         model = make_model(kind, CrossSectionSpec(1.3, 0.0))
-        kernel = RadialKernel(model)
         oracle, err = integrate.quad(lambda s: model.density(s) / s, u, 80.0,
                                      limit=400, epsabs=1e-13, epsrel=1e-12)
         assert err < 1e-10
-        assert kernel.profile(u) == pytest.approx(oracle, rel=1e-9)
+        assert _profile(model, u) == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_integral_matches_quadrature(self, kind):
         model = make_model(kind, CrossSectionSpec(1.0, 0.0))
-        kernel = RadialKernel(model)
         for x in (0.02, 0.4, 3.0):
             # from 0 so QUADPACK's extrapolation absorbs the classical
             # profile's logarithmic endpoint singularity
-            oracle, _ = integrate.quad(lambda u: kernel.profile(u) if u > 0 else 0.0,
+            oracle, _ = integrate.quad(lambda u: _profile(model, u) if u > 0 else 0.0,
                                        0.0, x, limit=400, epsabs=1e-12, epsrel=1e-10)
-            assert kernel.profile_integral(x) == pytest.approx(oracle, rel=1e-6)
+            assert _profile_integral(model, x) == pytest.approx(oracle, rel=1e-6)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_total_mass(self, kind):
         # integral_0^inf P = integral p = 1 - atom
         model = make_model(kind, CrossSectionSpec(1.0, 0.0))
-        kernel = RadialKernel(model)
-        assert kernel.profile_integral(200.0) == pytest.approx(
+        assert _profile_integral(model, 200.0) == pytest.approx(
             1.0 - model.atom_at_zero, abs=1e-10)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_positive_decreasing(self, kind):
-        kernel = RadialKernel(make_model(kind, CrossSectionSpec(1.0, 0.0)))
+        model = make_model(kind, CrossSectionSpec(1.0, 0.0))
         u = np.linspace(1e-4, 20.0, 400)
-        p = kernel.profile(u)
+        p = _profile(model, u)
         assert np.all(p > 0.0)
         assert np.all(np.diff(p) < 0.0)
 
@@ -102,9 +103,8 @@ class TestRadialKernel:
     def test_point_kernel_normalization(self, kind):
         # 4 pi integral k(s) s^2 ds = 1 - atom
         model = make_model(kind, CrossSectionSpec(1.0, 0.0))
-        kernel = RadialKernel(model)
         total, err = integrate.quad(
-            lambda s: 4.0 * math.pi * s * s * kernel.point_kernel(s), 1e-14, 60.0,
+            lambda s: 4.0 * math.pi * s * s * point_kernel(model, s), 1e-14, 60.0,
             limit=400, epsabs=1e-12, epsrel=1e-12)
         assert total == pytest.approx(1.0 - model.atom_at_zero, abs=1e-8)
 
@@ -171,7 +171,7 @@ class TestClosedForms:
         model = make_model(kind, xs)
         exact = closed_form(model)
         r = np.array([0.05, 0.2, 1.0, 3.0, 10.0])
-        np.testing.assert_allclose(exact.density(r), RadialKernel(model).point_kernel(r),
+        np.testing.assert_allclose(exact.density(r), point_kernel(model, r),
                                    rtol=1e-12)
         assert exact.origin_mass == model.atom_at_zero
 
@@ -265,9 +265,8 @@ class TestClosedForms:
         # for c = 0 the collision density is p(r)/4 pi r^2 = sigma_t G0(r)
         xs = CrossSectionSpec(1.0, 0.0)
         model = make_model("sp3", xs)
-        kernel = RadialKernel(model)
         r = np.array([0.2, 1.0, 3.0])
-        np.testing.assert_allclose(kernel.point_kernel(r),
+        np.testing.assert_allclose(point_kernel(model, r),
                                    xs.sigma_t * sp3_green(xs, r), rtol=1e-12)
 
 
@@ -278,23 +277,14 @@ class TestRadialGrid:
         assert grid.r_max == 12.0
         assert grid.weights[-1] == pytest.approx(grid.spacing / 2.0)
 
-    def test_minimum_resolution_enforced(self):
-        with pytest.raises(ValueError):
-            RadialGrid.uniform(12.0, 128)
-
-    def test_nonuniform_rejected(self):
-        nodes = np.linspace(12.0 / 512, 12.0, 512).copy()
-        nodes[100] *= 1.01
-        with pytest.raises(ValueError):
-            RadialGrid(nodes)
 
 
 class TestCollisionMatrix:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_structured_build_matches_dense(self, kind, grid):
-        kernel = RadialKernel(make_model(kind, CrossSectionSpec(1.0, 0.5)))
-        np.testing.assert_allclose(collision_matrix(kernel, grid),
-                                   dense_collision_matrix(kernel, grid), rtol=1e-13, atol=0.0)
+        model = make_model(kind, CrossSectionSpec(1.0, 0.5))
+        np.testing.assert_allclose(collision_matrix(model, grid),
+                                   dense_collision_matrix(model, grid), rtol=1e-13, atol=0.0)
 
 
 class TestSolver:
@@ -303,8 +293,7 @@ class TestSolver:
         xs = CrossSectionSpec(1.0, 0.0)
         model = make_model(kind, xs)
         solution = solve_integral_equation(model, xs, grid)
-        np.testing.assert_array_equal(solution.f,
-                                      RadialKernel(model).point_kernel(grid.nodes))
+        np.testing.assert_array_equal(solution.f, point_kernel(model, grid.nodes))
         assert solution.iterations == 0
         assert solution.rcond == 1.0
 
@@ -327,7 +316,7 @@ class TestSolver:
         exact = closed_form(model)
         gaps = []
         for nodes in (1024, 2048):
-            grid = RadialGrid.uniform(40.0, nodes)
+            grid = RadialGrid(40.0, nodes)
             solution = solve_integral_equation(model, xs, grid)
             window = (grid.nodes >= 0.5) & (grid.nodes <= 10.0)
             r = grid.nodes[window]
@@ -348,9 +337,8 @@ class TestSolver:
         xs = CrossSectionSpec(1.0, 0.3)
         model = make_model("diffusion", xs)
         solution = solve_integral_equation(model, xs, grid, tol=1e-12)
-        kernel = RadialKernel(model)
-        kmat = collision_matrix(kernel, grid)
-        src = kernel.point_kernel(grid.nodes)
+        kmat = collision_matrix(model, grid)
+        src = point_kernel(model, grid.nodes)
         term = src.copy()
         total = src.copy()
         c = xs.c
@@ -363,8 +351,7 @@ class TestSolver:
         # r k(r, r') r' is symmetric; in discrete form r_i K_ij / (w_j r_j)
         # is symmetric away from the half-weighted boundary node
         xs = CrossSectionSpec(1.0, 0.5)
-        kernel = RadialKernel(make_model("sp3", xs))
-        kmat = collision_matrix(kernel, grid)
+        kmat = collision_matrix(make_model("sp3", xs), grid)
         r = grid.nodes
         w = grid.weights
         sym = kmat * r[:, None] / (w[None, :] * r[None, :])
@@ -380,9 +367,8 @@ class TestSolver:
         c = xs.c
         assert solution.origin_mass == pytest.approx((4.0 / 9.0) / (1.0 - 4.0 * c / 9.0),
                                                      rel=1e-12)
-        kernel = RadialKernel(model)
-        kmat = collision_matrix(kernel, grid)
-        src = (c * solution.origin_mass + 1.0) * kernel.point_kernel(grid.nodes)
+        kmat = collision_matrix(model, grid)
+        src = (c * solution.origin_mass + 1.0) * point_kernel(model, grid.nodes)
         rhs = c * ((4.0 / 9.0) * solution.f + kmat @ solution.f) + src
         residual = np.max(np.abs(rhs - solution.f)) / np.max(np.abs(solution.f))
         assert residual < 1e-9
@@ -399,7 +385,7 @@ class TestSolver:
         model = make_model("diffusion", xs)
         m = grid.nodes.size
         monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
-                            lambda kernel, g: np.eye(m) / xs.c)
+                            lambda model, g: np.eye(m) / xs.c)
         with pytest.raises(ConvergenceError) as excinfo:
             solve_integral_equation(model, xs, grid, tol=1e-10)
         assert excinfo.value.residual > 1e-10
@@ -411,7 +397,7 @@ class TestSolver:
         broken = np.zeros((m, m))
         broken[3, 7] = np.nan
         monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
-                            lambda kernel, g: broken)
+                            lambda model, g: broken)
         with pytest.raises(ConvergenceError):
             solve_integral_equation(make_model("sp3", xs), xs, grid)
 
@@ -430,7 +416,7 @@ class TestSolver:
         xs = CrossSectionSpec(1.0, 0.9999)
         with pytest.raises(ConvergenceError, match="negative.*supercritical") as excinfo:
             solve_integral_equation(make_model("classical", xs), xs,
-                                    RadialGrid.uniform(60.0, 512))
+                                    RadialGrid(60.0, 512))
         assert excinfo.value.residual < 1e-10
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -440,10 +426,9 @@ class TestSolver:
         xs = CrossSectionSpec(1.0, 0.99)
         model = make_model(kind, xs)
         solution = solve_integral_equation(model, xs, grid)
-        kernel = RadialKernel(model)
-        kmat = dense_collision_matrix(kernel, grid)
+        kmat = dense_collision_matrix(model, grid)
         c, atom, f = xs.c, model.atom_at_zero, solution.f
-        src = (c * solution.origin_mass + 1.0) * kernel.point_kernel(grid.nodes)
+        src = (c * solution.origin_mass + 1.0) * point_kernel(model, grid.nodes)
         rhs = c * (atom * f + kmat @ f) + src
         assert np.max(np.abs(rhs - f)) / np.max(np.abs(f)) < 1e-12
         assert solution.iterations == 1
@@ -472,7 +457,7 @@ class TestShellAverages:
         # integral r e^{-kappa r} dr = [(1+kappa lo)e^{-kappa lo} -
         # (1+kappa hi)e^{-kappa hi}] / kappa^2
         xs = CrossSectionSpec(1.0, 0.5)
-        kappa = math.sqrt(3.0 * xs.sigma_t * xs.sigma_a)
+        kappa = math.sqrt(3.0 * xs.sigma_t * (xs.sigma_t - xs.sigma_s))
         edges = np.linspace(0.0, 10.0, 65)
         averages = closed_form(make_model("diffusion", xs)).shell_averages(edges)
         lo, hi = edges[:-1], edges[1:]
@@ -513,13 +498,12 @@ class TestAgainstScipy:
         xs = CrossSectionSpec(1.0, scattering)
         model = make_model(kind, xs)
         solution = solve_integral_equation(model, xs, grid, tol=1e-8)
-        kernel = RadialKernel(model)
-        a = -scattering * collision_matrix(kernel, grid)
+        a = -scattering * collision_matrix(model, grid)
         a[np.diag_indices_from(a)] += 1.0 - scattering * model.atom_at_zero
         lu, piv = linalg.lu_factor(a)
         gecon = linalg.get_lapack_funcs("gecon", (a,))
         rcond = float(gecon(lu, linalg.norm(a, 1))[0])
-        src = (scattering * solution.origin_mass + 1.0) * kernel.point_kernel(grid.nodes)
+        src = (scattering * solution.origin_mass + 1.0) * point_kernel(model, grid.nodes)
         f = linalg.lu_solve((lu, piv), src)
         assert abs(solution.rcond - rcond) < 1e-6
         np.testing.assert_allclose(solution.f, f, rtol=1e-12, atol=0.0)
@@ -530,7 +514,7 @@ class TestAgainstScipy:
         xs = CrossSectionSpec(1.0, 0.5)
         k = np.zeros((grid.nodes.size,) * 2)
         k[0, 1] = -1e20 / xs.c  # A = I - cK
-        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix", lambda kernel, g: k)
+        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix", lambda model, g: k)
         with pytest.raises(ConvergenceError, match="singular") as excinfo:
             solve_integral_equation(make_model("diffusion", xs), xs, grid)
         assert "rcond 0.000e+00" not in str(excinfo.value)
