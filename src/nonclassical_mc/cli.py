@@ -82,6 +82,10 @@ class RunManifest:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        spacing = self.oracle_rmax * self.sigma_t / self.oracle_nodes
+        if spacing > 1.0:
+            raise ValueError(f"oracle node spacing oracle_rmax * sigma_t / oracle_nodes = "
+                             f"{spacing:g} mean free paths; it must be at most 1")
         for name in ("s_min", "s_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -18,11 +18,11 @@ the past the variates of collision j are independent and uniform. Each
 block spends its lanes on one collision: lane 0 gives flight j's cosine to
 the radius vector (at birth for j = 0, after the scatter after that), lane 1
 is not read, lane 2 gives the flight variate, and lane 3 the analog capture
-test, or in implicit capture the roulette test (read only when the weight
-falls below the cutoff). The result of a run is therefore a pure function
-of (seed, histories, batches) no matter how batches are distributed over
-worker processes (set NONCLASSICAL_MC_WORKERS to override the default of
-all CPUs the process may run on).
+test, or in implicit capture the roulette test, which decides only for the
+lanes whose weight falls below the cutoff. The result of a run is
+therefore a pure function of (seed, histories, batches) no matter how
+batches are distributed over worker processes (set NONCLASSICAL_MC_WORKERS
+to override the default of all CPUs the process may run on).
 
 Each worker runs one contiguous range of batches (as many ranges as
 workers, at most one per batch) in a refilling lockstep over collisions,
@@ -272,14 +272,10 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
             np.add.at(out["weight"][cells], cell, w[hit])
             out["absorbed_weight"][held] += np.bincount(batch, w * (1.0 - c), minlength=nh)
             w = w * c
-            alive = np.ones(batch.size, dtype=bool)
+            # roulette below the cutoff (a loser's weight is boosted too, then dropped)
             need = w < WEIGHT_CUTOFF
-            if need.any():
-                survive = xi[need] < ROULETTE_SURVIVAL
-                boosted = w[need]
-                boosted[survive] = boosted[survive] / ROULETTE_SURVIVAL
-                w[need] = boosted
-                alive[need] = survive
+            alive = ~need | (xi < ROULETTE_SURVIVAL)
+            np.divide(w, ROULETTE_SURVIVAL, out=w, where=need)
         survivors = live[held]
         if not alive.all():
             idx = np.flatnonzero(alive)

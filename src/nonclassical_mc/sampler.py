@@ -8,10 +8,10 @@ weights normalized to sum_j w_j = 1, where f(u) = (1 + u) e^{-u}. A law
 with an atom returns s = 0 for xi <= atom, and inverts only the other
 lanes, solving S(z) = (1 - xi) / (1 - atom). A cubic-Hermite table of z
 against v = sqrt(-ln S) gives a start that one Newton step on the
-analytic survival takes to rounding level. Each law's table is built
-once, on first use. The identity z = -1 - W_{-1}(-y / e) with the lower
-Lambert-W branch inverts f itself; the tests check the diffusion law,
-S(z) = f(sqrt(3) z), against it.
+analytic survival takes to rounding level. Each law's table, cubic rows
+cached by (mu, normalized w), is built on first use. The identity
+z = -1 - W_{-1}(-y / e) with the lower Lambert-W branch inverts f itself;
+the tests check the diffusion law, S(z) = f(sqrt(3) z), against it.
 
 Sampling is a pure function of (model, xi), applied elementwise with a
 fixed sequence of array operations; all randomness is supplied by the
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,30 +31,13 @@ __all__ = ["sample_path"]
 
 _TABLE_KNOTS = 2048
 # e^{-38} < 2^-53: the table covers the survival of every xi <= 1 - 2^-53
-_TABLE_T_MAX = 38.0
+_KNOT_V = np.linspace(0.0, math.sqrt(38.0), _TABLE_KNOTS)  # the knots in v, for every law
 _BUILD_STEPS = 8  # Newton steps per knot when a table is built; 6 converge
 
 
-@dataclass(frozen=True)
-class _QuantileTable:
-    """Cubic-Hermite quantile z(v) of S(z) = sum_j w_j (1 + mu_j z) e^{-mu_j z}.
-
-    Knots are evenly spaced in v = sqrt(-ln S) on [0, sqrt(38)]: v is
-    analytic in z at z = 0, where -ln S is quadratic, and nearly linear in
-    the exponential tail. Knot slopes are dz/dv = 2 v / hazard. Row k of
-    coef holds the cubic of interval k in powers of the fraction of it.
-    """
-
-    mu: tuple[float, ...]
-    weights: tuple[float, ...]
-    v: np.ndarray
-    z: np.ndarray
-    slope: np.ndarray
-    coef: np.ndarray  # (knots - 1, 4)
-
-    @property
-    def knots(self) -> int:
-        return self.v.size
+def _minus_log(cdf, surv):
+    """-ln S from whichever of the CDF 1 - S and the survival S is exact."""
+    return np.where(cdf < 0.5, -np.log1p(-np.minimum(cdf, 0.5)), -np.log(surv))
 
 
 def _log_survival(mu, weights, z):
@@ -67,13 +49,19 @@ def _log_survival(mu, weights, z):
         surv = surv + w * (1.0 + x) * e
         cdf = cdf + w * (-np.expm1(-x) - x * e)
         pdf = pdf + w * m * x * e
-    t = np.where(cdf < 0.5, -np.log1p(-np.minimum(cdf, 0.5)), -np.log(surv))
-    return t, pdf / surv
+    return _minus_log(cdf, surv), pdf / surv
 
 
 @functools.cache
-def _quantile_table(mu: tuple[float, ...], weights: tuple[float, ...]) -> _QuantileTable:
-    v = np.linspace(0.0, math.sqrt(_TABLE_T_MAX), _TABLE_KNOTS)
+def _quantile_table(mu: tuple[float, ...], weights: tuple[float, ...]) -> np.ndarray:
+    """Cubic-Hermite quantile z(v) of S(z) = sum_j w_j (1 + mu_j z) e^{-mu_j z}.
+
+    Knots are _KNOT_V, evenly spaced in v = sqrt(-ln S) on [0, sqrt(38)]: v
+    is analytic in z at z = 0, where -ln S is quadratic, and nearly linear
+    in the exponential tail. Knot slopes are dz/dv = 2 v / hazard. Row k
+    holds the cubic of interval k in powers of the fraction of it.
+    """
+    v = _KNOT_V
     slope0 = 1.0 / math.sqrt(sum(w * m * m for m, w in zip(mu, weights)) / 2.0)
     # v(z) is concave, so Newton from the tangent at 0 climbs to each root
     z = slope0 * v[1:]
@@ -91,17 +79,10 @@ def _quantile_table(mu: tuple[float, ...], weights: tuple[float, ...]) -> _Quant
     h = v[1] - v[0]
     dz = np.diff(z)
     d0, d1 = h * slope[:-1], h * slope[1:]
-    coef = np.stack([z[:-1], d0, 3.0 * dz - 2.0 * d0 - d1, d0 + d1 - 2.0 * dz], axis=1)
-    return _QuantileTable(mu=mu, weights=weights, v=v, z=z, slope=slope, coef=coef)
+    return np.stack([z[:-1], d0, 3.0 * dz - 2.0 * d0 - d1, d0 + d1 - 2.0 * dz], axis=1)
 
 
-def _law_table(model: PathLengthModel) -> _QuantileTable:
-    """The quantile table of a law's continuous part, weights normalized."""
-    scale = 1.0 - model.atom_at_zero
-    return _quantile_table(model.mu, tuple(w / scale for w in model.weights))
-
-
-def _quantile(table: _QuantileTable, t, surv):
+def _quantile(mu, weights, t, surv):
     """z >= 0 with S(z) = surv, given t = -ln(surv) to full precision.
 
     The table gives z0; one Newton step on S takes it to rounding level.
@@ -111,17 +92,17 @@ def _quantile(table: _QuantileTable, t, surv):
     that vanishes at z = 0.
     """
     x = np.sqrt(t)
-    x *= (table.knots - 1) / table.v[-1]
+    x *= (_TABLE_KNOTS - 1) / _KNOT_V[-1]
     i = x.astype(np.intp)  # at most knots - 2: t <= 53 ln 2 < 38 (sample_path)
     x -= i
-    c = table.coef.take(i, axis=0)  # each lane's cubic, highest power last
+    c = _quantile_table(mu, weights).take(i, axis=0)  # each lane's cubic, highest power last
     z = c[:, 3] * x
     for k in (2, 1):
         z += c[:, k]
         z *= x
     z += c[:, 0]
     # one Newton step on S: z += (S(z) - surv) / (z sum_j w_j mu_j^2 e^{-mu_j z})
-    for j, (m, w) in enumerate(zip(table.mu, table.weights)):
+    for j, (m, w) in enumerate(zip(mu, weights)):
         a = np.multiply(z, -m)
         e = np.exp(a)
         a *= -w
@@ -159,19 +140,18 @@ def sample_path(model: PathLengthModel, xi):
         s = -np.log1p(-arr) / st
     else:
         atom = model.atom_at_zero
+        law = model.mu, tuple(w / (1.0 - atom) for w in model.weights)  # the continuous part
         if atom:
             # only the lanes past the atom are inverted, the rest stay 0.0
-            # (selected by index: a boolean mask reads and writes ~3x slower):
-            # the conditional CDF q and survival 1 - q, each formed where it
-            # is exact, and -ln(1 - q) from the accurate one
+            # (selected by index: a boolean mask reads and writes ~3x slower),
+            # from their conditional CDF q and survival 1 - q
             cont = np.flatnonzero(arr > atom)
             x = arr.take(cont)
             q = (x - atom) / (1.0 - atom)
             surv = (1.0 - x) / (1.0 - atom)
-            t = np.where(q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(surv))
             z = np.zeros(arr.shape)
-            z[cont] = _quantile(_law_table(model), t, surv)
+            z[cont] = _quantile(*law, _minus_log(q, surv), surv)
         else:
-            z = _quantile(_law_table(model), -np.log1p(-arr), 1.0 - arr)
+            z = _quantile(*law, -np.log1p(-arr), 1.0 - arr)
         s = z / st
     return float(s[0]) if np.ndim(xi) == 0 else s

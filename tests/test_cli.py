@@ -503,6 +503,25 @@ class TestExitCodes:
         assert field in err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("sigma_s", ["0", "0.5"])
+    def test_oracle_grid_coarser_than_a_mean_free_path(self, tmp_path, capsys, sigma_s):
+        # 1e6 / 256 mean free paths between nodes: the solve would give a nan
+        # closed_form_gap (sigma_s = 0) or a nan residual (sigma_s = 0.5)
+        out = tmp_path / "out"
+        assert run_cli("reference", "--model", "sp3", "--sigma-s", sigma_s,
+                       "--oracle-rmax", "1e6", "--oracle-nodes", "256", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "oracle node spacing" in err and "3906.25" in err
+        assert not out.exists()
+
+    def test_oracle_grid_of_one_mean_free_path_is_accepted(self):
+        from nonclassical_mc.cli import RunManifest
+
+        RunManifest("reference", sigma_t=2.0, oracle_rmax=128.0, oracle_nodes=256)
+        with pytest.raises(ValueError, match="oracle node spacing"):
+            RunManifest("reference", sigma_t=2.0, oracle_rmax=128.5, oracle_nodes=256)
+
     def test_tolerance_below_rounding_is_oracle_fault(self, tmp_path, capsys):
         # a positive tolerance is accepted; one the solve cannot reach exits 3
         assert run_cli("reference", "--oracle-tol", "1e-20", "--out", str(tmp_path)) == 3

@@ -1,7 +1,7 @@
 """Inverse-transform sampling: exactness, round trips, sampled statistics."""
 
-import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from nonclassical_mc import (
     sample_path,
 )
 from nonclassical_mc import sampler
-from nonclassical_mc.sampler import _law_table
 
 ALL_KINDS = list(ModelKind)
 TABLE_KINDS = ["diffusion", "sp2", "sp3"]
@@ -24,11 +23,26 @@ XS = CrossSectionSpec(1.0, 0.0)
 SP2_ATOM = make_model("sp2", XS).atom_at_zero
 
 
+def law_of(model):
+    """The (mu, normalized w) of a law's continuous part, as sample_path forms it."""
+    return model.mu, tuple(w / (1.0 - model.atom_at_zero) for w in model.weights)
+
+
 def table_of(model):
-    """The quantile table a law reads, and its continuous part's CDF at a knot."""
-    table = _law_table(model)
+    """The quantile table a law reads, and its continuous part's CDF at a knot.
+
+    The table is read back from its cubic rows: knot k's z is column 0 of
+    row k and its slope dz/dv column 1 over the knot spacing; the last
+    knot's z and slope are the last cubic and its derivative at fraction 1.
+    """
+    rows = sampler._quantile_table(*law_of(model))
+    v = sampler._KNOT_V
+    h = v[1] - v[0]
+    z = np.append(rows[:, 0], rows[-1].sum())
+    slope = np.append(rows[:, 1], rows[-1, 1:] @ [1.0, 2.0, 3.0]) / h
+    table = SimpleNamespace(rows=rows, v=v, z=z, slope=slope, knots=v.size)
     return table, lambda k: model.atom_at_zero + (1.0 - model.atom_at_zero) * -math.expm1(
-        -table.v[k] ** 2)
+        -v[k] ** 2)
 
 
 def lambert_inverse(y):
@@ -47,7 +61,7 @@ def sp2_all_lanes(model, xi):
     q = np.maximum(arr - atom, 0.0) / (1.0 - atom)
     surv = (1.0 - arr) / (1.0 - atom)
     t = np.where(q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(surv))
-    z = sampler._quantile(_law_table(model), t, surv)
+    z = sampler._quantile(*law_of(model), t, surv)
     s = np.where(arr > atom, z, 0.0) / model.xs.sigma_t
     return float(s[0]) if np.ndim(xi) == 0 else s
 
@@ -275,8 +289,9 @@ class TestTableSampling:
 
 class TestQuantileTable:
     def test_strictly_monotone_and_covering(self):
-        table = _law_table(make_model("sp3", XS))
+        table, _ = table_of(make_model("sp3", XS))
         assert table.knots == 2048
+        assert table.rows.shape == (2047, 4)
         assert np.all(np.diff(table.v) > 0.0)
         assert np.all(np.diff(table.z) > 0.0)
         assert table.v[0] == 0.0
@@ -300,6 +315,20 @@ class TestQuantileTable:
         if kind == "sp3":
             assert table.slope[0] == pytest.approx(math.sqrt(18.0 / 55.0), rel=1e-15)
 
+    def test_one_table_per_continuous_law(self):
+        # the table's key is the continuous part's (mu, normalized w), which
+        # sigma_t leaves alone: three laws build three tables, and a repeated
+        # call builds none (a key unequal on each call would rebuild the
+        # 2048-knot table at every lockstep step)
+        sampler._quantile_table.cache_clear()
+        for sigma_t in (1.0, 2.5):
+            for kind in TABLE_KINDS:
+                sample_path(make_model(kind, CrossSectionSpec(sigma_t, 0.0)),
+                            np.array([0.5, 0.99]))
+        info = sampler._quantile_table.cache_info()
+        assert info.currsize == 3
+        sample_path(make_model("sp3", CrossSectionSpec(2.5, 0.0)), np.array([0.5, 0.99]))
+        assert sampler._quantile_table.cache_info().misses == info.misses
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_largest_variate_stays_inside_the_table(self, kind, monkeypatch):
@@ -307,7 +336,7 @@ class TestQuantileTable:
         # _quantile reads is at most floor(sqrt(53 ln 2) (knots - 1) / sqrt(38))
         # = 2012 of the table's knots - 1 = 2047 intervals
         model = make_model(kind, XS)
-        table = _law_table(model)
+        table, _ = table_of(model)
         read = []
 
         class RecordingCoef(np.ndarray):
@@ -315,8 +344,8 @@ class TestQuantileTable:
                 read.append(int(np.max(indices)))
                 return np.asarray(self).take(indices, *args, **kwargs)
 
-        recording = dataclasses.replace(table, coef=table.coef.view(RecordingCoef))
-        monkeypatch.setattr(sampler, "_law_table", lambda m: recording)
+        recording = table.rows.view(RecordingCoef)
+        monkeypatch.setattr(sampler, "_quantile_table", lambda mu, weights: recording)
         s = sample_path(model, np.array([0.5, np.nextafter(1.0, 0.0)]))
         assert np.all(np.isfinite(s))
         bound = math.floor(math.sqrt(53.0 * math.log(2.0)) * (table.knots - 1) / table.v[-1])
