@@ -107,8 +107,6 @@ _CONFIG_KEYS = {f.name for f in fields(RunManifest)} - {"command"}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -116,7 +114,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, metadata: dict, header: list[str], rows) -> str:
+def _write_csv(out: str, name: str, metadata: dict, header: list[str], rows) -> None:
+    path = os.path.join(out, name)
     try:
         with open(path, "w", newline="") as fh:
             for key, value in metadata.items():
@@ -126,48 +125,25 @@ def _write_csv(path: str, metadata: dict, header: list[str], rows) -> str:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-    return path
+    print(f"wrote {path}")
 
 
-def _all_models(manifest: RunManifest):
-    xs = CrossSectionSpec(manifest.sigma_t, manifest.sigma_s)
-    return {kind: make_model(kind, xs) for kind in ModelKind}
-
-
-def cmd_curves(manifest: RunManifest) -> list[str]:
-    """Write hazard.csv, density.csv, cdf.csv over the curve grid."""
+def cmd_curves(manifest: RunManifest) -> int:
+    """Write hazard.csv, density.csv, cdf.csv over the curve grid; the sp2 atom
+    is in the metadata, and the s = 0 hazard row is each law's hazard(0)."""
     s = manifest.curve_grid()
-    models = _all_models(manifest)
+    xs = CrossSectionSpec(manifest.sigma_t, manifest.sigma_s)
+    models = {kind: make_model(kind, xs) for kind in ModelKind}
     meta = {
         "command": "curves",
         "sigma_t": manifest.sigma_t,
         "sp2_atom_at_zero": models[ModelKind.SP2].atom_at_zero,
     }
-    header = ["s", "classical", "diffusion", "sp2", "sp3"]
-
-    def hazard_curve(model):
-        out = np.empty_like(s)
-        positive = s > 0.0
-        out[positive] = model.hazard(s[positive])
-        # s = 0 rows carry the continuous-part limit density(0)/survival(0);
-        # the sp2 atom itself is in the metadata, not the table
-        out[~positive] = model.density(0.0) / (1.0 - model.atom_at_zero)
-        return out
-
-    tables = {
-        "hazard.csv": hazard_curve,
-        "density.csv": lambda model: model.density(s),
-        "cdf.csv": lambda model: model.cdf(s),
-    }
-    paths = []
-    for name, column_of in tables.items():
-        columns = [column_of(models[k]) for k in
-                   (ModelKind.CLASSICAL, ModelKind.DIFFUSION, ModelKind.SP2, ModelKind.SP3)]
-        rows = zip(s, *columns)
-        paths.append(_write_csv(os.path.join(manifest.out, name), meta, header, rows))
-    for path in paths:
-        print(f"wrote {path}")
-    return paths
+    header = ["s", *(kind.value for kind in models)]
+    for quantity in ("hazard", "density", "cdf"):
+        columns = [getattr(model, quantity)(s) for model in models.values()]
+        _write_csv(manifest.out, f"{quantity}.csv", meta, header, zip(s, *columns))
+    return 0
 
 
 def _tally_metadata(manifest: RunManifest, config: ProblemConfig, result) -> dict:
@@ -189,7 +165,7 @@ def _tally_metadata(manifest: RunManifest, config: ProblemConfig, result) -> dic
     }
 
 
-def cmd_simulate(manifest: RunManifest) -> str:
+def cmd_simulate(manifest: RunManifest) -> int:
     """Run the engine; write tally.csv; print the run summary."""
     config = manifest.problem_config()
     started = time.perf_counter()
@@ -197,21 +173,16 @@ def cmd_simulate(manifest: RunManifest) -> str:
     elapsed = time.perf_counter() - started
     rows = zip(result.r_edges[:-1], result.r_edges[1:],
                result.f_mean, result.f_stderr, result.n_scores)
-    path = _write_csv(
-        os.path.join(manifest.out, "tally.csv"),
-        _tally_metadata(manifest, config, result),
-        ["r_lo", "r_hi", "f_mean", "f_stderr", "n_scores"],
-        rows,
-    )
-    print(f"wrote {path}")
+    _write_csv(manifest.out, "tally.csv", _tally_metadata(manifest, config, result),
+               ["r_lo", "r_hi", "f_mean", "f_stderr", "n_scores"], rows)
     print(f"collisions/history = {_fmt(result.collisions_per_history)} "
           f"+- {_fmt(result.collisions_per_history_se)}")
     print(f"wall time = {elapsed:.3f} s")
     print(f"seed = {config.seed}")
-    return path
+    return 0
 
 
-def cmd_reference(manifest: RunManifest) -> str:
+def cmd_reference(manifest: RunManifest) -> int:
     """Solve the integral equation on the oracle grid; write reference.csv.
 
     The metadata and the printout carry mass_error, |(1 - c) * volume
@@ -247,12 +218,10 @@ def cmd_reference(manifest: RunManifest) -> str:
         "mass_error": mass_error,
         "closed_form_gap": gap,
     }
-    path = _write_csv(os.path.join(manifest.out, "reference.csv"), meta,
-                      ["r", "f"], zip(grid.nodes, solution.f))
-    print(f"wrote {path}")
+    _write_csv(manifest.out, "reference.csv", meta, ["r", "f"], zip(grid.nodes, solution.f))
     print(f"mass_error = {_fmt(mass_error)}")
     print(f"closed_form_gap = {_fmt(gap)}")
-    return path
+    return 0
 
 
 def _t_tail(t: float, dof: int) -> float:
@@ -341,8 +310,8 @@ def compare_verdict(z: np.ndarray, n_scores: np.ndarray, batches: int) -> tuple[
     }
 
 
-def cmd_compare(manifest: RunManifest) -> tuple[bool, str]:
-    """Monte Carlo vs the closed form, shell by shell; PASS/FAIL by compare_verdict."""
+def cmd_compare(manifest: RunManifest) -> int:
+    """Monte Carlo vs the closed form, shell by shell; 0 on compare_verdict's PASS, 2 on FAIL."""
     config = manifest.problem_config()
     oracle_kind = manifest.oracle_model or manifest.model
     result = simulate(config)
@@ -354,15 +323,14 @@ def cmd_compare(manifest: RunManifest) -> tuple[bool, str]:
     meta.update({"command": "compare", "oracle_model": oracle_kind, **counts,
                  "verdict": "PASS" if passed else "FAIL"})
     rows = zip(result.r_mid, result.f_mean, result.f_stderr, f_oracle, z)
-    path = _write_csv(os.path.join(manifest.out, "compare.csv"), meta,
-                      ["r_mid", "f_mc", "stderr", "f_oracle", "z_score"], rows)
-    print(f"wrote {path}")
-    print(f"verdict: {'PASS' if passed else 'FAIL'} "
+    _write_csv(manifest.out, "compare.csv", meta,
+               ["r_mid", "f_mc", "stderr", "f_oracle", "z_score"], rows)
+    print(f"verdict: {meta['verdict']} "
           f"({counts['shells_over_3sigma']}/{counts['eligible_shells']} eligible shells "
           f"over 3 sigma, {counts['allowed_over_3sigma']} allowed; "
           f"{counts['shells_over_5sigma']} over 5 sigma, "
           f"{counts['allowed_over_5sigma']} allowed)")
-    return passed, path
+    return 0 if passed else 2
 
 
 def _load_config_file(path: str) -> dict:
@@ -419,10 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--s-min", dest="s_min", type=float)
     curves.add_argument("--s-max", dest="s_max", type=float)
     curves.add_argument("--points", type=int)
+    curves.set_defaults(run=cmd_curves)
 
-    sub.add_parser("simulate", parents=[common, mc], help="run the Monte Carlo engine")
-    sub.add_parser("reference", parents=[common, oracle], help="run the deterministic solver")
-    sub.add_parser("compare", parents=[common, mc, oracle], help="Monte Carlo vs oracle verdict")
+    sub.add_parser("simulate", parents=[common, mc],
+                   help="run the Monte Carlo engine").set_defaults(run=cmd_simulate)
+    sub.add_parser("reference", parents=[common, oracle],
+                   help="run the deterministic solver").set_defaults(run=cmd_reference)
+    sub.add_parser("compare", parents=[common, mc, oracle],
+                   help="Monte Carlo vs oracle verdict").set_defaults(run=cmd_compare)
     return parser
 
 
@@ -444,23 +416,13 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "curves":
-            cmd_curves(manifest)
-        elif args.command == "simulate":
-            cmd_simulate(manifest)
-        elif args.command == "reference":
-            cmd_reference(manifest)
-        else:
-            passed, _ = cmd_compare(manifest)
-            if not passed:
-                return 2
+        return args.run(manifest)
     except ConvergenceError as exc:
         print(f"oracle solve failed: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal fault: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

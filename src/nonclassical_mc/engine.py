@@ -75,7 +75,10 @@ __all__ = [
     "MAX_COLLISIONS",
 ]
 
-MAX_COLLISIONS = 100_000  # guards pathological configurations; unreachable for c < 1
+# an analog history is still alive after MAX_COLLISIONS collisions with probability
+# c**MAX_COLLISIONS: about 4.5e-5 at c = 0.9999 and 3.5e-44 at c = 0.999; it is
+# stopped there and counted in `capped`, and its later collisions go unscored
+MAX_COLLISIONS = 100_000
 WEIGHT_CUTOFF = 0.01
 ROULETTE_SURVIVAL = 0.1
 WORKERS_ENV = "NONCLASSICAL_MC_WORKERS"

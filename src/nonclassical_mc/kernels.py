@@ -73,12 +73,10 @@ class CrossSectionSpec:
         return self.sigma_s / self.sigma_t
 
 
-def _as_path_lengths(s, allow_zero: bool):
+def _as_path_lengths(s):
     arr = np.asarray(s, dtype=float)
-    bad = (arr < 0.0) if allow_zero else (arr <= 0.0)
-    if np.any(bad):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise ValueError(f"path length must be {bound}")
+    if np.any(arr < 0.0):
+        raise ValueError("path length must be >= 0")
     return arr, np.ndim(s) == 0
 
 
@@ -112,7 +110,7 @@ class PathLengthModel:
 
         Accepts scalars or arrays; s must be >= 0.
         """
-        z, scalar = _as_path_lengths(s, allow_zero=True)
+        z, scalar = _as_path_lengths(s)
         st = self.xs.sigma_t
         z = st * z
         if self.kind is ModelKind.CLASSICAL:
@@ -123,7 +121,7 @@ class PathLengthModel:
 
     def survival(self, s):
         """P(path length > s), excluding nothing: survival(0) = 1 - atom_at_zero."""
-        z, scalar = _as_path_lengths(s, allow_zero=True)
+        z, scalar = _as_path_lengths(s)
         z = self.xs.sigma_t * z
         if self.kind is ModelKind.CLASSICAL:
             out = np.exp(-z)
@@ -133,18 +131,19 @@ class PathLengthModel:
 
     def cdf(self, s):
         """Cumulative distribution, atom included: cdf(0) = atom_at_zero."""
-        z, scalar = _as_path_lengths(s, allow_zero=True)
+        z, scalar = _as_path_lengths(s)
         return _maybe_scalar(1.0 - self.survival(z), scalar)
 
     def hazard(self, s):
-        """Path-length dependent collision rate at s > 0 (1/length).
+        """Path-length dependent collision rate at s >= 0 (1/length).
 
-        The sp2 atom contributes a distributional spike at s = 0 that has no
-        finite value; query ``atom_at_zero`` instead of calling hazard(0).
+        hazard(0) is the continuous part's limit density(0) / survival(0):
+        sigma_t for the classical law, 0 for the others. The sp2 atom is a
+        spike at s = 0 with no finite rate; query ``atom_at_zero`` for it.
         Numerator and denominator are both scaled by e^{+mu_min z}, so they
         stay O(1) far beyond the z ~ 700 where the unscaled forms underflow.
         """
-        z, scalar = _as_path_lengths(s, allow_zero=False)
+        z, scalar = _as_path_lengths(s)
         st = self.xs.sigma_t
         z = st * z
         if self.kind is ModelKind.CLASSICAL:

@@ -76,6 +76,9 @@ class TestCurves:
 
     def test_hazard_row_at_zero_is_continuous_limit(self, outputs):
         _, _, col = read_csv(outputs / "hazard.csv")
+        xs = CrossSectionSpec(1.0, 0.5)
+        for law in ("classical", "diffusion", "sp2", "sp3"):
+            assert col[law][0] == make_model(law, xs).hazard(0.0)
         assert col["classical"][0] == 1.0
         assert col["sp2"][0] == 0.0
 
@@ -535,13 +538,18 @@ class TestExitCodes:
     def test_oracle_grid_too_short_for_shells(self, tmp_path):
         # compare has no oracle grid: --oracle-rmax is accepted, and every
         # shell out to --rmax gets the closed form
-        code = run_cli("compare", "--model", "classical", "--sigma-t", "1", "--sigma-s", "0.5",
-                       "--histories", "2000", "--batches", "10", "--rmax", "10",
-                       "--oracle-rmax", "6", "--out", str(tmp_path))
+        args = ("compare", "--model", "classical", "--sigma-t", "1", "--sigma-s", "0.5",
+                "--histories", "2000", "--batches", "10", "--rmax", "10")
+        code = run_cli(*args, "--oracle-rmax", "6", "--out", str(tmp_path))
         assert code != 1
         _, _, col = read_csv(tmp_path / "compare.csv")
         assert col["f_oracle"].size == 64
         assert np.all(np.isfinite(col["f_oracle"]))
+        # nor does it read the grid's other flags: its output is unchanged
+        other = tmp_path / "other"
+        assert run_cli(*args, "--oracle-nodes", "100000", "--oracle-tol", "0.5",
+                       "--oracle-rmax", "30", "--out", str(other)) == code
+        assert (other / "compare.csv").read_bytes() == (tmp_path / "compare.csv").read_bytes()
 
     def test_oracle_nonconvergence_is_internal_fault(self, tmp_path, monkeypatch):
         from nonclassical_mc import ConvergenceError

@@ -273,12 +273,20 @@ class TestHazard:
             assert h == pytest.approx(asymptote, rel=1e-2)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_rejects_nonpositive_s(self, kind):
+    def test_rejects_negative_s(self, kind):
         model = make_model(kind, CrossSectionSpec(1.0, 0.0))
         with pytest.raises(ValueError):
-            model.hazard(0.0)
-        with pytest.raises(ValueError):
             model.hazard(-1.0)
+
+    @pytest.mark.parametrize("sigma_t", [1.0, 2.5])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_zero_is_the_continuous_limit(self, kind, sigma_t):
+        # hazard(0) is density(0) / survival(0): the sp2 atom is left out
+        model = make_model(kind, CrossSectionSpec(sigma_t, 0.5))
+        h0 = model.hazard(0.0)
+        assert h0 == model.density(0.0) / model.survival(0.0)
+        assert h0 == (sigma_t if kind is ModelKind.CLASSICAL else 0.0)
+        assert model.hazard(np.array([0.0, 0.5]))[0] == h0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_definitional_identity(self, kind):
