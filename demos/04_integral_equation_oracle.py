@@ -2,13 +2,14 @@
 
 The collision density obeys f = c K[f] + first flight, where K convolves
 with the flight kernel p(s)/(4 pi s^2) reduced to radial form. This script
-solves it for each law with one LU factorization, checks it against the
-exact closed form of every law (partial fractions for diffusion, sp2 and
-sp3; Case's discrete mode plus continuum for the classical law), shows
-that the solver's error falls as O(h^2) for a non-classical law but only
-as O(h) for the classical one, shows the residual and condition estimate
-of the solve as c -> 1, and demonstrates how the sp2 law's same-point
-redeposition builds a point mass at the origin.
+solves it for each law as one symmetric Toeplitz system (O(M^2) time,
+O(M) memory), checks it against the exact closed form of every law
+(partial fractions for diffusion, sp2 and sp3; Case's discrete mode plus
+continuum for the classical law), shows that the solver's error falls as
+O(h^2) for a non-classical law but only as O(h) for the classical one,
+shows the residual and condition estimate of the solve as c -> 1, and
+demonstrates how the sp2 law's same-point redeposition builds a point
+mass at the origin.
 """
 
 import numpy as np
@@ -78,7 +79,7 @@ for scattering in (0.5, 0.9, 0.99):
     sol = solve_integral_equation(make_model("sp3", xs_c), xs_c, grid)
     print(f"  {xs_c.c:5.2f} {sol.residual:10.2e} {sol.rcond:8.4f} "
           f"{sol.volume_integral():14.6f} {1.0 / (1.0 - xs_c.c):8.1f}")
-print("  one LU factorization at every c; the residual stays at rounding level")
+print("  one direct Toeplitz solve at every c; the residual stays at rounding level")
 print("  while rcond falls with 1 - c; the domain r <= 12 truncates the medium,")
 print("  so integral f dV falls short of 1/(1-c) as c -> 1")
 

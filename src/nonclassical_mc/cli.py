@@ -165,12 +165,21 @@ def _tally_metadata(manifest: RunManifest, config: ProblemConfig, result) -> dic
     }
 
 
+def _warn_capped(result) -> None:
+    """One stderr line when histories were stopped at the engine's collision cap."""
+    if result.capped:
+        print(f"warning: {result.capped} histories were stopped at the collision cap "
+              "(engine.MAX_COLLISIONS); their later collisions went unscored, so the "
+              "tally and collisions/history are biased low", file=sys.stderr)
+
+
 def cmd_simulate(manifest: RunManifest) -> int:
     """Run the engine; write tally.csv; print the run summary."""
     config = manifest.problem_config()
     started = time.perf_counter()
     result = simulate(config)
     elapsed = time.perf_counter() - started
+    _warn_capped(result)
     rows = zip(result.r_edges[:-1], result.r_edges[1:],
                result.f_mean, result.f_stderr, result.n_scores)
     _write_csv(manifest.out, "tally.csv", _tally_metadata(manifest, config, result),
@@ -315,6 +324,7 @@ def cmd_compare(manifest: RunManifest) -> int:
     config = manifest.problem_config()
     oracle_kind = manifest.oracle_model or manifest.model
     result = simulate(config)
+    _warn_capped(result)
     f_oracle = closed_form(make_model(oracle_kind, config.xs)).shell_averages(result.r_edges)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (result.f_mean - f_oracle) / result.f_stderr

@@ -7,12 +7,14 @@ Two oracles are provided:
   against which Monte Carlo tallies are scored; and
 * a radial solver for the collision-rate balance f = c K[f] + first
   flight, valid for every law, which only the reference command runs:
-  the discretized equation is solved directly by one LU factorization
-  (nodal error O(h^2), classical O(h)), and the command reports the
-  solution's weighted gap to the closed form.
+  the discretized equation (nodal error O(h^2), classical O(h)) is one
+  symmetric Toeplitz system, solved directly in O(M^2) time and O(M)
+  memory, and the command reports the solution's weighted gap to the
+  closed form.
 
 Both run on numpy alone: the classical profile's exponential integral E1
-is computed here, and the solve is one np.linalg.solve.
+is computed here, and the Toeplitz solve is Durbin's recursion, the
+Gohberg-Semencul inverse applied by np.fft and one refinement step.
 
 The 3-D convolution with kernel p(|x - x'|) / (4 pi |x - x'|^2) reduces,
 for spherically symmetric fields, to the 1-D form
@@ -29,7 +31,8 @@ the diagonal instead of evaluating it at the singular node.
 The sp2 atom re-deposits a fraction 4/9 of each collision at the same
 location. The solver tracks the resulting point mass at the origin
 explicitly (it feeds the volumetric source) and folds the same-radius
-redeposition into the diagonal of the solved matrix.
+redeposition into the diagonal of the solved matrix (the Toeplitz symbol
+at lag 0).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import CrossSectionSpec, PathLengthModel
 
@@ -48,7 +50,6 @@ __all__ = [
     "ConvergenceError",
     "ClosedForm",
     "closed_form",
-    "collision_matrix",
     "solve_integral_equation",
 ]
 
@@ -145,37 +146,81 @@ class RadialGrid:
         return w
 
 
-def collision_matrix(model: PathLengthModel, grid: RadialGrid) -> np.ndarray:
-    """Discretize K on the grid: K[g] at the nodes is matrix @ g.
+def _operator(model: PathLengthModel, grid: RadialGrid, c: float):
+    """The solved matrix A = I(1 - c atom) - cK as A = D^-1 S D, D = diag(r).
 
+    Returns (tau, u): tau[k] is the symbol at lag k = 0..2M of a symmetric
+    Toeplitz matrix T of order 2M + 1 on the indices -M..M, and u the
+    correction to S's last column, so that S = T restricted to odd vectors
+    plus u e_M^T. On the uniform grid r_n = nh, the kernel
+    P(|r - r'|) - P(r + r') of K is P(|n - n'| h) - P((n + n') h), which
+    is T's action on the odd extension x_{-n} = -x_n of a nodal vector.
     Nodal trapezoid everywhere except the two cells adjacent to each row's
     diagonal, where the (possibly singular) P(|r - r'|) factor is replaced
-    by its exact cell integral against the endpoint-averaged integrand.
-
-    On the uniform grid r_i = (i+1)h, |r_i - r_j| = |i-j|h and
-    r_i + r_j = (i+j+2)h, so P is evaluated once at kh, k = 1..2M, and
-    spread into a Toeplitz part P(|r - r'|) and a Hankel part P(r + r').
+    by its exact cell integral against the endpoint-averaged integrand:
+    that sets lags 0 and 1. u halves the last column's nodal part, as its
+    node carries half a trapezoid weight and has no right cell; the
+    near-diagonal correction at lag 1 stays whole.
     """
-    r = grid.nodes
-    m = r.size
+    m = grid.m
     h = grid.spacing
-    p = _profile(model, h * np.arange(1, 2 * m + 1))  # p[k - 1] = P(kh)
-    # row i of the Toeplitz part is P(|i - j| h), a window of the mirrored
-    # column [P((m-1)h) .. P(h), 0, P(h) .. P((m-1)h)]; row i of the Hankel
-    # part is P((i + j + 2) h), a window of p[1:]
-    mirrored = np.concatenate((p[m - 2::-1], [0.0], p[:m - 1]))
-    coef = sliding_window_view(mirrored, m)[::-1] - sliding_window_view(p[1:], m)
-    coef *= grid.weights
-    ip = float(_profile_integral(model, h))
-    idx = np.arange(m)
-    coef[idx, idx] += ip
-    coef[m - 1, m - 1] -= 0.5 * ip  # last node has no right cell
-    near = 0.5 * ip - 0.5 * h * p[0]
-    coef[idx[:-1], idx[:-1] + 1] += near
-    coef[idx[1:], idx[1:] - 1] += near
-    coef *= r
-    coef /= 2.0 * r[:, None]
-    return coef
+    # the last column's symbol: hP(kh), and the cell integral at lag 0
+    half = np.concatenate(([float(_profile_integral(model, h))],
+                           h * _profile(model, h * np.arange(1, 2 * m + 1))))
+    tau = -0.5 * c * half
+    tau[0] += 1.0 - c * model.atom_at_zero
+    tau[1] = -0.25 * c * (half[0] + half[1])
+    u = 0.25 * c * (half[m - 1::-1] - half[m + 1:])
+    return tau, u
+
+
+def _durbin(tau: np.ndarray) -> np.ndarray:
+    """x = T^-1 e_0 for the symmetric Toeplitz T of symbol tau, by Durbin's
+    recursion (Golub and Van Loan, Matrix Computations, Algorithm 4.7.1)
+    in O(N^2) time and O(N) memory. A zero tau[0] or pivot beta leaves x
+    non-finite, which the solver's rcond check refuses."""
+    rho = tau[1:] / tau[0]
+    y = np.empty(rho.size)
+    y[0] = alpha = -rho[0]
+    beta = 1.0
+    for k in range(1, rho.size):
+        beta *= 1.0 - alpha * alpha
+        alpha = -(rho[k] + rho[k - 1::-1] @ y[:k]) / beta
+        y[:k] += alpha * y[k - 1::-1]
+        y[k] = alpha
+    beta *= 1.0 - alpha * alpha
+    return np.concatenate(([1.0], y)) / (tau[0] * beta)
+
+
+def _gohberg_semencul(x: np.ndarray):
+    """T^-1 from its first column x: (L(x) L(x)^T - L(v) L(v)^T) / x_0 with
+    v = (0, x_{N-1}, .., x_1) and L(a) lower-triangular Toeplitz of first
+    column a (Gohberg and Semencul, 1972). Returns the map from the columns
+    b of an M-row array to rows 1..M of T^-1 applied to their odd
+    extensions; the four triangular products are FFT convolutions."""
+    n = x.size
+    m = n // 2
+    nfft = 1 << (2 * n - 1).bit_length()
+    fx = np.fft.rfft(x, nfft)[:, None]
+    fv = np.fft.rfft(np.concatenate(([0.0], x[:0:-1])), nfft)[:, None]
+
+    def solve(b):
+        # the odd extension is its own reversal negated, and L(a)^T = J L(a) J
+        fb = np.fft.rfft(np.concatenate((b[::-1], np.zeros((1, b.shape[1])), -b)), nfft, axis=0)
+        lx = np.fft.irfft(fx * fb, nfft, axis=0)[n - 1::-1]
+        lv = np.fft.irfft(fv * fb, nfft, axis=0)[n - 1::-1]
+        out = np.fft.irfft(fx * np.fft.rfft(lx, nfft, axis=0)
+                           - fv * np.fft.rfft(lv, nfft, axis=0), nfft, axis=0)
+        return out[m + 1:n] / x[0]
+
+    return solve
+
+
+def _toeplitz_apply(tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows 1..M of T applied to the odd extension of x, as a direct sum."""
+    m = x.size
+    return np.convolve(np.concatenate((tau[m - 1:0:-1], tau)),
+                       np.concatenate((-x[::-1], [0.0], x)), "valid")
 
 
 @dataclass(frozen=True)
@@ -185,9 +230,10 @@ class RadialSolution:
     residual is the relative fixed-point residual of f on the grid and
     rcond the reciprocal 1-norm condition number 1 / (||A||_1 ||A^-1||_1)
     of the solved matrix A (1 for a pure absorber, where no matrix is
-    solved); solve_integral_equation reads ||A^-1||_1 off a second
-    right-hand side of the same solve, exactly but for the last node while
-    A^-1 >= 0, which solve_integral_equation checks as f >= 0.
+    solved); solve_integral_equation reads ||A||_1 off a direct sum and
+    ||A^-1||_1 off a second right-hand side of the same solve, exactly but
+    for the last node while A^-1 >= 0, which solve_integral_equation
+    checks as f >= 0.
     """
 
     grid: RadialGrid
@@ -212,11 +258,16 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
                             grid: RadialGrid, tol: float = 1e-10) -> RadialSolution:
     """Direct solve of f = c K[f] + first flight, unit point source.
 
-    One LU factorization (np.linalg.solve) solves A f = first flight with
-    A = I(1 - c atom) - cK, so the cost does not grow as c -> 1. For the
-    sp2 law the atom term c (4/9) f is the same-radius redeposition, and
-    the origin point mass
-    M = (4/9) / (1 - 4c/9) feeds the volumetric first-flight source.
+    Solves A f = first flight with A = I(1 - c atom) - cK = D^-1 S D
+    (see _operator) directly, so the cost does not grow as c -> 1: one
+    Durbin recursion gives T^-1 e_0, the Gohberg-Semencul formula applies
+    T^-1 to three right-hand sides at once (D first flight, D G^-1 e for
+    rcond and S's last-column correction u, which Sherman-Morrison folds
+    in), and one refinement step against a directly summed residual
+    brings f to working precision; O(M^2) time, O(M) memory. For the sp2
+    law the atom term c (4/9) f is the same-radius redeposition, and the
+    origin point mass M = (4/9) / (1 - 4c/9) feeds the volumetric
+    first-flight source.
     Raises ConvergenceError when the matrix is singular (rcond below machine
     epsilon), f is not finite, the fixed-point residual
     max|c(atom f + K f) + src - f| / max|f| is not below tol, or f dips
@@ -233,26 +284,36 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     src = (c * origin_mass + 1.0) * (model.density(r) / (4.0 * math.pi * r * r))
     if c == 0.0:
         return RadialSolution(grid, src, origin_mass, 0, 0.0, 1.0)
-    a = collision_matrix(model, grid)
-    a *= -c
-    diag = np.arange(a.shape[0])
-    a[diag, diag] += 1.0 - c * atom
+    tau, u = _operator(model, grid, c)
     # A's off-diagonal entries are <= 0 and its diagonal is positive, so
     # ||A||_1 is the largest column sum of |A| = 2 diag(A) - A. While the
     # discrete problem is subcritical, A^-1 >= 0 and ||A^-1||_1 is the
     # largest column sum of A^-1: G A^-1 G^-1 e, as A^T = G A G^-1 with
     # G = diag(w r^2) but for the last node's near-diagonal pair (where w
-    # halves); the second right-hand side is G^-1 e.
+    # halves); the second right-hand side is D G^-1 e.
     g = grid.weights * r**2
-    try:
-        f, y = np.linalg.solve(a, np.column_stack((src, 1.0 / g))).T
-        rcond = 1.0 / (np.max(2.0 * a.diagonal() - a.sum(axis=0)) * np.max(np.abs(g * y)))
-    except np.linalg.LinAlgError:  # exactly singular, or not finite
-        rcond = 0.0
+    with np.errstate(all="ignore"):  # a singular or non-finite operator shows in rcond
+        inverse = _gohberg_semencul(_durbin(tau))
+        z = inverse(np.column_stack((r * src, r / g, u)))
+        # Sherman-Morrison: S^-1 b = z_b - z_u z_b[M] / (1 + z_u[M]), z = T^-1 b
+        zu = z[:, 2] / (1.0 + z[-1, 2])
+        x, y = (z[:, :2] - np.outer(zu, z[-1, :2])).T
+        # one refinement step: the FFT's rounding is relative to max|x|, and
+        # a residual summed directly brings the tail to working precision
+        dx = inverse((r * src - _toeplitz_apply(tau, x) - u * x[-1])[:, None])[:, 0]
+        x += dx - zu * dx[-1]
+        f = x / r
+        # A's column sums D S^T D^-1 e, with S^T = T + e_M u^T on odd vectors
+        colsum = r * _toeplitz_apply(tau, 1.0 / r)
+        colsum[-1] += r[-1] * (u @ (1.0 / r))
+        diag = tau[0] - tau[2::2]
+        diag[-1] += u[-1]
+        rcond = 1.0 / (np.max(2.0 * diag - colsum) * np.max(np.abs(g * y / r)))
+        residual = float(np.max(np.abs(src - (_toeplitz_apply(tau, x) + u * x[-1]) / r))
+                         / np.max(np.abs(f)))
     if not rcond >= EPS:
         raise ConvergenceError(f"oracle matrix is singular (rcond {rcond:.3e}, c={c})",
                                residual=math.inf, iterations=1)
-    residual = float(np.max(np.abs(src - a @ f)) / np.max(np.abs(f)))
     if not (np.all(np.isfinite(f)) and residual < tol):
         raise ConvergenceError(
             f"oracle solve left residual {residual:.3e} (rcond {rcond:.3e}, c={c}, tol={tol})",

@@ -140,6 +140,36 @@ class TestSimulate:
         assert abs(mean - 2.0) <= 4.0 * se
 
 
+class TestCappedHistories:
+    CSV = {"simulate": "tally.csv", "compare": "compare.csv"}
+    ARGS = ("--model", "classical", "--sigma-s", "0.99", "--histories", "200", "--batches", "10")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_capped_histories_are_reported(self, command, tmp_path, monkeypatch, capsys):
+        # a history stopped at the collision cap leaves its later collisions
+        # unscored: one stderr line says so; the CSV, stdout and exit code
+        # are those of any run
+        monkeypatch.setattr("nonclassical_mc.engine.MAX_COLLISIONS", 5)
+        monkeypatch.setenv("NONCLASSICAL_MC_WORKERS", "1")
+        assert run_cli(command, *self.ARGS, "--out", str(tmp_path)) in (0, 2)
+        metadata, _, _ = read_csv(tmp_path / self.CSV[command])
+        capped = int(metadata["capped"])
+        assert capped > 0
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert f"warning: {capped} histories were stopped at the collision cap" in captured.err
+        assert "later collisions went unscored" in captured.err
+        assert "warning" not in captured.out
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_uncapped_run_prints_no_warning(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NONCLASSICAL_MC_WORKERS", "1")
+        assert run_cli(command, *self.ARGS, "--out", str(tmp_path)) in (0, 2)
+        metadata, _, _ = read_csv(tmp_path / self.CSV[command])
+        assert metadata["capped"] == "0"
+        assert capsys.readouterr().err == ""
+
+
 class TestCompare:
     def test_diffusion_pass(self, tmp_path):
         code = run_cli("compare", "--model", "diffusion", "--sigma-t", "1",
@@ -349,8 +379,8 @@ class TestReference:
         assert gap == pytest.approx(expected, rel=1e-6)  # f is written to 9 digits
 
     def test_singular_oracle_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
-                            lambda model, g: np.eye(g.nodes.size) / 0.5)
+        monkeypatch.setattr("nonclassical_mc.reference._operator",
+                            lambda model, g, c: (np.zeros(2 * g.m + 1), np.zeros(g.m)))
         assert run_cli("reference", "--model", "sp3", "--sigma-t", "1",
                        "--sigma-s", "0.5", "--out", str(tmp_path)) == 3
         assert "oracle solve failed" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Deterministic oracles: kernel profiles, closed forms, integral solver.
 
 The package runs on numpy alone; scipy serves here as the independent
-oracle for its quadratures, its exponential integral and its LU solve.
+oracle for its quadratures, its exponential integral and, by LU, its
+Toeplitz solve.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from nonclassical_mc import (
     make_model,
     solve_integral_equation,
 )
-from nonclassical_mc.reference import _exp1, _profile, _profile_integral, collision_matrix
+from nonclassical_mc.reference import _exp1, _operator, _profile, _profile_integral
 
 ALL_KINDS = list(ModelKind)
 NON_CLASSICAL = [kind for kind in ModelKind if kind is not ModelKind.CLASSICAL]
@@ -40,17 +42,21 @@ def point_kernel(model, r):
 
 
 def dense_collision_matrix(model, grid):
-    """Independent oracle for collision_matrix: P evaluated at every |r - r'|
-    and r + r' of the M x M node pairs, no Toeplitz/Hankel structure."""
+    """Independent oracle for the solver's operator: K with P evaluated at
+    every |r - r'| and r + r' of the M x M node pairs, no Toeplitz
+    structure; 512 rows at a time, so a 3,072-node grid stays near one
+    M x M array."""
     r = grid.nodes
     m = r.size
     h = grid.spacing
     w = grid.weights
-    sep = np.abs(r[:, None] - r[None, :])
-    profile_sep = np.zeros((m, m))
-    off = sep > 0.0
-    profile_sep[off] = _profile(model, sep[off])
-    coef = w[None, :] * profile_sep
+    coef = np.empty((m, m))
+    for rows in np.split(np.arange(m), range(512, m, 512)):
+        sep = np.abs(r[rows, None] - r[None, :])
+        profile_sep = np.zeros(sep.shape)
+        off = sep > 0.0
+        profile_sep[off] = _profile(model, sep[off])
+        coef[rows] = w[None, :] * (profile_sep - _profile(model, r[rows, None] + r[None, :]))
     ip = float(_profile_integral(model, h))
     p_h = float(_profile(model, h))
     idx = np.arange(m)
@@ -59,7 +65,6 @@ def dense_collision_matrix(model, grid):
     near = 0.5 * ip - 0.5 * h * p_h
     coef[idx[:-1], idx[:-1] + 1] += near
     coef[idx[1:], idx[1:] - 1] += near
-    coef -= w[None, :] * _profile(model, r[:, None] + r[None, :])
     return coef * r[None, :] / (2.0 * r[:, None])
 
 
@@ -279,12 +284,28 @@ class TestRadialGrid:
 
 
 
+def dense_operator(tau, u):
+    """S made dense from _operator's (tau, u): the Toeplitz symbol on odd
+    vectors, tau(|n - n'|) - tau(n + n') for n, n' = 1..M, plus u in the
+    last column."""
+    n = np.arange(1, u.size + 1)
+    s = tau[np.abs(n[:, None] - n)] - tau[n[:, None] + n]
+    s[:, -1] += u
+    return s
+
+
 class TestCollisionMatrix:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_structured_build_matches_dense(self, kind, grid):
-        model = make_model(kind, CrossSectionSpec(1.0, 0.5))
-        np.testing.assert_allclose(collision_matrix(model, grid),
-                                   dense_collision_matrix(model, grid), rtol=1e-13, atol=0.0)
+        # A = D^-1 S D with D = diag(r), against I(1 - c atom) - cK built
+        # pair by pair
+        xs = CrossSectionSpec(1.0, 0.5)
+        model = make_model(kind, xs)
+        r = grid.nodes
+        a = dense_operator(*_operator(model, grid, xs.c)) * r / r[:, None]
+        expected = -xs.c * dense_collision_matrix(model, grid)
+        expected[np.diag_indices_from(expected)] += 1.0 - xs.c * model.atom_at_zero
+        np.testing.assert_allclose(a, expected, rtol=1e-13, atol=0.0)
 
 
 class TestSolver:
@@ -337,7 +358,7 @@ class TestSolver:
         xs = CrossSectionSpec(1.0, 0.3)
         model = make_model("diffusion", xs)
         solution = solve_integral_equation(model, xs, grid, tol=1e-12)
-        kmat = collision_matrix(model, grid)
+        kmat = dense_collision_matrix(model, grid)
         src = point_kernel(model, grid.nodes)
         term = src.copy()
         total = src.copy()
@@ -351,7 +372,7 @@ class TestSolver:
         # r k(r, r') r' is symmetric; in discrete form r_i K_ij / (w_j r_j)
         # is symmetric away from the half-weighted boundary node
         xs = CrossSectionSpec(1.0, 0.5)
-        kmat = collision_matrix(make_model("sp3", xs), grid)
+        kmat = dense_collision_matrix(make_model("sp3", xs), grid)
         r = grid.nodes
         w = grid.weights
         sym = kmat * r[:, None] / (w[None, :] * r[None, :])
@@ -367,7 +388,7 @@ class TestSolver:
         c = xs.c
         assert solution.origin_mass == pytest.approx((4.0 / 9.0) / (1.0 - 4.0 * c / 9.0),
                                                      rel=1e-12)
-        kmat = collision_matrix(model, grid)
+        kmat = dense_collision_matrix(model, grid)
         src = (c * solution.origin_mass + 1.0) * point_kernel(model, grid.nodes)
         rhs = c * ((4.0 / 9.0) * solution.f + kmat @ solution.f) + src
         residual = np.max(np.abs(rhs - solution.f)) / np.max(np.abs(solution.f))
@@ -379,13 +400,13 @@ class TestSolver:
             solve_integral_equation(model, CrossSectionSpec(1.0, 0.4), grid)
 
     def test_nonconvergence_reports_residual(self, grid, monkeypatch):
-        # K = I/c makes I - cK exactly zero: a singular operator the solve
-        # must refuse rather than return garbage
+        # tau and u all zero make A = D^-1 S D exactly zero: a singular
+        # operator the solve must refuse rather than return garbage
         xs = CrossSectionSpec(1.0, 0.5)
         model = make_model("diffusion", xs)
         m = grid.nodes.size
-        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
-                            lambda model, g: np.eye(m) / xs.c)
+        monkeypatch.setattr("nonclassical_mc.reference._operator",
+                            lambda model, g, c: (np.zeros(2 * m + 1), np.zeros(m)))
         with pytest.raises(ConvergenceError) as excinfo:
             solve_integral_equation(model, xs, grid, tol=1e-10)
         assert excinfo.value.residual > 1e-10
@@ -394,10 +415,11 @@ class TestSolver:
     def test_non_finite_operator_is_refused(self, grid, monkeypatch):
         xs = CrossSectionSpec(1.0, 0.5)
         m = grid.nodes.size
-        broken = np.zeros((m, m))
-        broken[3, 7] = np.nan
-        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix",
-                            lambda model, g: broken)
+        tau = np.zeros(2 * m + 1)
+        tau[0] = 1.0
+        tau[7] = np.nan  # one NaN lag of an otherwise identity operator
+        monkeypatch.setattr("nonclassical_mc.reference._operator",
+                            lambda model, g, c: (tau, np.zeros(m)))
         with pytest.raises(ConvergenceError):
             solve_integral_equation(make_model("sp3", xs), xs, grid)
 
@@ -433,6 +455,20 @@ class TestSolver:
         assert np.max(np.abs(rhs - f)) / np.max(np.abs(f)) < 1e-12
         assert solution.iterations == 1
         assert solution.residual < 1e-12
+
+    def test_refined_solve_holds_no_square_matrix(self):
+        # the benchmark's refined grid, 3,072 nodes on [0, 60]: one M x M
+        # array of floats alone is 72 MiB, and the Toeplitz solve keeps
+        # only O(M) arrays
+        xs = CrossSectionSpec(1.0, 0.99)
+        model = make_model("sp3", xs)
+        tracemalloc.start()
+        try:
+            solve_integral_equation(model, xs, RadialGrid(60.0, 3072))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("scattering, expected", [(0.5, 0.31), (0.99, 0.0087)])
     def test_condition_estimate(self, grid, scattering, expected):
@@ -490,15 +526,14 @@ class TestAgainstScipy:
         x = np.concatenate([np.geomspace(1e-300, 700.0, 20_001), np.linspace(1.9, 2.1, 2_001)])
         np.testing.assert_allclose(_exp1(x), special.exp1(x), rtol=5e-14, atol=0.0)
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("scattering", [0.3, 0.5, 0.99, 0.9999])
-    def test_solve_matches_lapack(self, grid, kind, scattering):
+    @staticmethod
+    def assert_matches_lapack(kind, scattering, grid):
         # rcond from the second right-hand side against LAPACK's gecon
         # estimate, and f against a getrf/getrs solve of the same matrix
         xs = CrossSectionSpec(1.0, scattering)
         model = make_model(kind, xs)
         solution = solve_integral_equation(model, xs, grid, tol=1e-8)
-        a = -scattering * collision_matrix(model, grid)
+        a = -scattering * dense_collision_matrix(model, grid)
         a[np.diag_indices_from(a)] += 1.0 - scattering * model.atom_at_zero
         lu, piv = linalg.lu_factor(a)
         gecon = linalg.get_lapack_funcs("gecon", (a,))
@@ -508,13 +543,24 @@ class TestAgainstScipy:
         assert abs(solution.rcond - rcond) < 1e-6
         np.testing.assert_allclose(solution.f, f, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("scattering", [0.3, 0.5, 0.99, 0.9999])
+    def test_solve_matches_lapack(self, grid, kind, scattering):
+        self.assert_matches_lapack(kind, scattering, grid)
+
+    def test_refined_solve_matches_lapack(self):
+        # the benchmark's refined oracle grid: 3,072 nodes on [0, 60]
+        self.assert_matches_lapack("sp3", 0.99, RadialGrid(60.0, 3072))
+
     def test_singular_to_rounding_is_refused(self, grid, monkeypatch):
-        # A = I plus a 1e20 above the diagonal factors without a zero pivot,
-        # so only rcond (far below eps) finds it singular
+        # S = I plus a 1e20 at the top of its last column: T = I, so
+        # Durbin's recursion meets no breakdown and only rcond (far below
+        # eps) finds it singular
         xs = CrossSectionSpec(1.0, 0.5)
-        k = np.zeros((grid.nodes.size,) * 2)
-        k[0, 1] = -1e20 / xs.c  # A = I - cK
-        monkeypatch.setattr("nonclassical_mc.reference.collision_matrix", lambda model, g: k)
+        m = grid.nodes.size
+        tau, u = np.zeros(2 * m + 1), np.zeros(m)
+        tau[0], u[0] = 1.0, 1e20
+        monkeypatch.setattr("nonclassical_mc.reference._operator", lambda model, g, c: (tau, u))
         with pytest.raises(ConvergenceError, match="singular") as excinfo:
             solve_integral_equation(make_model("diffusion", xs), xs, grid)
         assert "rcond 0.000e+00" not in str(excinfo.value)
