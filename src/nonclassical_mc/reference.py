@@ -8,13 +8,15 @@ Two oracles are provided:
 * a radial solver for the collision-rate balance f = c K[f] + first
   flight, valid for every law, which only the reference command runs:
   the discretized equation (nodal error O(h^2), classical O(h)) is one
-  symmetric Toeplitz system, solved directly in O(M^2) time and O(M)
-  memory, and the command reports the solution's weighted gap to the
-  closed form.
+  symmetric Toeplitz system, solved in O(M) memory, and the command
+  reports the solution's weighted gap to the closed form.
 
 Both run on numpy alone: the classical profile's exponential integral E1
-is computed here, and the Toeplitz solve is Durbin's recursion, the
-Gohberg-Semencul inverse applied by np.fft and one refinement step.
+is computed here, and the Toeplitz solve is preconditioned conjugate
+gradients for T^-1 e_0 (O(M log M) per iteration, a handful of
+iterations), the Gohberg-Semencul inverse applied by np.fft and one
+refinement step; the three direct sums of the residuals and column sums
+cost O(M^2).
 
 The 3-D convolution with kernel p(|x - x'|) / (4 pi |x - x'|^2) reduces,
 for spherically symmetric fields, to the 1-D form
@@ -174,30 +176,56 @@ def _operator(model: PathLengthModel, grid: RadialGrid, c: float):
     return tau, u
 
 
-def _durbin(tau: np.ndarray) -> np.ndarray:
-    """x = T^-1 e_0 for the symmetric Toeplitz T of symbol tau, by Durbin's
-    recursion (Golub and Van Loan, Matrix Computations, Algorithm 4.7.1)
-    in O(N^2) time and O(N) memory. A zero tau[0] or pivot beta leaves x
-    non-finite, which the solver's rcond check refuses."""
-    rho = tau[1:] / tau[0]
-    y = np.empty(rho.size)
-    y[0] = alpha = -rho[0]
-    beta = 1.0
-    for k in range(1, rho.size):
-        beta *= 1.0 - alpha * alpha
-        alpha = -(rho[k] + rho[k - 1::-1] @ y[:k]) / beta
-        y[:k] += alpha * y[k - 1::-1]
-        y[k] = alpha
-    beta *= 1.0 - alpha * alpha
-    return np.concatenate(([1.0], y)) / (tau[0] * beta)
+CG_MAX_ITERATIONS = 64  # _first_column's cap; it took 2 to 9 on every law tried
+
+
+def _first_column(tau: np.ndarray) -> np.ndarray:
+    """x = T^-1 e_0 for the symmetric Toeplitz T of symbol tau, by conjugate
+    gradients preconditioned with a circulant (Chan and Strang, SIAM J.
+    Sci. Stat. Comput. 10, 104, 1989): O(N log N) per iteration, O(N)
+    memory. With T normalized by tau[0], ft is the spectrum of the
+    circulant of order nfft (as in _gohberg_semencul) whose leading block
+    is T: T v is the leading block of its FFT product with v, and the
+    preconditioner the same with 1 / ft. As tau[k] <= 0 for k >= 1, ft is
+    at least the symbol at theta = 0, sum_k tau[|k|]; near c = 1 the
+    quadrature's excess mass can make that negative while T itself stays
+    definite, and CG converges all the same. CG stops once the residual's
+    2-norm is eps (|e_0| = 1); a zero or NaN in ft leaves x non-finite and
+    the cap leaves it unconverged, which the solver's checks refuse."""
+    n = tau.size
+    nfft = 1 << (2 * n - 1).bit_length()
+    rho = tau / tau[0]
+    ft = np.fft.rfft(np.concatenate((rho, np.zeros(nfft - 2 * n + 1), rho[:0:-1]))).real
+    preconditioner = 1.0 / ft
+
+    def block(spectrum, v):
+        return np.fft.irfft(spectrum * np.fft.rfft(v, nfft), nfft)[:n]
+
+    x = np.zeros(n)
+    r = np.zeros(n)
+    r[0] = 1.0
+    d = z = block(preconditioner, r)
+    rz = r @ z
+    for _ in range(CG_MAX_ITERATIONS):
+        td = block(ft, d)
+        step = rz / (d @ td)
+        x += step * d
+        r -= step * td
+        if not np.linalg.norm(r) > EPS:
+            break
+        z = block(preconditioner, r)
+        rz, previous = r @ z, rz
+        d = z + (rz / previous) * d
+    return x / tau[0]
 
 
 def _gohberg_semencul(x: np.ndarray):
     """T^-1 from its first column x: (L(x) L(x)^T - L(v) L(v)^T) / x_0 with
     v = (0, x_{N-1}, .., x_1) and L(a) lower-triangular Toeplitz of first
-    column a (Gohberg and Semencul, 1972). Returns the map from the columns
-    b of an M-row array to rows 1..M of T^-1 applied to their odd
-    extensions; the four triangular products are FFT convolutions."""
+    column a (Gohberg and Semencul, 1972), x from _first_column. Returns
+    the map from the columns b of an M-row array to rows 1..M of T^-1
+    applied to their odd extensions; the four triangular products are FFT
+    convolutions, O(M log M) per call."""
     n = x.size
     m = n // 2
     nfft = 1 << (2 * n - 1).bit_length()
@@ -259,15 +287,16 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     """Direct solve of f = c K[f] + first flight, unit point source.
 
     Solves A f = first flight with A = I(1 - c atom) - cK = D^-1 S D
-    (see _operator) directly, so the cost does not grow as c -> 1: one
-    Durbin recursion gives T^-1 e_0, the Gohberg-Semencul formula applies
+    (see _operator) directly: circulant-preconditioned CG gives T^-1 e_0
+    in a few O(M log M) iterations, the Gohberg-Semencul formula applies
     T^-1 to three right-hand sides at once (D first flight, D G^-1 e for
     rcond and S's last-column correction u, which Sherman-Morrison folds
     in), and one refinement step against a directly summed residual
-    brings f to working precision; O(M^2) time, O(M) memory. For the sp2
-    law the atom term c (4/9) f is the same-radius redeposition, and the
-    origin point mass M = (4/9) / (1 - 4c/9) feeds the volumetric
-    first-flight source.
+    brings f to working precision. The three O(M^2) direct sums (that
+    residual, A's column sums and the reported residual) dominate; memory
+    is O(M). For the sp2 law the atom term c (4/9) f is the same-radius
+    redeposition, and the origin point mass M = (4/9) / (1 - 4c/9) feeds
+    the volumetric first-flight source.
     Raises ConvergenceError when the matrix is singular (rcond below machine
     epsilon), f is not finite, the fixed-point residual
     max|c(atom f + K f) + src - f| / max|f| is not below tol, or f dips
@@ -293,7 +322,7 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     # halves); the second right-hand side is D G^-1 e.
     g = grid.weights * r**2
     with np.errstate(all="ignore"):  # a singular or non-finite operator shows in rcond
-        inverse = _gohberg_semencul(_durbin(tau))
+        inverse = _gohberg_semencul(_first_column(tau))
         z = inverse(np.column_stack((r * src, r / g, u)))
         # Sherman-Morrison: S^-1 b = z_b - z_u z_b[M] / (1 + z_u[M]), z = T^-1 b
         zu = z[:, 2] / (1.0 + z[-1, 2])

@@ -22,7 +22,7 @@ from nonclassical_mc import (
     make_model,
     solve_integral_equation,
 )
-from nonclassical_mc.reference import _exp1, _operator, _profile, _profile_integral
+from nonclassical_mc.reference import _exp1, _first_column, _operator, _profile, _profile_integral
 
 ALL_KINDS = list(ModelKind)
 NON_CLASSICAL = [kind for kind in ModelKind if kind is not ModelKind.CLASSICAL]
@@ -528,10 +528,15 @@ class TestAgainstScipy:
 
     @staticmethod
     def assert_matches_lapack(kind, scattering, grid):
-        # rcond from the second right-hand side against LAPACK's gecon
-        # estimate, and f against a getrf/getrs solve of the same matrix
+        # T^-1 e_0 against scipy's Levinson solve, rcond from the second
+        # right-hand side against LAPACK's gecon estimate, and f against a
+        # getrf/getrs solve of the same matrix
         xs = CrossSectionSpec(1.0, scattering)
         model = make_model(kind, xs)
+        tau, _ = _operator(model, grid, scattering)
+        levinson = linalg.solve_toeplitz(tau, np.eye(1, tau.size)[0])
+        gap = np.max(np.abs(_first_column(tau) - levinson))
+        assert gap <= 1e-13 * np.max(np.abs(levinson))
         solution = solve_integral_equation(model, xs, grid, tol=1e-8)
         a = -scattering * dense_collision_matrix(model, grid)
         a[np.diag_indices_from(a)] += 1.0 - scattering * model.atom_at_zero
@@ -553,9 +558,9 @@ class TestAgainstScipy:
         self.assert_matches_lapack("sp3", 0.99, RadialGrid(60.0, 3072))
 
     def test_singular_to_rounding_is_refused(self, grid, monkeypatch):
-        # S = I plus a 1e20 at the top of its last column: T = I, so
-        # Durbin's recursion meets no breakdown and only rcond (far below
-        # eps) finds it singular
+        # S = I plus a 1e20 at the top of its last column: T = I, so CG
+        # takes T^-1 e_0 in one step and only rcond (far below eps) finds
+        # S singular
         xs = CrossSectionSpec(1.0, 0.5)
         m = grid.nodes.size
         tau, u = np.zeros(2 * m + 1), np.zeros(m)
@@ -564,3 +569,21 @@ class TestAgainstScipy:
         with pytest.raises(ConvergenceError, match="singular") as excinfo:
             solve_integral_equation(make_model("diffusion", xs), xs, grid)
         assert "rcond 0.000e+00" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("scattering", [1.01, 1.1, 3.0])
+    def test_indefinite_symbol_is_solved_or_refused(self, grid, monkeypatch, scattering):
+        # past c = 1 the symbol is negative at theta = 0, so neither T nor
+        # CG's preconditioner need be definite: the solve either refuses or
+        # returns LAPACK's f (at 1.01 the truncated domain leaks enough
+        # that it does), never another
+        xs = CrossSectionSpec(1.0, 0.5)
+        model = make_model("sp3", xs)
+        tau, u = _operator(model, grid, scattering)
+        monkeypatch.setattr("nonclassical_mc.reference._operator", lambda model, g, c: (tau, u))
+        r = grid.nodes
+        f = linalg.solve(dense_operator(tau, u), r * point_kernel(model, r)) / r
+        try:
+            solution = solve_integral_equation(model, xs, grid)
+        except ConvergenceError:
+            return
+        np.testing.assert_allclose(solution.f, f, rtol=1e-12, atol=0.0)
