@@ -5,13 +5,14 @@ Subcommands
     simulate   run the Monte Carlo engine and write the shell tally as CSV
     reference  run the deterministic integral-equation solver, write CSV
     compare    score a simulation against the exact closed form, shell by shell,
-               with a PASS/FAIL verdict; of the --oracle-* flags it reads only
-               --oracle-model
+               with a PASS/FAIL verdict
 
-All options can come from a JSON config file (--config) whose keys mirror
-the flag names with underscores; explicit flags override the file. Numeric
-output is printed with 9 significant digits. Exit codes: 0 success/PASS,
-1 configuration error, 2 comparison FAIL, 3 internal fault.
+Each command takes exactly the flags it reads, as _COMMANDS lists them; reference
+also takes --seed and ignores it, so one argument list serves every command. A
+--config JSON file may set the same options, keyed by flag name with underscores
+(any other key is a configuration error); flags override it. Numeric output has
+9 significant digits. Exit codes: 0 success/PASS, 1 configuration error,
+2 comparison FAIL, 3 internal fault.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +67,8 @@ class RunManifest:
         self.model = ModelKind(self.model).value
         if self.oracle_model is not None:
             self.oracle_model = ModelKind(self.oracle_model).value
-        CrossSectionSpec(self.sigma_t, self.sigma_s)
+        # curves' tables depend on sigma_t * s alone, so it builds its laws at sigma_s = 0
+        CrossSectionSpec(self.sigma_t, 0.0 if self.command == "curves" else self.sigma_s)
         if self.s_max is None:
             self.s_max = 6.0 / self.sigma_t
         if self.oracle_rmax is None:
@@ -103,9 +105,6 @@ class RunManifest:
         return np.linspace(self.s_min, self.s_max, self.points)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunManifest)} - {"command"}
-
-
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -132,7 +131,7 @@ def cmd_curves(manifest: RunManifest) -> int:
     """Write hazard.csv, density.csv, cdf.csv over the curve grid; the sp2 atom
     is in the metadata, and the s = 0 hazard row is each law's hazard(0)."""
     s = manifest.curve_grid()
-    xs = CrossSectionSpec(manifest.sigma_t, manifest.sigma_s)
+    xs = CrossSectionSpec(manifest.sigma_t, 0.0)
     models = {kind: make_model(kind, xs) for kind in ModelKind}
     meta = {
         "command": "curves",
@@ -199,9 +198,8 @@ def cmd_reference(manifest: RunManifest) -> int:
     and closed_form_gap, sum w r^2 |f - f_exact| / sum w r^2 f_exact over
     the nodes, its distance from the exact density.
     """
-    kind = manifest.oracle_model or manifest.model
     xs = CrossSectionSpec(manifest.sigma_t, manifest.sigma_s)
-    model = make_model(kind, xs)
+    model = make_model(manifest.model, xs)
     grid = RadialGrid(manifest.oracle_rmax, manifest.oracle_nodes)
     solution = solve_integral_equation(model, xs, grid, tol=manifest.oracle_tol)
     volume = solution.volume_integral()
@@ -213,7 +211,7 @@ def cmd_reference(manifest: RunManifest) -> int:
     gap = np.sum(g * np.abs(solution.f - exact)) / np.sum(g * exact)
     meta = {
         "command": "reference",
-        "model": kind,
+        "model": manifest.model,
         "sigma_t": manifest.sigma_t,
         "sigma_s": manifest.sigma_s,
         "nodes": grid.nodes.size,
@@ -343,24 +341,56 @@ def cmd_compare(manifest: RunManifest) -> int:
     return 0 if passed else 2
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
-    return data
-
-
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
+    """Defaults < config file < flags. The namespace holds exactly the chosen
+    command's flags, and they are the config file's only keys."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "run", "config")}
     settings: dict = {}
     if args.config:
-        settings.update(_load_config_file(args.config))
-    settings.update({key: value for key, value in vars(args).items()
-                     if value is not None and key in _CONFIG_KEYS})
+        with open(args.config) as fh:
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = set(settings) - set(flags)
+        if unknown:
+            raise ValueError(f"unknown config keys for {args.command} in {args.config}: "
+                             f"{sorted(unknown)}")
+    settings.update({key: value for key, value in flags.items() if value is not None})
     return RunManifest(command=args.command, **settings)
+
+
+_LAWS = [k.value for k in ModelKind]
+_FLAGS = {  # flag: add_argument keywords
+    "--config": dict(help="JSON config file of this command's flags; flags override it"),
+    "--out": dict(help="output directory (default: current)"),
+    "--model": dict(choices=_LAWS),
+    "--sigma-t": dict(type=float, help="total cross section"),
+    "--sigma-s": dict(type=float, help="scattering cross section"),
+    "--seed": dict(type=int),
+    "--histories": dict(type=int),
+    "--batches": dict(type=int),
+    "--rmax": dict(type=float, help="tally grid radius"),
+    "--shells": dict(type=int),
+    "--capture": dict(choices=["analog", "implicit"]),
+    "--s-min": dict(type=float),
+    "--s-max": dict(type=float),
+    "--points": dict(type=int),
+    "--oracle-model": dict(choices=_LAWS),
+    "--oracle-tol": dict(type=float),
+    "--oracle-nodes": dict(type=int),
+    "--oracle-rmax": dict(type=float),
+}
+_MEDIUM = "--config --out --model --sigma-t --sigma-s --seed"
+_MC = _MEDIUM + " --histories --batches --rmax --shells --capture"
+_COMMANDS = {  # command: (run, help, the flags it reads; reference ignores its --seed)
+    "curves": (cmd_curves, "hazard/density/cdf tables for all four laws",
+               "--config --out --sigma-t --s-min --s-max --points"),
+    "simulate": (cmd_simulate, "run the Monte Carlo engine", _MC),
+    "reference": (cmd_reference, "run the deterministic solver",
+                  _MEDIUM + " --oracle-tol --oracle-nodes --oracle-rmax"),
+    "compare": (cmd_compare, "Monte Carlo vs oracle verdict", _MC + " --oracle-model"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,42 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo transport with non-exponential path-length laws",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its keys")
-    common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument("--model", choices=[k.value for k in ModelKind])
-    common.add_argument("--sigma-t", dest="sigma_t", type=float, help="total cross section")
-    common.add_argument("--sigma-s", dest="sigma_s", type=float, help="scattering cross section")
-    common.add_argument("--seed", type=int)
-
-    mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--histories", type=int)
-    mc.add_argument("--batches", type=int)
-    mc.add_argument("--rmax", type=float, help="tally grid radius")
-    mc.add_argument("--shells", type=int)
-    mc.add_argument("--capture", choices=["analog", "implicit"])
-
-    oracle = argparse.ArgumentParser(add_help=False)
-    oracle.add_argument("--oracle-model", dest="oracle_model",
-                        choices=[k.value for k in ModelKind])
-    oracle.add_argument("--oracle-tol", dest="oracle_tol", type=float)
-    oracle.add_argument("--oracle-nodes", dest="oracle_nodes", type=int)
-    oracle.add_argument("--oracle-rmax", dest="oracle_rmax", type=float)
-
-    curves = sub.add_parser("curves", parents=[common],
-                            help="hazard/density/cdf tables for all four laws")
-    curves.add_argument("--s-min", dest="s_min", type=float)
-    curves.add_argument("--s-max", dest="s_max", type=float)
-    curves.add_argument("--points", type=int)
-    curves.set_defaults(run=cmd_curves)
-
-    sub.add_parser("simulate", parents=[common, mc],
-                   help="run the Monte Carlo engine").set_defaults(run=cmd_simulate)
-    sub.add_parser("reference", parents=[common, oracle],
-                   help="run the deterministic solver").set_defaults(run=cmd_reference)
-    sub.add_parser("compare", parents=[common, mc, oracle],
-                   help="Monte Carlo vs oracle verdict").set_defaults(run=cmd_compare)
+    for command, (run, summary, flags) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary)
+        for flag in flags.split():
+            subparser.add_argument(flag, **_FLAGS[flag])
+        subparser.set_defaults(run=run)
     return parser
 
 

@@ -15,8 +15,8 @@ import pytest
 from scipy import special
 
 from nonclassical_mc import CrossSectionSpec, closed_form, make_model
-from nonclassical_mc.cli import (_CONFIG_KEYS, allowed_over_3sigma, allowed_over_5sigma,
-                                 build_parser, compare_verdict, main)
+from nonclassical_mc.cli import (RunManifest, _manifest_from_args, allowed_over_3sigma,
+                                 allowed_over_5sigma, build_parser, compare_verdict, main)
 
 
 def read_csv(path):
@@ -46,7 +46,7 @@ def run_cli(*args):
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("curves")
-    code = run_cli("curves", "--sigma-t", "1.0", "--sigma-s", "0.5",
+    code = run_cli("curves", "--sigma-t", "1.0",
                    "--points", "301", "--s-max", "6.0", "--out", str(out))
     assert code == 0
     return out
@@ -86,7 +86,7 @@ class TestCurves:
         # intent of the figure tables: the diffusion and sp3 hazards level
         # out at sqrt(3) and lambda_minus; the approach is like 1/s, so the
         # anchor needs s of a few hundred mean free paths
-        code = run_cli("curves", "--sigma-t", "1.0", "--sigma-s", "0.5",
+        code = run_cli("curves", "--sigma-t", "1.0",
                        "--s-min", "0", "--s-max", "2000", "--points", "2001",
                        "--out", str(tmp_path))
         assert code == 0
@@ -95,6 +95,19 @@ class TestCurves:
         assert col["diffusion"][s == 400.0][0] == pytest.approx(math.sqrt(3.0), rel=2e-3)
         assert col["sp3"][s == 2000.0][0] == pytest.approx(1.161256, rel=1e-3)
         assert np.all(col["classical"] == 1.0)
+
+    def test_tables_do_not_read_scattering(self, tmp_path):
+        # the tables depend on sigma_t * s alone: at sigma_t = 0.25, below the
+        # sigma_s = 0.5 default of the other commands, curves still runs, and
+        # its laws are those of the pure absorber
+        assert run_cli("curves", "--sigma-t", "0.25", "--out", str(tmp_path)) == 0
+        s = np.linspace(0.0, 24.0, 601)  # the default grid [0, 6 / sigma_t]
+        xs = CrossSectionSpec(0.25, 0.0)
+        for quantity in ("hazard", "density", "cdf"):
+            _, _, col = read_csv(tmp_path / f"{quantity}.csv")
+            for law in ("classical", "diffusion", "sp2", "sp3"):
+                exact = getattr(make_model(law, xs), quantity)(s)
+                np.testing.assert_array_equal(col[law], [float(f"{v:.9g}") for v in exact])
 
     def test_round_trip_parse(self, outputs):
         # schema stability: emitted files parse back with the csv module
@@ -193,11 +206,10 @@ class TestCompare:
         assert np.max(np.abs(col["z_score"][near])) > 5.0
 
     def test_solver_oracle_pass_small(self, tmp_path):
-        # the classical law is scored against Case's expansion; --oracle-nodes
-        # is accepted and ignored
+        # the classical law is scored against Case's expansion
         code = run_cli("compare", "--model", "classical", "--sigma-t", "1", "--sigma-s", "0.5",
                        "--histories", "100000", "--batches", "100", "--seed", "5",
-                       "--oracle-nodes", "512", "--out", str(tmp_path))
+                       "--out", str(tmp_path))
         assert code == 0
 
     def test_sp3_high_scattering_pass(self, tmp_path):
@@ -421,12 +433,19 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.json")) == 1
 
-    def test_every_config_key_is_a_flag(self):
-        # a key that no flag sets is a knob that only a config file can turn
-        subcommands = next(action for action in build_parser()._actions
-                           if isinstance(action, argparse._SubParsersAction)).choices
-        dests = {action.dest for sub in subcommands.values() for action in sub._actions}
-        assert not _CONFIG_KEYS - dests
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "oracle_nodes", 10), ("compare", "points", 1),
+        ("curves", "histories", 2000), ("reference", "oracle_model", "sp2")])
+    def test_other_commands_key_is_unknown(self, tmp_path, capsys, command, key, value):
+        # a command's config keys are its own flags: another command's key
+        # would be ignored or, worse, refuse the run over a value never read
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "new" / "out"
+        assert run_cli(command, "--config", str(config_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err
+        assert not (tmp_path / "new").exists()
 
     def test_source_strength_is_an_unknown_key(self, tmp_path, capsys):
         config_path = tmp_path / "q2.json"
@@ -438,9 +457,13 @@ class TestConfigHandling:
 
 
 class TestExitCodes:
-    def test_invalid_medium(self, tmp_path):
-        assert run_cli("simulate", "--sigma-t", "1", "--sigma-s", "1.5",
-                       "--out", str(tmp_path)) == 1
+    @pytest.mark.parametrize("command", ["simulate", "reference", "compare"])
+    def test_invalid_medium(self, tmp_path, capsys, command):
+        # each command that reads sigma_s refuses sigma_s > sigma_t before any work
+        out = tmp_path / "new" / "out"
+        assert run_cli(command, "--sigma-t", "1", "--sigma-s", "1.5", "--out", str(out)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_invalid_batching(self, tmp_path):
         assert run_cli("simulate", "--histories", "5", "--batches", "10",
@@ -565,21 +588,31 @@ class TestExitCodes:
         config_path.write_text(json.dumps({"points": 61.0, "out": str(tmp_path)}))
         assert run_cli("curves", "--config", str(config_path)) == 0
 
-    def test_oracle_grid_too_short_for_shells(self, tmp_path):
-        # compare has no oracle grid: --oracle-rmax is accepted, and every
-        # shell out to --rmax gets the closed form
+    def test_oracle_grid_too_short_for_shells(self, tmp_path, capsys):
+        # compare has no oracle grid: every shell out to --rmax gets the
+        # closed form
         args = ("compare", "--model", "classical", "--sigma-t", "1", "--sigma-s", "0.5",
                 "--histories", "2000", "--batches", "10", "--rmax", "10")
-        code = run_cli(*args, "--oracle-rmax", "6", "--out", str(tmp_path))
-        assert code != 1
+        assert run_cli(*args, "--out", str(tmp_path)) != 1
         _, _, col = read_csv(tmp_path / "compare.csv")
         assert col["f_oracle"].size == 64
         assert np.all(np.isfinite(col["f_oracle"]))
-        # nor does it read the grid's other flags: its output is unchanged
-        other = tmp_path / "other"
-        assert run_cli(*args, "--oracle-nodes", "100000", "--oracle-tol", "0.5",
-                       "--oracle-rmax", "30", "--out", str(other)) == code
-        assert (other / "compare.csv").read_bytes() == (tmp_path / "compare.csv").read_bytes()
+        # and it takes none of the grid's flags: each is a usage error
+        for flag, value in (("--oracle-nodes", "100000"), ("--oracle-tol", "0.5"),
+                            ("--oracle-rmax", "30")):
+            other = tmp_path / "other"
+            assert run_cli(*args, flag, value, "--out", str(other)) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not other.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("curves", "--model", "sp3"), ("curves", "--sigma-s", "0"), ("curves", "--seed", "2"),
+        ("reference", "--oracle-model", "sp2")],
+        ids=["curves-model", "curves-sigma-s", "curves-seed", "reference-oracle-model"])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, args):
+        assert run_cli(*args, "--out", str(tmp_path / "out")) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_oracle_nonconvergence_is_internal_fault(self, tmp_path, monkeypatch):
         from nonclassical_mc import ConvergenceError
@@ -590,3 +623,58 @@ class TestExitCodes:
         monkeypatch.setattr("nonclassical_mc.cli.solve_integral_equation", stalled)
         assert run_cli("reference", "--model", "sp2", "--sigma-t", "1",
                        "--sigma-s", "0.5", "--out", str(tmp_path)) == 3
+
+
+class TestEachCommandReadsItsFlags:
+    """A flag the command never reads is a knob that changes nothing, and a
+    config key of it would move a run manifest's hash with no effect."""
+
+    FLAGS = {
+        "curves": "--config --out --sigma-t --s-min --s-max --points",
+        "simulate": "--config --out --model --sigma-t --sigma-s --seed --histories --batches "
+                    "--rmax --shells --capture",
+        "reference": "--config --out --model --sigma-t --sigma-s --seed --oracle-tol "
+                     "--oracle-nodes --oracle-rmax",
+    }
+    FLAGS["compare"] = FLAGS["simulate"] + " --oracle-model"
+    # reference reads no seed; it takes --seed so that one argument list (the
+    # benchmark's, for one) serves every command
+    UNREAD = {"reference": {"seed"}}
+    SMALL = ["--histories", "200", "--batches", "10"]
+
+    @staticmethod
+    def subparser(command):
+        return next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices[command]
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_accepted_flags(self, command):
+        options = {option for action in self.subparser(command)._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert options == set(self.FLAGS[command].split())
+
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--points", "11"],
+        ["simulate", *SMALL],
+        ["simulate", "--capture", "implicit", *SMALL],
+        ["reference", "--oracle-nodes", "256"],
+        ["compare", *SMALL],
+        ["compare", "--oracle-model", "sp2", *SMALL],
+    ], ids=["curves", "simulate-analog", "simulate-implicit", "reference", "compare",
+            "compare-oracle-model"])
+    def test_every_flag_is_read(self, argv, tmp_path, monkeypatch):
+        monkeypatch.setenv("NONCLASSICAL_MC_WORKERS", "1")
+        read = set()
+
+        class Recording(RunManifest):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        args = build_parser().parse_args(argv + ["--out", str(tmp_path)])
+        manifest = _manifest_from_args(args)
+        manifest.__class__ = Recording  # record only what the command itself reads
+        assert args.run(manifest) in (0, 2)
+        command = argv[0]
+        dests = {action.dest for action in self.subparser(command)._actions} - {"help", "config"}
+        assert dests - read == self.UNREAD.get(command, set())
