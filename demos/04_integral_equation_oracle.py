@@ -2,7 +2,7 @@
 
 The collision density obeys f = c K[f] + first flight, where K convolves
 with the flight kernel p(s)/(4 pi s^2) reduced to radial form. This script
-solves it for each law as one symmetric Toeplitz system (O(M^2) time,
+solves it for each law as one symmetric Toeplitz system (O(M log M) time,
 O(M) memory), checks it against the exact closed form of every law
 (partial fractions for diffusion, sp2 and sp3; Case's discrete mode plus
 continuum for the classical law), shows that the solver's error falls as

@@ -113,15 +113,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: str, name: str, metadata: dict, header: list[str], rows) -> None:
+def _write_csv(out: str, name: str, metadata: dict, header: list[str], columns) -> None:
+    """Write the metadata lines, the header and one row per entry of the
+    columns: integer columns as integers, the rest to 9 significant digits."""
+    columns = [np.asarray(column) for column in columns]
+    template = ",".join("{:d}" if column.dtype.kind in "iu" else "{:.9g}"
+                        for column in columns) + "\n"
     path = os.path.join(out, name)
     try:
         with open(path, "w", newline="") as fh:
             for key, value in metadata.items():
                 fh.write(f"# {key}={_fmt(value)}\n")
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(template.format(*row)
+                          for row in zip(*(column.tolist() for column in columns)))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
@@ -141,7 +146,7 @@ def cmd_curves(manifest: RunManifest) -> int:
     header = ["s", *(kind.value for kind in models)]
     for quantity in ("hazard", "density", "cdf"):
         columns = [getattr(model, quantity)(s) for model in models.values()]
-        _write_csv(manifest.out, f"{quantity}.csv", meta, header, zip(s, *columns))
+        _write_csv(manifest.out, f"{quantity}.csv", meta, header, [s, *columns])
     return 0
 
 
@@ -179,10 +184,10 @@ def cmd_simulate(manifest: RunManifest) -> int:
     result = simulate(config)
     elapsed = time.perf_counter() - started
     _warn_capped(result)
-    rows = zip(result.r_edges[:-1], result.r_edges[1:],
-               result.f_mean, result.f_stderr, result.n_scores)
+    columns = [result.r_edges[:-1], result.r_edges[1:],
+               result.f_mean, result.f_stderr, result.n_scores]
     _write_csv(manifest.out, "tally.csv", _tally_metadata(manifest, config, result),
-               ["r_lo", "r_hi", "f_mean", "f_stderr", "n_scores"], rows)
+               ["r_lo", "r_hi", "f_mean", "f_stderr", "n_scores"], columns)
     print(f"collisions/history = {_fmt(result.collisions_per_history)} "
           f"+- {_fmt(result.collisions_per_history_se)}")
     print(f"wall time = {elapsed:.3f} s")
@@ -225,7 +230,7 @@ def cmd_reference(manifest: RunManifest) -> int:
         "mass_error": mass_error,
         "closed_form_gap": gap,
     }
-    _write_csv(manifest.out, "reference.csv", meta, ["r", "f"], zip(grid.nodes, solution.f))
+    _write_csv(manifest.out, "reference.csv", meta, ["r", "f"], [grid.nodes, solution.f])
     print(f"mass_error = {_fmt(mass_error)}")
     print(f"closed_form_gap = {_fmt(gap)}")
     return 0
@@ -330,9 +335,9 @@ def cmd_compare(manifest: RunManifest) -> int:
     meta = _tally_metadata(manifest, config, result)
     meta.update({"command": "compare", "oracle_model": oracle_kind, **counts,
                  "verdict": "PASS" if passed else "FAIL"})
-    rows = zip(result.r_mid, result.f_mean, result.f_stderr, f_oracle, z)
+    columns = [result.r_mid, result.f_mean, result.f_stderr, f_oracle, z]
     _write_csv(manifest.out, "compare.csv", meta,
-               ["r_mid", "f_mc", "stderr", "f_oracle", "z_score"], rows)
+               ["r_mid", "f_mc", "stderr", "f_oracle", "z_score"], columns)
     print(f"verdict: {meta['verdict']} "
           f"({counts['shells_over_3sigma']}/{counts['eligible_shells']} eligible shells "
           f"over 3 sigma, {counts['allowed_over_3sigma']} allowed; "

@@ -14,9 +14,8 @@ Two oracles are provided:
 Both run on numpy alone: the classical profile's exponential integral E1
 is computed here, and the Toeplitz solve is preconditioned conjugate
 gradients for T^-1 e_0 (O(M log M) per iteration, a handful of
-iterations), the Gohberg-Semencul inverse applied by np.fft and one
-refinement step; the three direct sums of the residuals and column sums
-cost O(M^2).
+iterations), the Gohberg-Semencul inverse applied by np.fft and
+refinement against exponentially scaled FFT residuals, O(M log M) in all.
 
 The 3-D convolution with kernel p(|x - x'|) / (4 pi |x - x'|^2) reduces,
 for spherically symmetric fields, to the 1-D form
@@ -177,6 +176,7 @@ def _operator(model: PathLengthModel, grid: RadialGrid, c: float):
 
 
 CG_MAX_ITERATIONS = 64  # _first_column's cap; it took 2 to 9 on every law tried
+SCALE_LIMIT = -math.log(EPS)  # ln(1/eps): the most e-folds a refinement step scales by
 
 
 def _first_column(tau: np.ndarray) -> np.ndarray:
@@ -189,14 +189,17 @@ def _first_column(tau: np.ndarray) -> np.ndarray:
     preconditioner the same with 1 / ft. As tau[k] <= 0 for k >= 1, ft is
     at least the symbol at theta = 0, sum_k tau[|k|]; near c = 1 the
     quadrature's excess mass can make that negative while T itself stays
-    definite, and CG converges all the same. CG stops once the residual's
-    2-norm is eps (|e_0| = 1); a zero or NaN in ft leaves x non-finite and
-    the cap leaves it unconverged, which the solver's checks refuse."""
+    definite, and CG converges all the same. An exact 0 in ft (a symbol
+    summing to 0, as a 1-D Laplacian's does) gets a reciprocal of 0: the
+    preconditioner, a leading block of that circulant pseudo-inverse, stays
+    definite on vectors padded with zeros. CG stops once the residual's
+    2-norm is eps (|e_0| = 1); a NaN in ft leaves x non-finite and the cap
+    leaves it unconverged, which the solver's checks refuse."""
     n = tau.size
     nfft = 1 << (2 * n - 1).bit_length()
     rho = tau / tau[0]
     ft = np.fft.rfft(np.concatenate((rho, np.zeros(nfft - 2 * n + 1), rho[:0:-1]))).real
-    preconditioner = 1.0 / ft
+    preconditioner = np.divide(1.0, ft, out=np.zeros(ft.size), where=ft != 0.0)
 
     def block(spectrum, v):
         return np.fft.irfft(spectrum * np.fft.rfft(v, nfft), nfft)[:n]
@@ -244,21 +247,40 @@ def _gohberg_semencul(x: np.ndarray):
     return solve
 
 
-def _toeplitz_apply(tau: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows 1..M of T applied to the odd extension of x, as a direct sum."""
-    m = x.size
-    return np.convolve(np.concatenate((tau[m - 1:0:-1], tau)),
-                       np.concatenate((-x[::-1], [0.0], x)), "valid")
+def _scaled_toeplitz(tau: np.ndarray, kappa: float):
+    """The map from x to rows 1..M of T applied to the odd extension of x, as
+    one FFT product of E T E^-1 and E x scaled back by E^-1, with
+    E = diag(e^{kappa n}) on the nodes n = -M..M (kappa per node spacing).
+
+    The FFT's rounding is relative to the largest entries of the pair. For
+    kappa = 0 that is eps max|T||x| in every row. With kappa near the decay
+    rate of x's tail, E x is nearly flat and the scaled symbol tau_k e^{kappa k}
+    still decays (the kernel falls faster than the collision density), so
+    every row is accurate to its own |T||x|. The spectrum is built once per
+    call; each product is O(M log M).
+    """
+    m = tau.size // 2
+    nfft = 1 << (3 * m - 1).bit_length()
+    lags = np.arange(1 - m, 2 * m + 1)
+    spectrum = np.fft.rfft(np.concatenate((tau[m - 1:0:-1], tau)) * np.exp(kappa * lags), nfft)
+    weight = np.exp(kappa * np.arange(-m, m + 1))
+
+    def apply(x):
+        odd = np.concatenate((-x[::-1], [0.0], x)) * weight
+        return np.fft.irfft(spectrum * np.fft.rfft(odd, nfft), nfft)[2 * m:3 * m] / weight[m + 1:]
+
+    return apply
 
 
 @dataclass(frozen=True)
 class RadialSolution:
     """Collision density on the grid plus the origin point mass (sp2 only).
 
-    residual is the relative fixed-point residual of f on the grid and
-    rcond the reciprocal 1-norm condition number 1 / (||A||_1 ||A^-1||_1)
-    of the solved matrix A (1 for a pure absorber, where no matrix is
-    solved); solve_integral_equation reads ||A||_1 off a direct sum and
+    residual is the relative fixed-point residual of f on the grid, taken
+    by the last refinement step's scaled FFT product, and rcond the
+    reciprocal 1-norm condition number 1 / (||A||_1 ||A^-1||_1) of the
+    solved matrix A (1 for a pure absorber, where no matrix is solved);
+    solve_integral_equation reads ||A||_1 off an unscaled FFT product and
     ||A^-1||_1 off a second right-hand side of the same solve, exactly but
     for the last node while A^-1 >= 0, which solve_integral_equation
     checks as f >= 0.
@@ -291,12 +313,18 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     in a few O(M log M) iterations, the Gohberg-Semencul formula applies
     T^-1 to three right-hand sides at once (D first flight, D G^-1 e for
     rcond and S's last-column correction u, which Sherman-Morrison folds
-    in), and one refinement step against a directly summed residual
-    brings f to working precision. The three O(M^2) direct sums (that
-    residual, A's column sums and the reported residual) dominate; memory
-    is O(M). For the sp2 law the atom term c (4/9) f is the same-radius
-    redeposition, and the origin point mass M = (4/9) / (1 - 4c/9) feeds
-    the volumetric first-flight source.
+    in), and refinement brings f to working precision against residuals
+    that are FFT products scaled by e^{kappa r}, kappa the closed form's
+    slowest decay (see _scaled_toeplitz). The first x's tail is rounding
+    noise of about eps max|x|, so step j scales by at most
+    e^{j ln(1/eps)} at r_max: one step when kappa r_max <= ln(1/eps), else
+    a second at min(kappa, 2 ln(1/eps) / r_max), whose product also gives
+    the reported residual. Where kappa r_max exceeds 2 ln(1/eps), as on a
+    1,000-mfp sp3 domain, f below about eps e^{-2 ln(1/eps) r / r_max} of
+    its peak is rounding. Time is O(M log M) and memory O(M). For the sp2
+    law the atom term c (4/9) f is the same-radius redeposition, and the
+    origin point mass M = (4/9) / (1 - 4c/9) feeds the volumetric
+    first-flight source.
     Raises ConvergenceError when the matrix is singular (rcond below machine
     epsilon), f is not finite, the fixed-point residual
     max|c(atom f + K f) + src - f| / max|f| is not below tol, or f dips
@@ -327,19 +355,28 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
         # Sherman-Morrison: S^-1 b = z_b - z_u z_b[M] / (1 + z_u[M]), z = T^-1 b
         zu = z[:, 2] / (1.0 + z[-1, 2])
         x, y = (z[:, :2] - np.outer(zu, z[-1, :2])).T
-        # one refinement step: the FFT's rounding is relative to max|x|, and
-        # a residual summed directly brings the tail to working precision
-        dx = inverse((r * src - _toeplitz_apply(tau, x) - u * x[-1])[:, None])[:, 0]
-        x += dx - zu * dx[-1]
+        # kappa is read after the three-column solve, which sets the peak
+        # memory: read before it, it added 0.25 MB to the 3,072-node peak RSS
+        kappa = _slowest_decay(model) * grid.spacing
+        if not 0.0 < kappa < math.inf:  # a mixture make_model does not build may have none
+            kappa = 0.0
+        # x's tail is eps max|x| noise until refined, which E must not lift
+        # above max|x|: step j scales by at most e^{j ln(1/eps)} at r_max
+        for step in (1, 2):
+            product = _scaled_toeplitz(tau, min(kappa, step * SCALE_LIMIT / grid.m))
+            dx = inverse((r * src - product(x) - u * x[-1])[:, None])[:, 0]
+            x += dx - zu * dx[-1]
+            if kappa * grid.m <= step * SCALE_LIMIT:
+                break
         f = x / r
-        # A's column sums D S^T D^-1 e, with S^T = T + e_M u^T on odd vectors
-        colsum = r * _toeplitz_apply(tau, 1.0 / r)
+        # A's column sums D S^T D^-1 e, with S^T = T + e_M u^T on odd vectors;
+        # 1/r does not decay, so the product is unscaled
+        colsum = r * _scaled_toeplitz(tau, 0.0)(1.0 / r)
         colsum[-1] += r[-1] * (u @ (1.0 / r))
         diag = tau[0] - tau[2::2]
         diag[-1] += u[-1]
         rcond = 1.0 / (np.max(2.0 * diag - colsum) * np.max(np.abs(g * y / r)))
-        residual = float(np.max(np.abs(src - (_toeplitz_apply(tau, x) + u * x[-1]) / r))
-                         / np.max(np.abs(f)))
+        residual = float(np.max(np.abs(src - (product(x) + u * x[-1]) / r)) / np.max(np.abs(f)))
     if not rcond >= EPS:
         raise ConvergenceError(f"oracle matrix is singular (rcond {rcond:.3e}, c={c})",
                                residual=math.inf, iterations=1)
@@ -356,6 +393,7 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
 
 
 CONTINUUM_NODES = 256  # Gauss-Legendre nodes on the classical law's continuum
+SECULAR_MAX_STEPS = 100  # _secular_gaps' cap; Newton from eigvalsh takes a few
 
 
 @dataclass(frozen=True)
@@ -395,16 +433,67 @@ class ClosedForm:
         return out
 
 
+def _secular_gaps(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """delta_j = d_j - lambda_j for the eigenvalues lambda_j of diag(d) - v v^T,
+    d ascending and v nonzero.
+
+    lambda_j is a root of the secular equation 1 = sum_i v_i^2 / (d_i - lambda),
+    and so delta_j of 1 = sum_i v_i^2 / (d_i - d_j + delta), which is solved for
+    delta directly, as LAPACK's dlaed4 does: subtracting an eigenvalue from d_j
+    would cancel as delta_j -> 0 with c. Each root is the one zero of that
+    decreasing sum on its interlacing bracket (0, d_j - d_{j-1}), or
+    (0, 2 |v|^2) for j = 1; Newton's step starts from eigvalsh and falls back
+    to bisection whenever it leaves the bracket.
+    """
+    v2 = v * v
+    gaps = d - np.linalg.eigvalsh(np.diag(d) - np.outer(v, v))
+    for j in range(d.size):
+        a = d - d[j]
+        lo, hi = 0.0, (d[j] - d[j - 1] if j else 2.0 * v2.sum())
+        delta = gaps[j]
+        for _ in range(SECULAR_MAX_STEPS):
+            if not lo < delta < hi:
+                delta = 0.5 * (lo + hi)
+            t = v2 / (a + delta)
+            g = t.sum() - 1.0
+            lo, hi = (delta, hi) if g > 0.0 else (lo, delta)
+            step = g / np.sum(t / (a + delta))
+            delta += step
+            if not abs(step) > EPS * delta:
+                break
+        gaps[j] = delta
+    return gaps
+
+
 def _mixture_modes(model: PathLengthModel):
     """Decays and amplitudes at sigma_t = 1 of a rational law (see closed_form)."""
     atom, c = model.atom_at_zero, model.xs.c
     mu, w = np.array(model.mu), np.array(model.weights)
     if c == 0.0:
         return mu, w * mu * mu
-    v = mu * np.sqrt(c * w / (1.0 - c * atom))
-    lam = np.linalg.eigvalsh(np.diag(mu * mu) - np.outer(v, v))
-    gap = np.subtract.outer(mu * mu, lam)
-    return np.sqrt(lam), 1.0 / (c * c * ((w * mu * mu) @ gap**-2))
+    order = np.argsort(mu)
+    mu, w = mu[order], w[order]
+    d = mu * mu
+    delta = _secular_gaps(d, mu * np.sqrt(c * w / (1.0 - c * atom)))
+    gap = np.subtract.outer(d, d) + delta  # d_i - lambda_j
+    return np.sqrt(d - delta), 1.0 / (c * c * ((w * d) @ gap**-2))
+
+
+def _case_root(c: float) -> float:
+    """1/nu0, the root of c artanh(x) = x in (0, 1), by bisection; 1 when nu0 - 1
+    rounds to 0, which is then the smallest decay of the continuum."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if c * math.atanh(mid) > mid else (mid, hi)
+    return hi
+
+
+def _slowest_decay(model: PathLengthModel) -> float:
+    """The smallest decay of closed_form(model), 1/length, read without its
+    balance check: the rate at which the collision density's tail falls."""
+    if model.mu:
+        return model.xs.sigma_t * float(np.min(_mixture_modes(model)[0]))
+    return model.xs.sigma_t * _case_root(model.xs.c)
 
 
 def _classical_modes(c: float):
@@ -416,9 +505,7 @@ def _classical_modes(c: float):
     artanh = 0.5 * np.log((2.0 - u) / u)
     rho = 1.0 / (t * t * ((1.0 - c * t * artanh) ** 2 + (0.5 * math.pi * c * t) ** 2))
     decay, amplitude = 1.0 / t, 2.0 * g * (1.0 - s) ** 3 * rho
-    lo, hi = 0.0, 1.0  # brackets 1/nu0, the root of c artanh(x) = x
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (lo, mid) if c * math.atanh(mid) > mid else (mid, hi)
+    hi = _case_root(c)
     if hi < 1.0:  # else nu0 - 1 rounds to 0 (c = 0, or c below about 0.05): no mode
         nu2 = hi**-2
         r0 = 2.0 * (nu2 - 1.0) / (c * nu2 * (1.0 - (1.0 - c) * nu2))

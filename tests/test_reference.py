@@ -22,10 +22,12 @@ from nonclassical_mc import (
     make_model,
     solve_integral_equation,
 )
-from nonclassical_mc.reference import _exp1, _first_column, _operator, _profile, _profile_integral
+from nonclassical_mc.reference import (_exp1, _first_column, _operator, _profile, _profile_integral,
+                                       _scaled_toeplitz, _slowest_decay)
 
 ALL_KINDS = list(ModelKind)
 NON_CLASSICAL = [kind for kind in ModelKind if kind is not ModelKind.CLASSICAL]
+EXTREME_SCATTERING = (1e-12, 1e-9, 1e-6, 1e-4, 0.5, 0.99, 1.0 - 1e-9)
 MASS_CASES = ([(kind, c) for c in (0.0, 0.5, 0.9, 0.99) for kind in NON_CLASSICAL]
               + [(ModelKind.CLASSICAL, c)
                  for c in (0.0, 1e-3, 0.03, 0.07, 0.1, 0.5, 0.9, 0.99, 0.999)])
@@ -229,6 +231,22 @@ class TestClosedForms:
         exact = closed_form(make_model(kind, CrossSectionSpec(3.0, 3.0 * 0.99999)))
         assert np.all(exact.decay > 0.0)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("scattering", EXTREME_SCATTERING)
+    def test_balance_from_weak_to_near_critical_scattering(self, kind, scattering):
+        # the secular equation is solved for each gap mu_j^2 - lambda_j, so
+        # nothing cancels as c -> 0 (subtracting eigvalsh's lambda_j from
+        # mu_j^2 missed the balance by up to 1.2e-4 at c = 1e-12); the
+        # bound is closed_form's own, 1e-12 / (1 - c)
+        xs = CrossSectionSpec(1.0, scattering)
+        exact = closed_form(make_model(kind, xs))
+        total = exact.origin_mass + float(np.sum(exact.amplitude / exact.decay**2))
+        assert abs((1.0 - scattering) * total - 1.0) <= 1e-12 / (1.0 - scattering)
+        if scattering <= 1e-6:  # f tends to the first flight as c -> 0
+            r = np.array([0.05, 1.0, 5.0])
+            first_flight = closed_form(make_model(kind, CrossSectionSpec(1.0, 0.0))).density(r)
+            np.testing.assert_allclose(exact.density(r), first_flight, rtol=1e-4)
+
     def test_complex_poles_rejected(self):
         # a mixture with a negative weight is no law make_model builds: its
         # secular equation has no real root there, and the closed form refuses
@@ -292,6 +310,14 @@ def dense_operator(tau, u):
     s = tau[np.abs(n[:, None] - n)] - tau[n[:, None] + n]
     s[:, -1] += u
     return s
+
+
+def toeplitz_direct(tau, x):
+    """Rows 1..M of T applied to the odd extension of x as a direct O(M^2)
+    sum: the oracle of _scaled_toeplitz."""
+    m = x.size
+    return np.convolve(np.concatenate((tau[m - 1:0:-1], tau)),
+                       np.concatenate((-x[::-1], [0.0], x)), "valid")
 
 
 class TestCollisionMatrix:
@@ -487,6 +513,61 @@ class TestSolver:
         assert np.all(solution.f > 0.0)
 
 
+REFINED = RadialGrid(60.0, 3072)  # the benchmark's refined oracle grid
+
+
+class TestScaledProduct:
+    @pytest.mark.parametrize("kind, scattering", [("sp3", 0.3), ("sp3", 0.99), ("sp2", 0.5),
+                                                  ("classical", 0.5)])
+    def test_every_row_is_accurate(self, kind, scattering):
+        # on the solver's own x = r f, scaled by the closed form's slowest
+        # decay, each row is within 1e-13 of the direct sum relative to
+        # that row's |T||x| (a plain FFT product misses by up to 2.4e12 at
+        # sp3 c = 0.3); classical c = 0.5 scales by 57 e-folds at r_max
+        xs = CrossSectionSpec(1.0, scattering)
+        model = make_model(kind, xs)
+        tau, _ = _operator(model, REFINED, scattering)
+        x = REFINED.nodes * solve_integral_equation(model, xs, REFINED).f
+        kappa = _slowest_decay(model) * REFINED.spacing
+        assert kappa * REFINED.m <= 72.0
+        product = _scaled_toeplitz(tau, kappa)(x)
+        bound = toeplitz_direct(np.abs(tau), np.abs(x))
+        assert np.max(np.abs(product - toeplitz_direct(tau, x)) / bound) < 1e-13
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_long_refined_domain_solves(self, kind):
+        # c = 0.5 on [0, 60] scales by 57 to 66 e-folds at r_max, more than
+        # the first solve's eps max|x| noise allows at once: refining in one
+        # step scaled there left residuals of 1.5e-10 to 5.7e-2, and one
+        # step scaled by ln(1/eps) alone leaves f 1e-9 off where it is 1e-16
+        # of its peak; f matches LAPACK down to there
+        xs = CrossSectionSpec(1.0, 0.5)
+        model = make_model(kind, xs)
+        assert _slowest_decay(model) * REFINED.r_max > 36.0
+        solution = solve_integral_equation(model, xs, REFINED)
+        assert solution.residual < 1e-14
+        # f falls by 1e-30 to 1e-35 over the domain: below that, rounding
+        assert np.min(solution.f) >= -1e-30 * np.max(solution.f)
+        r = REFINED.nodes
+        src = (xs.c * solution.origin_mass + 1.0) * point_kernel(model, r)
+        f = linalg.solve(dense_operator(*_operator(model, REFINED, xs.c)), r * src) / r
+        above = f > 1e-16 * np.max(f)
+        np.testing.assert_allclose(solution.f[above], f[above], rtol=1e-12, atol=0.0)
+
+    def test_thousand_mean_free_paths_stay_finite(self):
+        # sp3 c = 0.3 decays by 1,100 e-folds over [0, 1000]; each step's
+        # scaling stays below e^{2 ln(1/eps)} at r_max, so nothing overflows
+        xs = CrossSectionSpec(1.0, 0.3)
+        model = make_model("sp3", xs)
+        grid = RadialGrid(1000.0, 1024)
+        solution = solve_integral_equation(model, xs, grid)
+        assert np.all(np.isfinite(solution.f))
+        assert solution.residual < 1e-14
+        near = grid.nodes <= 10.0
+        exact = closed_form(model).density(grid.nodes[near])
+        np.testing.assert_allclose(solution.f[near], exact, rtol=0.3)
+
+
 class TestShellAverages:
     def test_function_averages_match_analytic(self):
         # analytic shell integral of the diffusion closed form:
@@ -569,6 +650,31 @@ class TestAgainstScipy:
         with pytest.raises(ConvergenceError, match="singular") as excinfo:
             solve_integral_equation(make_model("diffusion", xs), xs, grid)
         assert "rcond 0.000e+00" not in str(excinfo.value)
+
+    def test_zero_in_the_circulant_spectrum_is_solved(self, grid, monkeypatch):
+        # tau = (1, -0.5, 0, ..) is a definite 1-D Laplacian whose circulant
+        # spectrum is exactly 0 at theta = 0; that zero's reciprocal is
+        # guarded, where it once made the solve refuse T as singular (rcond
+        # nan). The Laplacian's solution does not decay like the law's
+        # collision density, so the scaled residuals, and with them f, are
+        # good to 1.3e-10 of LAPACK here (a direct residual sum gave 3e-13)
+        xs = CrossSectionSpec(1.0, 0.5)
+        model = make_model("sp3", xs)
+        m = grid.nodes.size
+        tau, u = np.zeros(2 * m + 1), np.zeros(m)
+        tau[:2] = 1.0, -0.5
+        monkeypatch.setattr("nonclassical_mc.reference._operator", lambda model, g, c: (tau, u))
+        levinson = linalg.solve_toeplitz(tau, np.eye(1, tau.size)[0])
+        assert np.max(np.abs(_first_column(tau) - levinson)) <= 1e-11 * np.max(levinson)
+        solution = solve_integral_equation(model, xs, grid)
+        r = grid.nodes
+        s = dense_operator(tau, u)
+        f = linalg.solve(s, r * point_kernel(model, r)) / r
+        np.testing.assert_allclose(solution.f, f, rtol=1e-9, atol=0.0)
+        # rcond is 1 / (||A||_1 ||A^-1||_1), A = D^-1 S D, exact but for the
+        # last node's half weight
+        assert solution.rcond == pytest.approx(1.0 / np.linalg.cond(s * r / r[:, None], 1),
+                                               rel=1e-4)
 
     @pytest.mark.parametrize("scattering", [1.01, 1.1, 3.0])
     def test_indefinite_symbol_is_solved_or_refused(self, grid, monkeypatch, scattering):
