@@ -256,23 +256,25 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
             if w is not None:
                 w = w[ok]
         out["collisions"][held] += live[held]
-        out["zero_length"][held] += np.bincount(batch[s == 0.0], minlength=nh)
+        out["zero_length"][held] += np.bincount(batch.take(np.flatnonzero(s == 0.0)),
+                                                minlength=nh)
         # the uniform grid's shell, estimated within one of the true index (at
         # most k_shells, as r < r_max) and corrected against the edges: exactly
         # searchsorted(edges, r, "right") - 1
         hit = radius < r_max
-        r = radius[hit]
+        hit = None if hit.all() else np.flatnonzero(hit)  # None: every lane is on the grid
+        r, scored = (radius, batch) if hit is None else (radius.take(hit), batch.take(hit))
         shell = (r * to_shell).astype(np.intp)
         shell -= r < edges[shell]
         shell += r >= edges[shell + 1]
-        cell = batch[hit] * k_shells + shell
+        cell = scored * k_shells + shell
         cells = slice(lo * k_shells, hi * k_shells)
         out["scores"][cells] += np.bincount(cell, minlength=nh * k_shells)
         step += 1
         if analog:
             alive = xi >= 1.0 - c
         else:
-            np.add.at(out["weight"][cells], cell, w[hit])
+            np.add.at(out["weight"][cells], cell, w if hit is None else w.take(hit))
             out["absorbed_weight"][held] += np.bincount(batch, w * (1.0 - c), minlength=nh)
             w = w * c
             # roulette below the cutoff (a loser's weight is boosted too, then dropped)
