@@ -27,8 +27,9 @@ for nominal in (0.9999, 2.0 / np.e, 0.25, 6.0 * np.exp(-5.0), 1e-9):
           f"residual {abs((1+z)*np.exp(-z) - y):.1e}")
 
 print(f"\n=== {n:,} samples per law, stream (seed=7, id=0) ===")
-# variate i of the stream is lane i % 4 of the Philox block at counter i // 4
-xi = uniforms_at(7, [0], [0], [n // 4]).T.ravel()
+# variate i of the stream is double i % 3 of counter i // 3: double i of the
+# key's PCG64DXSM stream
+xi = uniforms_at(7, [0], [0], [-(-n // 3)]).T.ravel()[:n]
 probes = np.linspace(0.0, 10.0, 101) / xs.sigma_t
 print(f"  {'law':10s} {'mean':>9s} {'+-':>8s} {'2nd mom':>9s} {'+-':>8s} "
       f"{'zero frac':>10s} {'max ECDF gap':>13s}")

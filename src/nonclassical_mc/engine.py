@@ -7,19 +7,20 @@ capture, probability 1 - c) or scatters isotropically with the path-length
 coordinate reset to zero. Zero-length sp2 flights score in the shell
 containing the current position and still roll the absorption test.
 
-Every variate comes from the counter-based Philox4x64-10 blocks of
-``rng``. A batch's collision j reads key (seed, j): the r-th live history
-of the batch, counting in history order, reads the counter s + r, where s
-is the id of the batch's first history. So a history's first collision
-reads counter h, and a batch of one history reads (seed, j; h) at every
-collision j. A batch reads key j first at its collision j, and which
-counter a history takes there depends only on earlier blocks, so given
-the past the variates of collision j are independent and uniform. Each
-block spends its lanes on one collision: lane 0 gives flight j's cosine to
-the radius vector (at birth for j = 0, after the scatter after that), lane 1
-is not read, lane 2 gives the flight variate, and lane 3 the analog capture
-test, or in implicit capture the roulette test, which decides only for the
-lanes whose weight falls below the cutoff. The result of a run is
+Every variate comes from the random-access streams of ``rng``: one
+PCG64DXSM stream per key, whose counter h holds three doubles. A batch's
+collision j reads key (seed, j): the r-th live history of the batch,
+counting in history order, reads the counter s + r, where s is the id of
+the batch's first history. So a history's first collision reads counter h,
+and a batch of one history reads (seed, j; h) at every collision j. A batch
+reads key j first at its collision j, and which counter a history takes
+there depends only on earlier variates, so given the past the variates of
+collision j are independent and uniform. A counter's three doubles are
+spent on one collision: u[0] gives flight j's cosine to the radius vector
+(at birth for j = 0, after the scatter after that), u[1] the flight
+variate, and u[2] the analog capture test, or in implicit capture the
+roulette test, which decides only for the lanes whose weight falls below
+the cutoff. The result of a run is
 therefore a pure function of (seed, histories, batches) no matter how
 batches are distributed over worker processes (set NONCLASSICAL_MC_WORKERS
 to override the default of all CPUs the process may run on).
@@ -193,7 +194,7 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
     lockstep. Each step makes one ``uniforms_at`` call with one run of
     counters per batch, keyed by the batch's collision index (module
     docstring); lanes stay sorted by batch and history, so the call's
-    columns line up with the lanes. One block is used per collision, plus
+    columns line up with the lanes. One counter is used per collision, plus
     one per faulted flight, and a batch's histories still live after
     max_collisions collisions are capped. edges must be the grid
     np.linspace(0, r_max, shells + 1) builds (else ValueError).
@@ -244,9 +245,9 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         held = slice(lo, hi)
         nh = hi - lo
         u = uniforms_at(seed, step - admitted[held], firsts[held], live[held])
-        s = sample_path(model, u[2])
+        s = sample_path(model, u[1])
         radius = _radius_after(radius, s, u[0])
-        xi = u[3]
+        xi = u[2]
         ok = np.isfinite(radius)
         if not ok.all():
             faulted = np.bincount(batch[~ok], minlength=nh)

@@ -38,6 +38,7 @@ at lag 0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -496,15 +497,26 @@ def _slowest_decay(model: PathLengthModel) -> float:
     return model.xs.sigma_t * _case_root(model.xs.c)
 
 
-def _classical_modes(c: float):
-    """Decays and amplitudes at sigma_t = 1 of the classical law (see closed_form)."""
+@functools.cache
+def _continuum_rule():
+    """The classical continuum's nodes t, their artanh t and the weights
+    2 g (1 - s)^3 of the Gauss-Legendre rule in s (see closed_form): the part
+    of _classical_modes that does not depend on c, built once per process."""
     x, g = np.polynomial.legendre.leggauss(CONTINUUM_NODES)
     s = 0.5 * (x + 1.0)
     u = (1.0 - s) ** 4  # 1 - t, kept apart since t rounds to 1 near s = 1
     t = 1.0 - u
-    artanh = 0.5 * np.log((2.0 - u) / u)
+    rule = t, 0.5 * np.log((2.0 - u) / u), 2.0 * g * (1.0 - s) ** 3
+    for a in rule:
+        a.flags.writeable = False  # shared by every later call
+    return rule
+
+
+def _classical_modes(c: float):
+    """Decays and amplitudes at sigma_t = 1 of the classical law (see closed_form)."""
+    t, artanh, weight = _continuum_rule()
     rho = 1.0 / (t * t * ((1.0 - c * t * artanh) ** 2 + (0.5 * math.pi * c * t) ** 2))
-    decay, amplitude = 1.0 / t, 2.0 * g * (1.0 - s) ** 3 * rho
+    decay, amplitude = 1.0 / t, weight * rho
     hi = _case_root(c)
     if hi < 1.0:  # else nu0 - 1 rounds to 0 (c = 0, or c below about 0.05): no mode
         nu2 = hi**-2

@@ -1,27 +1,38 @@
-"""Counter-based random numbers for reproducible parallel sampling.
+"""Random-access random numbers for reproducible parallel sampling.
 
-A Philox4x64-10 block is a pure function of a two-word key and a counter;
-its four 64-bit lanes give four uniform variates (the top 53 bits of each
-word, numpy's double conversion). Blocks are random-access, so a result
-never depends on how work is split across workers.
+Each key (seed, step) owns a PCG64DXSM stream: numpy's 128-bit LCG with
+the cheap multiplier and its DXSM output function. The stream starts at
+(state, inc) = (w0 + 2**64 w1, w2 + 2**64 w3) with inc forced odd, the
+four 64-bit words of the Philox4x64-10 block (seed, step; counter 0).
+These are the "random starting points" of L'Ecuyer et al., Math. Comput.
+Simul. 135, 3 (2017): streams of a 2**128-period generator started at
+hashed points overlap with negligible probability. Counter h of a key reads
+the stream's doubles 3h, 3h + 1 and 3h + 2 (the top 53 bits of each output
+word, numpy's double conversion), reached by the LCG's jump-ahead, so a
+variate never depends on how work is split across workers.
 
-``uniforms_at`` reads runs of consecutive counters, each under its own key
-(seed, step), through numpy's C Philox: one reader per process, built on
-the first call, serves every run, its state written to each run's key and
-first counter before the run is drawn, so no call leaves anything to the
-next. The reader is shared, so concurrent threads must not call
-``uniforms_at``; worker processes each build their own. The transport
-engine gives each batch in a lockstep step one run of counters, keyed by
-the batch's collision index (see ``engine``).
+``uniforms_at`` reads runs of consecutive counters, each under its own key,
+through numpy's C PCG64DXSM: one reader per process, built on the first
+call, serves every run. A run under the key of the run before it that
+starts at or after that run's end only advances the reader over the gap;
+any other run writes its key's start state (cached per key) and jumps to
+its first counter, so no call leaves anything to the next. The reader is
+shared, so concurrent threads must not call ``uniforms_at``; worker
+processes each build their own. The transport engine gives each batch in
+a lockstep step one run of counters, keyed by the batch's collision index
+(see ``engine``).
 
-``philox4x64_block`` is a numpy emulation of the same block function, with
-the counter (counter, 0, 0, 0); the test suite checks the C path against it
-bit for bit. numpy increments its four-word counter before each block, so
-a generator whose state holds counter k - 1 (all four words set for k = 0,
-which wraps to 0) and an empty buffer yields block k next.
+The start words come from numpy's C Philox. ``philox4x64_block`` is a
+numpy emulation of the same block function, with the counter
+(counter, 0, 0, 0); the test suite checks the start derivation against it.
+numpy increments its four-word counter before each block, so a Philox
+whose counter words are all set (block -1, which wraps) and whose buffer is
+empty yields block 0 next.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -34,7 +45,8 @@ _W1 = np.uint64(0xBB67AE8584CAA73B)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_COUNTER_WRAP = 1 << 256  # numpy's counter is four 64-bit words
+_PERIOD = 1 << 128  # PCG64DXSM's period; numpy's advance takes a jump below it
+_STARTS = 4096  # start states cached per process; a key past them is derived again
 
 
 def _mulhilo(a, m):
@@ -75,36 +87,52 @@ def philox4x64_block(counter, key0, key1):
         return c0, c1, c2, c3
 
 
-_reader = None  # (Philox, its Generator's random, their state dict)
+_reader = None  # (PCG64DXSM, its Generator's random, its state dict, Philox, its state dict)
+
+
+@functools.lru_cache(maxsize=_STARTS)
+def _start(seed: int, step: int) -> tuple[int, int]:
+    """(state, inc) of key (seed, step)'s stream, both key words below 2**64:
+    Philox block (seed, step; 0) read through the reader's Philox."""
+    philox, state = _reader[3:]
+    state["state"]["key"][:] = seed, step
+    philox.state = state
+    w0, w1, w2, w3 = philox.random_raw(4).tolist()
+    return w0 | w1 << 64, w2 | w3 << 64 | 1
 
 
 def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
-    """All four lanes of runs of consecutive Philox blocks.
+    """Three doubles per counter of runs of consecutive counters.
 
     Run i covers the counters firsts[i] .. firsts[i] + counts[i] - 1 of the
     key (seed, step[i]); the runs are laid end to end. Key words wrap modulo
-    2**64. The output is C-contiguous float64 of shape (4, sum(counts)),
-    row k holding lane k, column n the n-th block read. A counter past
-    2**64 - 1 carries into numpy's second counter word.
+    2**64, and a jump modulo the period 2**128. The output is C-contiguous
+    float64 of shape (3, sum(counts)): column n holds the doubles 3h,
+    3h + 1 and 3h + 2 of the n-th counter h read, in rows 0, 1 and 2.
     """
     global _reader
     if _reader is None:
-        bits = np.random.Philox(key=0)
-        state = {"bit_generator": "Philox", "state": {"key": [0, 0], "counter": [0] * 4},
-                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        _reader = bits, np.random.Generator(bits).random, state
-    bits, draw, state = _reader
-    key, counter = state["state"]["key"], state["state"]["counter"]
-    key[0] = seed & _MASK64
+        philox = np.random.Philox(key=0)
+        pcg = np.random.PCG64DXSM(0)
+        _reader = (pcg, np.random.Generator(pcg).random, pcg.state, philox,
+                   {"bit_generator": "Philox", "state": {"key": [0, 0], "counter": [_MASK64] * 4},
+                    "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0})
+    pcg, draw, state = _reader[:3]
+    seed = int(seed) & _MASK64
     counts = [int(n) for n in counts]
-    out = np.empty((sum(counts), 4))
+    out = np.empty((sum(counts), 3))
     end = 0
+    key = at = None  # the reader's key, and the counter it stands at
     for first, run_step, n in zip(firsts, step, counts):
         if n:
-            at = (int(first) - 1) % _COUNTER_WRAP  # an empty buffer reads at + 1 next
-            key[1] = int(run_step) & _MASK64
-            counter[:] = [(at >> shift) & _MASK64 for shift in (0, 64, 128, 192)]
-            bits.state = state
+            first, run_step = int(first), int(run_step) & _MASK64
+            if run_step != key or first < at:
+                state["state"]["state"], state["state"]["inc"] = _start(seed, run_step)
+                pcg.state = state
+                key, at = run_step, 0
+            if first > at:
+                pcg.advance(3 * (first - at) % _PERIOD)
             draw(out=out[end:end + n])
             end += n
-    return out.T.copy()  # unit-stride lanes for the engine's elementwise work
+            at = first + n
+    return out.T.copy()  # unit-stride rows for the engine's elementwise work

@@ -15,7 +15,7 @@ the tests check the diffusion law, S(z) = f(sqrt(3) z), against it.
 
 Sampling is a pure function of (model, xi), applied elementwise with a
 fixed sequence of array operations; all randomness is supplied by the
-caller: the engine passes lane 2 of each step's ``uniforms_at`` block.
+caller: the engine passes row 1 of each step's ``uniforms_at`` doubles.
 """
 
 from __future__ import annotations

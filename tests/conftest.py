@@ -50,12 +50,12 @@ class MomentReport:
 def _stream_uniforms(seed, stream_id, skip, n):
     """Variates skip .. skip + n - 1 of key (seed, stream_id) read as a sequence.
 
-    Variate i is lane i % 4 of the Philox block at counter i // 4, numpy's
-    lane order.
+    Variate i is double i % 3 of counter i // 3: double i of the key's
+    PCG64DXSM stream.
     """
-    first, offset = divmod(skip, 4)
-    blocks = -(-(offset + n) // 4)
-    return uniforms_at(seed, [stream_id], [first], [blocks]).T.ravel()[offset:offset + n]
+    first, offset = divmod(skip, 3)
+    counters = -(-(offset + n) // 3)
+    return uniforms_at(seed, [stream_id], [first], [counters]).T.ravel()[offset:offset + n]
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from nonclassical_mc.engine import (
     _transport_group,
     batch_slices,
 )
-from nonclassical_mc.rng import philox4x64_block
+from emulation import counter_uniforms
 
 ALL_KINDS = list(ModelKind)
 EDGES = np.linspace(0.0, 10.0, 65)
@@ -35,17 +35,12 @@ def small_config(**overrides):
     return ProblemConfig(**params)
 
 
-def block_uniforms(seed, step, counter):
-    """The four variates of Philox block (seed, step; counter), emulated in numpy."""
-    return [(int(word) >> 11) * 2.0**-53 for word in philox4x64_block(counter, seed, step)]
-
-
 class ScalarHistory:
-    """One history, transported collision by collision from blocks it is given.
+    """One history, transported collision by collision from the doubles it is given.
 
-    A block's lane 0 gives the flight's cosine to the radius vector (lane 1
-    is not read), lane 2 the flight variate and lane 3 the capture or
-    roulette test. The radius follows the kernel's recurrence in the
+    A counter's double 0 gives the flight's cosine to the radius vector,
+    double 1 the flight variate and double 2 the capture or roulette
+    test. The radius follows the kernel's recurrence in the
     kernel's order of operations, so the two agree bit for bit. The flight
     length comes from engine.sample_path, looked up at call time, so a
     sampler a test patches in applies to both paths. Records the radius and weight of every scored
@@ -62,7 +57,7 @@ class ScalarHistory:
 
     def collide(self, u):
         c = self.model.xs.c
-        s = float(engine.sample_path(self.model, u[2]))
+        s = float(engine.sample_path(self.model, u[1]))
         along = self.r + s * (2.0 * u[0] - 1.0)
         radius = math.sqrt(along * along + s * s * (4.0 * u[0] * (1.0 - u[0])))
         if not math.isfinite(radius):
@@ -73,7 +68,7 @@ class ScalarHistory:
         self.weights.append(self.weight)
         self.flights.append(s)
         if self.capture == "analog":
-            if u[3] < 1.0 - c:
+            if u[2] < 1.0 - c:
                 self.absorbed += self.weight
                 self.end = "done"
                 return
@@ -81,7 +76,7 @@ class ScalarHistory:
             self.absorbed += self.weight * (1.0 - c)
             self.weight *= c
             if self.weight < WEIGHT_CUTOFF:
-                if u[3] >= ROULETTE_SURVIVAL:
+                if u[2] >= ROULETTE_SURVIVAL:
                     self.end = "done"
                     return
                 self.weight /= ROULETTE_SURVIVAL
@@ -133,10 +128,10 @@ def exact_radius(r, s, u0):
 
 def run_history(model, seed, h, capture="analog", max_collisions=MAX_COLLISIONS):
     """Scalar oracle for a one-history batch: collision j of history h reads
-    block (seed, j; h). Returns (radii, weights, flights, absorbed, end)."""
+    counter h of key (seed, j). Returns (radii, weights, flights, absorbed, end)."""
     history = ScalarHistory(model, capture, max_collisions)
     while history.end is None:
-        history.collide(block_uniforms(seed, len(history.flights), h))
+        history.collide(counter_uniforms(seed, len(history.flights), h))
     return history.radii, history.weights, history.flights, history.absorbed, history.end
 
 
@@ -144,7 +139,7 @@ def history_loop(model, seed, start_id, sizes, edges, capture, max_collisions):
     """The per-batch sums _transport_group returns, replayed one history at a time.
 
     Step-major: at step j, the r-th live history of the batch starting at
-    history s (counting in history order) reads block (seed, j; s + r).
+    history s (counting in history order) reads counter s + r of key (seed, j).
     """
     nb, k = len(sizes), edges.size - 1
     starts = [start_id + sum(sizes[:b]) for b in range(nb)]
@@ -154,7 +149,7 @@ def history_loop(model, seed, start_id, sizes, edges, capture, max_collisions):
     while any(h.end is None for batch in batches for h in batch):
         for first, batch in zip(starts, batches):
             for r, history in enumerate([h for h in batch if h.end is None]):
-                history.collide(block_uniforms(seed, step, first + r))
+                history.collide(counter_uniforms(seed, step, first + r))
         step += 1
     out = {name: np.zeros(nb, dtype=np.int64) for name in (
         "histories", "collisions", "zero_length", "faults", "capped")}
@@ -214,7 +209,7 @@ class TestTransportGroup:
         # the outer edge and beyond score nothing
         flights = np.array([0.0, 1.0, 1.999, 2.0, 5.0])
         monkeypatch.setattr(engine, "uniforms_at", lambda seed, step, firsts, counts:
-                            np.repeat([[1.0], [0.0], [0.0], [0.0]], sum(counts), axis=1))
+                            np.repeat([[1.0], [0.0], [0.0]], sum(counts), axis=1))
         monkeypatch.setattr(engine, "sample_path", lambda model, xi: flights)
         model = make_model("classical", CrossSectionSpec(1.0, 0.0))
         out = _transport_group(model, 0, 0, [flights.size], np.array([0.0, 1.0, 2.0]),
@@ -237,7 +232,7 @@ class TestTransportGroup:
         expected = np.searchsorted(edges, radius, side="right") - 1
         model = make_model("classical", CrossSectionSpec(1.0, 0.0))
         monkeypatch.setattr(engine, "uniforms_at", lambda seed, step, firsts, counts:
-                            np.repeat([[1.0], [0.0], [0.0], [0.0]], sum(counts), axis=1))
+                            np.repeat([[1.0], [0.0], [0.0]], sum(counts), axis=1))
         for lo in range(0, flights.size, 256):
             chunk = slice(lo, lo + 256)
             monkeypatch.setattr(engine, "sample_path", lambda model, xi: flights[chunk])
@@ -255,7 +250,7 @@ class TestTransportGroup:
     ])
     def test_refuses_a_nonuniform_grid(self, edges, monkeypatch):
         # the grid is checked once, before the group's first step
-        counts = TestStreamLayout.count_blocks(monkeypatch)
+        counts = TestStreamLayout.count_reads(monkeypatch)
         model = make_model("diffusion", CrossSectionSpec(1.0, 0.5))
         with pytest.raises(ValueError):
             _transport_group(model, 3, 0, [50, 50], edges, "analog", MAX_COLLISIONS)
@@ -265,7 +260,7 @@ class TestTransportGroup:
     def test_analog_tallies_are_counts(self, kind, monkeypatch):
         # every analog weight is 1: each weight sum is its score count, and
         # every history that neither faulted nor was capped was absorbed
-        TestStreamLayout.count_blocks(monkeypatch)
+        TestStreamLayout.count_reads(monkeypatch)
         model = make_model(kind, CrossSectionSpec(1.0, 0.9))
         out = _transport_group(model, 3, 40, [300, 250, 320], EDGES, "analog", 12)
         assert (out["faults"] > 0).all()
@@ -404,7 +399,7 @@ class TestScalarVectorEquivalence:
 
     @staticmethod
     def check_against_history_loop(kind, capture, monkeypatch):
-        TestStreamLayout.count_blocks(monkeypatch)
+        TestStreamLayout.count_reads(monkeypatch)
         model = make_model(kind, CrossSectionSpec(1.0, 0.5))
         cap = {"analog": 4, "implicit": 8}[capture]
         args = (model, 9, 40, [300, 250, 320], EDGES, capture, cap)
@@ -447,11 +442,11 @@ class TestScalarVectorEquivalence:
 
 class TestStreamLayout:
     @staticmethod
-    def count_blocks(monkeypatch):
+    def count_reads(monkeypatch):
         """Record uniforms_at calls, the (key, first, count) of each run they
-        read and the (key, counter) blocks; fault the flights with xi > 0.995."""
+        read and the (key, counter) pairs; fault the flights with xi > 0.995."""
         real_uniforms, real_sample = engine.uniforms_at, engine.sample_path
-        counts = {"calls": 0, "steps": 0, "runs": [], "blocks": []}
+        counts = {"calls": 0, "steps": 0, "runs": [], "counters": []}
 
         def counting_uniforms(seed, step, firsts, lengths):
             out = real_uniforms(seed, step, firsts, lengths)
@@ -459,8 +454,8 @@ class TestStreamLayout:
                     for key, first, n in zip(np.broadcast_to(step, len(lengths)), firsts, lengths)]
             counts["calls"] += 1
             counts["runs"].append(runs)
-            counts["blocks"] += [(key, first + r) for key, first, n in runs for r in range(n)]
-            assert out.shape == (4, sum(lengths))
+            counts["counters"] += [(key, first + r) for key, first, n in runs for r in range(n)]
+            assert out.shape == (3, sum(lengths))
             return out
 
         def faulting_sample(model, xi):
@@ -472,31 +467,31 @@ class TestStreamLayout:
         return counts
 
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_one_block_per_collision(self, capture, monkeypatch):
+    def test_one_counter_per_collision(self, capture, monkeypatch):
         # one uniforms_at call per lockstep step; the k-th step a batch takes
-        # part in reads key k; every flight reads one Philox block, a faulted
-        # flight included, and no (key, counter) block is read twice
+        # part in reads key k; every flight reads one counter's three doubles,
+        # a faulted flight included, and no (key, counter) is read twice
         assert self.steps_joined(capture, monkeypatch) == [0, 0, 0]
 
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
-    def test_one_block_per_collision_staggered(self, capture, monkeypatch):
+    def test_one_counter_per_collision_staggered(self, capture, monkeypatch):
         # under 1000 lanes no two of the batches start together
         monkeypatch.setattr(engine, "LANES", 1000)
         joined = self.steps_joined(capture, monkeypatch)
         assert 0 == joined[0] < joined[1] < joined[2]
 
     def steps_joined(self, capture, monkeypatch):
-        """Transport three batches, check their blocks and keys, and return
+        """Transport three batches, check their counters and keys, and return
         the step each batch first took part in."""
-        counts = self.count_blocks(monkeypatch)
+        counts = self.count_reads(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         out = _transport_group(model, 3, 40, [700, 650, 650], EDGES, capture, 30)
         assert (out["faults"] > 0).all()
         assert (out["capped"] > 0).all()
-        blocks = counts["blocks"]
-        assert len(set(blocks)) == len(blocks) == out["collisions"].sum() + out["faults"].sum()
+        read = counts["counters"]
+        assert len(set(read)) == len(read) == out["collisions"].sum() + out["faults"].sum()
         assert counts["calls"] == counts["steps"]
-        taken = {}  # the (step, key) of each call a batch has blocks in, by first counter
+        taken = {}  # the (step, key) of each call a batch has counters in, by first counter
         for step, runs in enumerate(counts["runs"]):
             for key, first, n in runs:
                 if n:
@@ -519,7 +514,7 @@ class TestStreamLayout:
         self.check_group_against_alone(capture, monkeypatch)
 
     def check_group_against_alone(self, capture, monkeypatch):
-        self.count_blocks(monkeypatch)
+        self.count_reads(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         sizes = [300, 250, 320]
         group = _transport_group(model, 3, 40, sizes, EDGES, capture, 12)
@@ -551,7 +546,7 @@ class TestStreamLayout:
         under the width cap lanes, and of each batch run alone."""
         monkeypatch.setenv(WORKERS_ENV, "1")
         monkeypatch.setattr(engine, "LANES", lanes)
-        counts = self.count_blocks(monkeypatch)
+        counts = self.count_reads(monkeypatch)
         config = small_config(histories=1000, batches=20)
         simulate(config)
         in_simulate = counts["calls"]

@@ -22,6 +22,7 @@ from nonclassical_mc import (
     make_model,
     solve_integral_equation,
 )
+from nonclassical_mc import reference
 from nonclassical_mc.reference import (_exp1, _first_column, _operator, _profile, _profile_integral,
                                        _scaled_toeplitz, _slowest_decay)
 
@@ -210,6 +211,16 @@ class TestClosedForms:
         lo, hi = edges[:-1], edges[1:]
         first_flight = (np.exp(-st * lo) - np.exp(-st * hi)) / (4.0 * math.pi / 3.0 * (hi**3 - lo**3))
         np.testing.assert_allclose(exact.shell_averages(edges), first_flight, rtol=1e-12)
+
+    def test_classical_rule_is_built_once(self):
+        # the Gauss-Legendre continuum rule does not depend on c or sigma_t:
+        # two classical closed forms build it once, and a third law never
+        reference._continuum_rule.cache_clear()
+        closed_form(make_model("classical", CrossSectionSpec(1.0, 0.5)))
+        closed_form(make_model("classical", CrossSectionSpec(2.0, 1.8)))
+        closed_form(make_model("sp3", CrossSectionSpec(1.0, 0.5)))
+        info = reference._continuum_rule.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("scattering", [0.0, 0.5, 0.9, 0.99])
     def test_sp_n_mass_balance_up_to_63(self, scattering):

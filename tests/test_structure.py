@@ -7,11 +7,12 @@ in kernels.make_model. The constants themselves come from one
 Gauss-Legendre rule, built nowhere but make_model; the only other rule is
 the classical closed form's quadrature of its continuum. Only the group
 kernel transports histories: a second caller of the sampler or of the
-Philox blocks in the engine would be a second copy of the lane roles. The
+random streams in the engine would be a second copy of the lane roles. The
 oracles are a closed form and a direct solve, and compare scores against the
 closed form alone: only the reference command runs the solver. The package
 runs on numpy alone: neither importing it nor running any command loads
-scipy, which only the tests and a demo use, as an oracle. And src holds
+scipy, which only the tests and a demo use, as an oracle, nor OpenSSL's
+hashlib beyond what numpy.random loads itself. And src holds
 only what a command runs: every function in it is called by some command,
 apart from a short allowlist that gives each entry's reason.
 """
@@ -55,7 +56,7 @@ def leggauss_uses(tree):
             or (isinstance(node, ast.alias) and node.name.endswith("leggauss"))]
 
 
-GAUSS_LEGENDRE_SITES = {"kernels": "make_model", "reference": "_classical_modes"}
+GAUSS_LEGENDRE_SITES = {"kernels": "make_model", "reference": "_continuum_rule"}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -145,6 +146,38 @@ def test_no_command_loads_scipy(argv, tmp_path):
     assert loaded == []
 
 
+def test_commands_load_no_openssl(tmp_path):
+    """A fresh import of the cli, then a reference run, load none of hashlib,
+    _hashlib, ssl or scipy; a one-worker simulate after them loads only
+    those that a bare import of numpy.random loads too (its bit generators
+    import secrets, and with it hashlib). Hashing rng's keys through hashlib
+    would load OpenSSL into every process: 3.6 MB more peak RSS on a
+    3,072-node reference."""
+    env = dict(os.environ, NONCLASSICAL_MC_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    guarded = ("hashlib", "_hashlib", "ssl", "scipy")
+    loaded = f"sorted(m for m in sys.modules if m.split('.')[0] in {guarded!r})"
+    out = ["--out", str(tmp_path)]
+    script = ("import json, sys\n"
+              "from nonclassical_mc import cli\n"
+              f"seen = [{loaded}]\n"
+              f"cli.main(['reference', '--model', 'sp3', '--oracle-nodes', '256'] + {out!r})\n"
+              f"seen.append({loaded})\n"
+              "cli.main(['simulate', '--model', 'sp3', '--histories', '200', '--batches', '10']"
+              f" + {out!r})\n"
+              f"seen.append({loaded})\n"
+              "print(json.dumps(seen))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    after_import, after_reference, after_simulate = json.loads(done.stdout.splitlines()[-1])
+    bare = subprocess.run([sys.executable, "-c", f"import json, sys, numpy.random\n"
+                                                 f"print(json.dumps({loaded}))"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert after_import == after_reference == []
+    assert set(after_simulate) <= set(json.loads(bare.stdout))
+
+
 def defined_functions():
     """(module, qualified name) -> (file, first line) of every def in src.
 
@@ -171,7 +204,8 @@ def defined_functions():
 
 UNCALLED_BY_COMMANDS = {
     ("rng", "philox4x64_block"): "numpy emulation of the Philox block: the tests' oracle "
-                                 "for uniforms_at and the benchmark's rng.blocks_per_s micro",
+                                 "for the streams' start states and the benchmark's "
+                                 "rng.blocks_per_s micro",
     ("rng", "_mulhilo"): "part of philox4x64_block",
 }
 
@@ -181,10 +215,12 @@ def test_every_function_is_run_by_a_command(tmp_path, monkeypatch):
     implicit, one through --config), compare for every law, and reference,
     a pure absorber for three laws and a supercritical refusal, together
     call every function but the few listed, each with its reason."""
-    from nonclassical_mc import cli, sampler
+    from nonclassical_mc import cli, reference, rng, sampler
 
     monkeypatch.setenv("NONCLASSICAL_MC_WORKERS", "1")
     sampler._quantile_table.cache_clear()  # earlier tests may have built the tables
+    reference._continuum_rule.cache_clear()  # the classical rule
+    rng._start.cache_clear()  # and the streams' start states
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"model": "sp2", "capture": "implicit", "histories": 200,
                                   "batches": 10}))
