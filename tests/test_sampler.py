@@ -45,6 +45,32 @@ def table_of(model):
         -v[k] ** 2)
 
 
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """The names of the numpy functions sample_path(model, xi) calls, in order."""
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr) or isinstance(attr, type):
+                return attr
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return attr(*args, **kwargs)
+            return counted
+
+    def count(model, xi):
+        sample_path(model, 0.5)  # builds the lazy table outside the count
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "np", CountingNumpy())
+            calls.clear()
+            sample_path(model, xi)
+        return tuple(calls)
+    return count
+
+
 def lambert_inverse(y):
     """Independent oracle for the inverse of f(z) = (1 + z) e^{-z}: z = -1 - W_{-1}(-y/e)."""
     return float(np.real(-1.0 - special.lambertw(-y / math.e, k=-1)))
@@ -61,7 +87,7 @@ def sp2_all_lanes(model, xi):
     q = np.maximum(arr - atom, 0.0) / (1.0 - atom)
     surv = (1.0 - arr) / (1.0 - atom)
     t = np.where(q < 0.5, -np.log1p(-np.minimum(q, 0.5)), -np.log(surv))
-    z = sampler._quantile(*law_of(model), t, surv)
+    z = sampler._quantile(*law_of(model), t)
     s = np.where(arr > atom, z, 0.0) / model.xs.sigma_t
     return float(s[0]) if np.ndim(xi) == 0 else s
 
@@ -165,7 +191,8 @@ class TestSamplePath:
         np.testing.assert_allclose(scaled, unit / sigma, rtol=1e-12, atol=0.0)
 
     def test_deep_tail_quantiles(self):
-        # beyond the quantile table's last knot the Newton bracket grows
+        # survivals of 1e-13 and 1e-15 are read off intervals 14,540 and
+        # 15,619 of the table's 16,383, where z grows nearly linearly in v
         model = make_model("sp3", XS)
         xi = np.array([1.0 - 1e-13, 1.0 - 1e-15])
         s = sample_path(model, xi)
@@ -189,13 +216,13 @@ class TestSamplePath:
 
 
 class TestTableSampling:
-    """The table-plus-one-Newton-step inversion of diffusion, sp2 and sp3."""
+    """The table-only inversion of diffusion, sp2 and sp3."""
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_edge_variates(self, kind):
         model = make_model(kind, XS)
         _, knot_xi = table_of(model)
-        xi = np.array([0.0, 5e-324, 3.2e-33, SP2_ATOM, 0.5, knot_xi(700),
+        xi = np.array([0.0, 5e-324, 3.2e-33, SP2_ATOM, 0.5, knot_xi(5602),
                        1.0 - 1e-15, 1.0 - 2.0**-53])
         s = sample_path(model, xi)
         assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
@@ -218,32 +245,23 @@ class TestTableSampling:
         assert np.array_equal(sample_path(model, xi[::-1]), s[::-1])
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
-    def test_fixed_operation_count(self, kind, monkeypatch):
+    def test_fixed_operation_count(self, kind, numpy_calls):
         # every numpy call sample_path makes is counted: the count must not
         # depend on the variates, which rules out any convergence loop
         model = make_model(kind, XS)
-        sample_path(model, 0.5)  # builds the lazy table outside the count
-        calls = []
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                attr = getattr(np, name)
-                if not callable(attr) or isinstance(attr, type):
-                    return attr
-
-                def counted(*args, **kwargs):
-                    calls.append(name)
-                    return attr(*args, **kwargs)
-                return counted
-
-        monkeypatch.setattr(sampler, "np", CountingNumpy())
         counts = set()
         for xi in (np.full(64, 1e-300), np.full(64, 0.5), np.full(64, 1.0 - 2.0**-53),
                    np.linspace(0.0, 1.0 - 1e-12, 5000)):
-            calls.clear()
-            sample_path(model, xi)
-            counts.add(tuple(calls))
+            counts.add(numpy_calls(model, xi))
         assert len(counts) == 1
+
+    def test_operation_count_independent_of_components(self, numpy_calls):
+        # diffusion has one Gamma(2) component and sp3 two: the per-sample
+        # work reads one table row either way, so SP_N costs the same for any N
+        xi = np.linspace(0.0, 1.0 - 1e-12, 5000)
+        diffusion, sp3 = make_model("diffusion", XS), make_model("sp3", XS)
+        assert len(diffusion.mu) == 1 and len(sp3.mu) == 2
+        assert numpy_calls(diffusion, xi) == numpy_calls(sp3, xi)
 
     @pytest.mark.parametrize("sigma_t", [1.0, 2.5])
     def test_sp2_atom_lanes_skip_the_inversion_bitwise(self, sigma_t):
@@ -275,10 +293,27 @@ class TestTableSampling:
         assert np.max(np.abs(model.survival(s) - surv) / surv) <= 1e-13
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_head_relative_bound(self, kind):
+        # from xi = 1e-300 through the table's third interval the CDF q of
+        # the continuous part is tiny, so it is checked relative to itself
+        # against the cancellation-free sum_j w_j P(2, mu_j sigma_t s)
+        model = make_model(kind, XS)
+        atom = model.atom_at_zero
+        _, knot_xi = table_of(model)
+        xi = np.unique(atom + np.geomspace(1e-300, knot_xi(3) - atom, 20_000))
+        xi = xi[xi > atom]
+        q = (xi - atom) / (1.0 - atom)  # the conditional CDF sample_path inverts
+        s = sample_path(model, xi)
+        mu, w = law_of(model)
+        cdf = sum(wj * special.gammainc(2.0, mj * model.xs.sigma_t * s) for mj, wj in zip(mu, w))
+        assert xi[-1] >= knot_xi(3) * (1.0 - 1e-15)
+        assert np.max(np.abs(cdf - q) / q) <= 2e-12
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
     def test_monotone_across_knots(self, kind):
         model = make_model(kind, XS)
         _, knot_xi = table_of(model)
-        for k in (1, 2, 3, 50, 700, 1500, 1900):
+        for k in (1, 2, 3, 400, 5600, 12000, 16100):
             x = knot_xi(k)
             step = max(1e-9 * min(x - model.atom_at_zero, 1.0 - x), np.spacing(x))
             xi = x + step * np.arange(-40, 41)
@@ -290,8 +325,8 @@ class TestTableSampling:
 class TestQuantileTable:
     def test_strictly_monotone_and_covering(self):
         table, _ = table_of(make_model("sp3", XS))
-        assert table.knots == 2048
-        assert table.rows.shape == (2047, 4)
+        assert table.knots == 16384
+        assert table.rows.shape == (16383, 4)
         assert np.all(np.diff(table.v) > 0.0)
         assert np.all(np.diff(table.z) > 0.0)
         assert table.v[0] == 0.0
@@ -319,7 +354,7 @@ class TestQuantileTable:
         # the table's key is the continuous part's (mu, normalized w), which
         # sigma_t leaves alone: three laws build three tables, and a repeated
         # call builds none (a key unequal on each call would rebuild the
-        # 2048-knot table at every lockstep step)
+        # 16,384-knot table at every lockstep step)
         sampler._quantile_table.cache_clear()
         for sigma_t in (1.0, 2.5):
             for kind in TABLE_KINDS:
@@ -334,7 +369,7 @@ class TestQuantileTable:
     def test_largest_variate_stays_inside_the_table(self, kind, monkeypatch):
         # xi = 1 - 2^-53 gives t = -ln S <= 53 ln 2 < 38, so the knot interval
         # _quantile reads is at most floor(sqrt(53 ln 2) (knots - 1) / sqrt(38))
-        # = 2012 of the table's knots - 1 = 2047 intervals
+        # = 16108 of the table's knots - 1 = 16383 intervals
         model = make_model(kind, XS)
         table, _ = table_of(model)
         read = []
@@ -349,7 +384,7 @@ class TestQuantileTable:
         s = sample_path(model, np.array([0.5, np.nextafter(1.0, 0.0)]))
         assert np.all(np.isfinite(s))
         bound = math.floor(math.sqrt(53.0 * math.log(2.0)) * (table.knots - 1) / table.v[-1])
-        assert bound == 2012
+        assert bound == 16108
         assert read[0] <= bound <= table.knots - 2
         if not model.atom_at_zero:
             assert read[0] == bound
