@@ -10,9 +10,9 @@ lanes, solving S(z) = (1 - xi) / (1 - atom). A cubic-Hermite table of z
 against v = sqrt(-ln S) on 16,384 knots gives z to rounding level by
 itself, so a sample reads one cubic row whatever the number of mixture
 components. Each law's table, cubic rows cached by (mu, normalized w),
-is built on first use. The identity
-z = -1 - W_{-1}(-y / e) with the lower Lambert-W branch inverts f itself;
-the tests check the diffusion law, S(z) = f(sqrt(3) z), against it.
+is built on first use. The identity z = -1 - W_{-1}(-y / e) with the
+lower Lambert-W branch inverts f itself; the tests check the diffusion
+law, S(z) = f(sqrt(3) z), against it.
 
 Sampling is a pure function of (model, xi), applied elementwise with a
 fixed sequence of array operations; all randomness is supplied by the
