@@ -42,12 +42,14 @@ receives its additions in (collision index, history id) order whatever the
 batch's step-mates are, and per-batch results are reduced in batch order.
 
 The source, the scattering and the tally are spherically symmetric, so a
-history carries only its radius (``_radius_after``). The tally grid is the
-uniform one np.linspace builds, so a collision's shell is r over the shell
-width, corrected by one step against the edges, which equals a search of the
-edges. Analog capture carries no weight array, since every analog weight is
-1: a cell's weight is its score count, and a batch's absorbed weight the
-number of its histories that were absorbed.
+history carries only its radius (``_radius_after``), and under implicit
+capture its weight: the lockstep keeps them in one list of per-lane arrays
+beside the lanes' batch indices. Analog capture keeps no weight, since every
+analog weight is 1: a cell's weight is its score count, and a batch's
+absorbed weight the number of its histories that were absorbed. The tally
+grid is np.linspace(0, r_max, shells + 1), so a collision's shell is r over
+the shell width, corrected by one step against the edges, which equals a
+search of the edges.
 
 Particles that leave the tally grid keep transporting (the medium is
 infinite) but score nothing; histories are never truncated spatially.
@@ -182,7 +184,7 @@ def _prepare_heap() -> None:
 
 
 def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
-                     edges: np.ndarray, capture: str, max_collisions: int) -> dict:
+                     r_max: float, shells: int, capture: str, max_collisions: int) -> dict:
     """Run consecutive batches in one refilling lockstep over collisions.
 
     Batch b holds the sizes[b] histories that follow those of batch b - 1,
@@ -196,22 +198,19 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
     docstring); lanes stay sorted by batch and history, so the call's
     columns line up with the lanes. One counter is used per collision, plus
     one per faulted flight, and a batch's histories still live after
-    max_collisions collisions are capped. edges must be the grid
-    np.linspace(0, r_max, shells + 1) builds (else ValueError).
+    max_collisions collisions are capped. Collisions score on the grid
+    np.linspace(0, r_max, shells + 1).
 
     Returns per-batch arrays by name, in batch order, for _finalize.
     """
     _prepare_heap()
-    k_shells = edges.size - 1
-    r_max = edges[-1]
-    if not np.array_equal(edges, np.linspace(0.0, r_max, k_shells + 1)):
-        raise ValueError("edges must be np.linspace(0, r_max, shells + 1)")
-    to_shell = k_shells / r_max
+    edges = np.linspace(0.0, r_max, shells + 1)
+    to_shell = shells / r_max
     nb = len(sizes)
     c = model.xs.c
     analog = capture == "analog"
     out = {
-        "weight": np.zeros(nb * k_shells), "scores": np.zeros(nb * k_shells, dtype=np.int64),
+        "weight": np.zeros(nb * shells), "scores": np.zeros(nb * shells, dtype=np.int64),
         "histories": np.asarray(sizes, dtype=np.int64),
         "collisions": np.zeros(nb, dtype=np.int64), "zero_length": np.zeros(nb, dtype=np.int64),
         "absorbed_weight": np.zeros(nb),
@@ -222,8 +221,8 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
     admitted = np.zeros(nb, dtype=np.int64)  # the step each batch joins at
     live = np.zeros(nb, dtype=np.int64)  # live histories per batch
     batch = np.zeros(0, dtype=np.intp)
-    radius = np.zeros(0)
-    w = None if analog else np.zeros(0)  # analog weights are all 1
+    births = [0.0] if analog else [0.0, 1.0]  # radius, then weight (analog weights are all 1)
+    lanes = [np.zeros(0) for _ in births]
     lo = hi = 0  # the lockstep holds batches lo .. hi - 1
     step = 0
     while True:
@@ -237,30 +236,27 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
             new = width - batch.size
             batch = np.concatenate([batch, np.repeat(np.arange(joined - lo, hi - lo),
                                                      sizes[joined:hi])])
-            radius = np.concatenate([radius, np.zeros(new)])
-            if w is not None:
-                w = np.concatenate([w, np.ones(new)])
+            lanes = [np.concatenate([a, np.full(new, birth)]) for a, birth in zip(lanes, births)]
         if not width:
             break
         held = slice(lo, hi)
         nh = hi - lo
         u = uniforms_at(seed, step - admitted[held], firsts[held], live[held])
         s = sample_path(model, u[1])
-        radius = _radius_after(radius, s, u[0])
+        lanes[0] = _radius_after(lanes[0], s, u[0])
         xi = u[2]
-        ok = np.isfinite(radius)
+        ok = np.isfinite(lanes[0])
         if not ok.all():
             faulted = np.bincount(batch[~ok], minlength=nh)
             out["faults"][held] += faulted
             live[held] -= faulted
-            batch, radius, xi, s = (a[ok] for a in (batch, radius, xi, s))
-            if w is not None:
-                w = w[ok]
+            batch, xi, s, *lanes = (a[ok] for a in (batch, xi, s, *lanes))
+        radius = lanes[0]
         out["collisions"][held] += live[held]
         out["zero_length"][held] += np.bincount(batch.take(np.flatnonzero(s == 0.0)),
                                                 minlength=nh)
         # the uniform grid's shell, estimated within one of the true index (at
-        # most k_shells, as r < r_max) and corrected against the edges: exactly
+        # most shells, as r < r_max) and corrected against the edges: exactly
         # searchsorted(edges, r, "right") - 1
         hit = radius < r_max
         hit = None if hit.all() else np.flatnonzero(hit)  # None: every lane is on the grid
@@ -268,16 +264,17 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         shell = (r * to_shell).astype(np.intp)
         shell -= r < edges[shell]
         shell += r >= edges[shell + 1]
-        cell = scored * k_shells + shell
-        cells = slice(lo * k_shells, hi * k_shells)
-        out["scores"][cells] += np.bincount(cell, minlength=nh * k_shells)
+        cell = scored * shells + shell
+        cells = slice(lo * shells, hi * shells)
+        out["scores"][cells] += np.bincount(cell, minlength=nh * shells)
         step += 1
         if analog:
             alive = xi >= 1.0 - c
         else:
+            w = lanes[1]
             np.add.at(out["weight"][cells], cell, w if hit is None else w.take(hit))
             out["absorbed_weight"][held] += np.bincount(batch, w * (1.0 - c), minlength=nh)
-            w = w * c
+            lanes[1] = w = w * c
             # roulette below the cutoff (a loser's weight is boosted too, then dropped)
             need = w < WEIGHT_CUTOFF
             alive = ~need | (xi < ROULETTE_SURVIVAL)
@@ -285,9 +282,7 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         survivors = live[held]
         if not alive.all():
             idx = np.flatnonzero(alive)
-            batch, radius = batch[idx], radius[idx]
-            if w is not None:
-                w = w[idx]
+            batch, *lanes = (a[idx] for a in (batch, *lanes))
             survivors = np.bincount(batch, minlength=nh)
         if analog:
             out["absorbed_weight"][held] += live[held] - survivors
@@ -299,17 +294,15 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
             out["capped"][done] += live[done]
             cut = int(live[done].sum())
             live[done] = 0
-            batch, radius = batch[cut:], radius[cut:]
-            if w is not None:
-                w = w[cut:]
+            batch, *lanes = (a[cut:] for a in (batch, *lanes))
         gone = lo
         while lo < hi and not live[lo]:
             lo += 1
         if lo > gone:
             batch -= lo - gone
-    out["scores"] = out["scores"].reshape(nb, k_shells)
+    out["scores"] = out["scores"].reshape(nb, shells)
     # analog scores carry weight 1, so each weight sum is its exact score count
-    out["weight"] = out["scores"].astype(float) if analog else out["weight"].reshape(nb, k_shells)
+    out["weight"] = out["scores"].astype(float) if analog else out["weight"].reshape(nb, shells)
     return out
 
 
@@ -391,8 +384,8 @@ def simulate(config: ProblemConfig) -> TallyResult:
     workers = min(config.batches, configured_workers())
     tasks = [
         (model, config.seed, slices[first][0],
-         [size for _, size in slices[first:first + count]], edges, config.capture,
-         MAX_COLLISIONS)
+         [size for _, size in slices[first:first + count]], config.r_max, config.shells,
+         config.capture, MAX_COLLISIONS)
         for first, count in batch_slices(config.batches, workers)
     ]
     if workers == 1:

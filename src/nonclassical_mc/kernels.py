@@ -75,13 +75,28 @@ class CrossSectionSpec:
 
 def _as_path_lengths(s):
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("path length must be >= 0")
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise ValueError("path length must be finite and >= 0")
     return arr, np.ndim(s) == 0
 
 
 def _maybe_scalar(out, scalar: bool):
     return float(out) if scalar else out
+
+
+# P(2, x) = 1 - (1 + x) e^{-x} = sum_{n >= 2} (-1)^n (n - 1) x^n / n!; below
+# x = 0.5 the terms left out are under 4e-18 of the sum
+_GAMMA2_SERIES = tuple((-1) ** n * (n - 1) / math.factorial(n) for n in range(2, 17))
+
+
+def _gamma2_cdf(x):
+    """The Gamma(2) CDF P(2, x) = 1 - (1 + x) e^{-x} at x >= 0, to full relative
+    precision: below x = 0.5, where the difference cancels, from its series."""
+    small = np.minimum(x, 0.5)
+    series = 0.0
+    for coef in reversed(_GAMMA2_SERIES):
+        series = series * small + coef
+    return np.where(x < 0.5, small * small * series, 1.0 - (1.0 + x) * np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,8 @@ class PathLengthModel:
     def density(self, s):
         """Continuous part of p(s) (1/length); the sp2 atom is excluded.
 
-        Accepts scalars or arrays; s must be >= 0.
+        Accepts scalars or arrays; s must be finite and >= 0 (else
+        ValueError), here and in survival, cdf and hazard.
         """
         z, scalar = _as_path_lengths(s)
         st = self.xs.sigma_t
@@ -130,9 +146,19 @@ class PathLengthModel:
         return _maybe_scalar(out, scalar)
 
     def cdf(self, s):
-        """Cumulative distribution, atom included: cdf(0) = atom_at_zero."""
+        """Cumulative distribution, atom included: cdf(0) = atom_at_zero.
+
+        Summed from each part's own CDF rather than taken as 1 - survival(s),
+        which cancels near s = 0, so it keeps full relative precision there.
+        """
         z, scalar = _as_path_lengths(s)
-        return _maybe_scalar(1.0 - self.survival(z), scalar)
+        z = self.xs.sigma_t * z
+        if self.kind is ModelKind.CLASSICAL:
+            out = -np.expm1(-z)
+        else:
+            out = self.atom_at_zero + sum(w * _gamma2_cdf(m * z)
+                                          for m, w in zip(self.mu, self.weights))
+        return _maybe_scalar(out, scalar)
 
     def hazard(self, s):
         """Path-length dependent collision rate at s >= 0 (1/length).

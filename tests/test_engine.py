@@ -25,7 +25,7 @@ from nonclassical_mc.engine import (
 from emulation import counter_uniforms
 
 ALL_KINDS = list(ModelKind)
-EDGES = np.linspace(0.0, 10.0, 65)
+GRID = (10.0, 64)  # r_max, shells
 
 
 def small_config(**overrides):
@@ -135,13 +135,14 @@ def run_history(model, seed, h, capture="analog", max_collisions=MAX_COLLISIONS)
     return history.radii, history.weights, history.flights, history.absorbed, history.end
 
 
-def history_loop(model, seed, start_id, sizes, edges, capture, max_collisions):
+def history_loop(model, seed, start_id, sizes, r_max, shells, capture, max_collisions):
     """The per-batch sums _transport_group returns, replayed one history at a time.
 
     Step-major: at step j, the r-th live history of the batch starting at
     history s (counting in history order) reads counter s + r of key (seed, j).
     """
-    nb, k = len(sizes), edges.size - 1
+    nb = len(sizes)
+    edges = np.linspace(0.0, r_max, shells + 1)
     starts = [start_id + sum(sizes[:b]) for b in range(nb)]
     batches = [[ScalarHistory(model, capture, max_collisions) for _ in range(size)]
                for size in sizes]
@@ -153,13 +154,13 @@ def history_loop(model, seed, start_id, sizes, edges, capture, max_collisions):
         step += 1
     out = {name: np.zeros(nb, dtype=np.int64) for name in (
         "histories", "collisions", "zero_length", "faults", "capped")}
-    out.update(weight=np.zeros((nb, k)), scores=np.zeros((nb, k), dtype=np.int64),
+    out.update(weight=np.zeros((nb, shells)), scores=np.zeros((nb, shells), dtype=np.int64),
                absorbed_weight=np.zeros(nb))
     for b, batch in enumerate(batches):
         for history in batch:
             for radius, weight in zip(history.radii, history.weights):
                 shell = int(np.searchsorted(edges, radius, side="right")) - 1
-                if shell < k:
+                if shell < shells:
                     out["weight"][b, shell] += weight
                     out["scores"][b, shell] += 1
             flights = history.flights
@@ -212,8 +213,7 @@ class TestTransportGroup:
                             np.repeat([[1.0], [0.0], [0.0]], sum(counts), axis=1))
         monkeypatch.setattr(engine, "sample_path", lambda model, xi: flights)
         model = make_model("classical", CrossSectionSpec(1.0, 0.0))
-        out = _transport_group(model, 0, 0, [flights.size], np.array([0.0, 1.0, 2.0]),
-                               "analog", MAX_COLLISIONS)
+        out = _transport_group(model, 0, 0, [flights.size], 2.0, 2, "analog", MAX_COLLISIONS)
         np.testing.assert_array_equal(out["scores"][0], [1, 2])
 
     @pytest.mark.parametrize("r_max", [10.0, ProblemConfig("classical", sigma_t=3.0).r_max,
@@ -236,25 +236,12 @@ class TestTransportGroup:
         for lo in range(0, flights.size, 256):
             chunk = slice(lo, lo + 256)
             monkeypatch.setattr(engine, "sample_path", lambda model, xi: flights[chunk])
-            out = _transport_group(model, 0, 0, [1] * flights[chunk].size, edges,
+            out = _transport_group(model, 0, 0, [1] * flights[chunk].size, r_max, shells,
                                    "analog", MAX_COLLISIONS)
             scores = np.zeros_like(out["scores"])
             on_grid = expected[chunk] < shells
             scores[np.flatnonzero(on_grid), expected[chunk][on_grid]] = 1
             np.testing.assert_array_equal(out["scores"], scores)
-
-    @pytest.mark.parametrize("edges", [
-        np.array([0.0, 1.0, 3.0]),
-        np.linspace(1.0, 10.0, 65),
-        np.concatenate([EDGES[:9], [np.nextafter(EDGES[9], 0.0)], EDGES[10:]]),
-    ])
-    def test_refuses_a_nonuniform_grid(self, edges, monkeypatch):
-        # the grid is checked once, before the group's first step
-        counts = TestStreamLayout.count_reads(monkeypatch)
-        model = make_model("diffusion", CrossSectionSpec(1.0, 0.5))
-        with pytest.raises(ValueError):
-            _transport_group(model, 3, 0, [50, 50], edges, "analog", MAX_COLLISIONS)
-        assert counts["calls"] == 0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_analog_tallies_are_counts(self, kind, monkeypatch):
@@ -262,7 +249,7 @@ class TestTransportGroup:
         # every history that neither faulted nor was capped was absorbed
         TestStreamLayout.count_reads(monkeypatch)
         model = make_model(kind, CrossSectionSpec(1.0, 0.9))
-        out = _transport_group(model, 3, 40, [300, 250, 320], EDGES, "analog", 12)
+        out = _transport_group(model, 3, 40, [300, 250, 320], *GRID, "analog", 12)
         assert (out["faults"] > 0).all()
         assert (out["capped"] > 0).all()
         assert out["weight"].dtype == np.float64
@@ -273,13 +260,13 @@ class TestTransportGroup:
     def test_nonfinite_position_is_a_counted_fault(self, monkeypatch):
         monkeypatch.setattr(engine, "sample_path", lambda model, xi: np.full(xi.shape, np.inf))
         model = make_model("diffusion", CrossSectionSpec(1.0, 0.5))
-        out = _transport_group(model, 3, 0, [200], EDGES, "analog", MAX_COLLISIONS)
+        out = _transport_group(model, 3, 0, [200], *GRID, "analog", MAX_COLLISIONS)
         assert out["faults"][0] == 200
         assert out["collisions"][0] == 0
 
     def test_collision_cap_is_counted(self):
         model = make_model("classical", CrossSectionSpec(1.0, 0.999999))
-        out = _transport_group(model, 4, 0, [200], EDGES, "analog", 5)
+        out = _transport_group(model, 4, 0, [200], *GRID, "analog", 5)
         assert out["collisions"][0] == 5 * 200
         assert out["capped"][0] == 200
 
@@ -300,7 +287,7 @@ def counted(*args, _uniforms=engine.uniforms_at):
     return _uniforms(*args)
 engine.uniforms_at = counted
 model = make_model("sp3", CrossSectionSpec(1.0, 0.5))
-task = (model, 1, 0, [10_000] * 10, np.linspace(0.0, 10.0, 65), "analog", engine.MAX_COLLISIONS)
+task = (model, 1, 0, [10_000] * 10, 10.0, 64, "analog", engine.MAX_COLLISIONS)
 engine._transport_group(*task)
 steps = 0
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -402,7 +389,7 @@ class TestScalarVectorEquivalence:
         TestStreamLayout.count_reads(monkeypatch)
         model = make_model(kind, CrossSectionSpec(1.0, 0.5))
         cap = {"analog": 4, "implicit": 8}[capture]
-        args = (model, 9, 40, [300, 250, 320], EDGES, capture, cap)
+        args = (model, 9, 40, [300, 250, 320], *GRID, capture, cap)
         group = _transport_group(*args)
         oracle = history_loop(*args)
         assert (group["faults"] > 0).all()
@@ -418,21 +405,21 @@ class TestScalarVectorEquivalence:
     def test_one_history_batch_is_run_history(self, capture):
         # a batch of one history reads (seed, j; h) at every step j
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
-        out = _transport_group(model, 9, 40, [1] * 60, EDGES, capture, MAX_COLLISIONS)
+        out = _transport_group(model, 9, 40, [1] * 60, *GRID, capture, MAX_COLLISIONS)
         for b in range(60):
             radii, weights, flights, absorbed, _ = run_history(model, 9, 40 + b, capture)
             assert out["collisions"][b] == len(flights)
             assert out["zero_length"][b] == flights.count(0.0)
             assert out["absorbed_weight"][b] == pytest.approx(absorbed, rel=1e-12)
-            assert out["scores"][b].sum() == sum(r < EDGES[-1] for r in radii)
+            assert out["scores"][b].sum() == sum(r < GRID[0] for r in radii)
 
     def test_simulate_equals_manual_history_loop(self):
         config = small_config(histories=500, batches=10)
         result = simulate(config)
         edges = np.linspace(0.0, config.r_max, config.shells + 1)
         sizes = [size for _, size in batch_slices(config.histories, config.batches)]
-        sums = history_loop(make_model(config.kind, config.xs), config.seed, 0, sizes, edges,
-                            config.capture, MAX_COLLISIONS)
+        sums = history_loop(make_model(config.kind, config.xs), config.seed, 0, sizes,
+                            config.r_max, config.shells, config.capture, MAX_COLLISIONS)
         manual = engine._finalize(edges, sums)
         np.testing.assert_array_equal(result.f_mean, manual.f_mean)
         np.testing.assert_array_equal(result.f_stderr, manual.f_stderr)
@@ -485,7 +472,7 @@ class TestStreamLayout:
         the step each batch first took part in."""
         counts = self.count_reads(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
-        out = _transport_group(model, 3, 40, [700, 650, 650], EDGES, capture, 30)
+        out = _transport_group(model, 3, 40, [700, 650, 650], *GRID, capture, 30)
         assert (out["faults"] > 0).all()
         assert (out["capped"] > 0).all()
         read = counts["counters"]
@@ -517,12 +504,12 @@ class TestStreamLayout:
         self.count_reads(monkeypatch)
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         sizes = [300, 250, 320]
-        group = _transport_group(model, 3, 40, sizes, EDGES, capture, 12)
+        group = _transport_group(model, 3, 40, sizes, *GRID, capture, 12)
         assert (group["faults"] > 0).all()
         assert (group["capped"] > 0).all()
         start = 40
         for b, size in enumerate(sizes):
-            alone = _transport_group(model, 3, start, [size], EDGES, capture, 12)
+            alone = _transport_group(model, 3, start, [size], *GRID, capture, 12)
             start += size
             for name in group:
                 np.testing.assert_array_equal(group[name][b], alone[name][0])
@@ -551,12 +538,11 @@ class TestStreamLayout:
         simulate(config)
         in_simulate = counts["calls"]
         model = make_model(config.kind, config.xs)
-        edges = np.linspace(0.0, config.r_max, config.shells + 1)
         alone = []
         for start, size in batch_slices(config.histories, config.batches):
             counts["calls"] = 0
-            _transport_group(model, config.seed, start, [size], edges, config.capture,
-                             MAX_COLLISIONS)
+            _transport_group(model, config.seed, start, [size], config.r_max, config.shells,
+                             config.capture, MAX_COLLISIONS)
             alone.append(counts["calls"])
         return in_simulate, alone
 

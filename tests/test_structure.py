@@ -207,6 +207,9 @@ UNCALLED_BY_COMMANDS = {
                                  "for the streams' start states and the benchmark's "
                                  "rng.blocks_per_s micro",
     ("rng", "_mulhilo"): "part of philox4x64_block",
+    ("kernels", "PathLengthModel.survival"): "public law quantity, the tests' oracle for the "
+                                             "sampler's tail; cdf is summed from the "
+                                             "parts' own CDFs, not taken as 1 - survival",
 }
 
 
