@@ -41,6 +41,20 @@ collision depend only on its own histories, each (batch, shell) cell
 receives its additions in (collision index, history id) order whatever the
 batch's step-mates are, and per-batch results are reduced in batch order.
 
+Every worker count goes through one executor, ``_run_shares``. It first
+builds the RNG reader (``rng.reader``, which imports numpy.random), then,
+for two or more workers, forks one child per range: each child pickles its
+result dict to its own pipe and leaves with os._exit, and the parent, which
+runs no range itself, reads the pipes in range order and reaps every child,
+killing and reaping those left on an error or interrupt. The children start
+from the warmed parent, so none imports numpy.random or builds a reader of
+its own; a spawn or forkserver worker would start from a fresh import,
+which costs several times a run's transport. The ranges run one after
+another in the calling process instead for one worker, where os.fork is
+missing, on macOS (whose system libraries are not safe after a fork), and
+while another Python thread is alive, since forking a threaded process can
+copy a lock that a thread holds. The output is the same either way.
+
 The source, the scattering and the tally are spherically symmetric, so a
 history carries only its radius (``_radius_after``), and under implicit
 capture its weight: the lockstep keeps them in one list of per-lane arrays
@@ -58,15 +72,18 @@ infinite) but score nothing; histories are never truncated spatially.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import numbers
 import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import CrossSectionSpec, ModelKind, PathLengthModel, make_model
-from .rng import uniforms_at
+from .rng import reader, uniforms_at
 from .sampler import sample_path
 
 __all__ = [
@@ -370,6 +387,69 @@ def configured_workers() -> int:
     return count
 
 
+def _run_shares(tasks: list) -> list[dict]:
+    """_transport_group's result for each task, in task order.
+
+    Builds the RNG reader first (the import of numpy.random), then forks one
+    child per task where forking is safe: more than one task, os.fork
+    available, not macOS, and no other Python thread alive. Each child runs
+    its task, pickles the result dict, or the exception it raised, to its own
+    pipe and leaves with os._exit; the parent, which runs no task itself,
+    reads the pipes in task order, reaps each child, and raises a child's
+    exception, or RuntimeError for a child that ended without a result. On
+    any way out, children not yet reaped are killed and reaped. Elsewhere the
+    tasks run one after another in this process, with the same results.
+    """
+    reader()
+    if (len(tasks) == 1 or not hasattr(os, "fork") or sys.platform == "darwin"
+            or threading.active_count() > 1):
+        return [_transport_group(*task) for task in tasks]
+    results = []
+    children = []  # (pid, read end of its pipe) of each child not yet reaped, in task order
+    try:
+        for task in tasks:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if not pid:
+                code = 1
+                try:
+                    try:
+                        outcome = _transport_group(*task)
+                    except BaseException as exc:  # noqa: BLE001 - the parent raises it
+                        outcome = exc
+                    with open(write_fd, "wb") as sink:
+                        pickle.dump(outcome, sink, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        while children:
+            pid, source = children[0]
+            with source:
+                data = source.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status or not data:
+                raise RuntimeError(f"transport worker {len(results)} (pid {pid}) sent no "
+                                   f"result: wait status {status}")
+            outcome = pickle.loads(data)  # written by our own child
+            if isinstance(outcome, BaseException):
+                raise outcome
+            results.append(outcome)
+    finally:
+        for pid, source in children:
+            source.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def simulate(config: ProblemConfig) -> TallyResult:
     """Run the configured number of histories in batches; fully reproducible.
 
@@ -388,10 +468,6 @@ def simulate(config: ProblemConfig) -> TallyResult:
          config.capture, MAX_COLLISIONS)
         for first, count in batch_slices(config.batches, workers)
     ]
-    if workers == 1:
-        results = [_transport_group(*task) for task in tasks]
-    else:
-        with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.starmap(_transport_group, tasks, chunksize=1)
+    results = _run_shares(tasks)
     sums = {name: np.concatenate([res[name] for res in results]) for name in results[0]}
     return _finalize(edges, sums)

@@ -12,13 +12,13 @@ word, numpy's double conversion), reached by the LCG's jump-ahead, so a
 variate never depends on how work is split across workers.
 
 ``uniforms_at`` reads runs of consecutive counters, each under its own key,
-through numpy's C PCG64DXSM: one reader per process, built on the first
-call, serves every run. A run under the key of the run before it that
-starts at or after that run's end only advances the reader over the gap;
-any other run writes its key's start state (cached per key) and jumps to
-its first counter, so no call leaves anything to the next. The reader is
-shared, so concurrent threads must not call ``uniforms_at``; worker
-processes each build their own. The transport engine gives each batch in
+through numpy's C PCG64DXSM: one reader per process, built by the first
+call of ``reader``, serves every run. A run under the key of the run before
+it that starts at or after that run's end only advances the reader over the
+gap; any other run writes its key's start state (cached per key) and jumps
+to its first counter, so no call leaves anything to the next. The reader is
+shared, so concurrent threads must not call ``uniforms_at``; forked worker
+processes each use their copy of the parent's. The transport engine gives each batch in
 a lockstep step one run of counters, keyed by the batch's collision index
 (see ``engine``).
 
@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["uniforms_at", "philox4x64_block"]
+__all__ = ["uniforms_at", "reader", "philox4x64_block"]
 
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
@@ -94,11 +94,25 @@ _reader = None  # (PCG64DXSM, its Generator's random, its state dict, Philox, it
 def _start(seed: int, step: int) -> tuple[int, int]:
     """(state, inc) of key (seed, step)'s stream, both key words below 2**64:
     Philox block (seed, step; 0) read through the reader's Philox."""
-    philox, state = _reader[3:]
+    philox, state = reader()[3:]
     state["state"]["key"][:] = seed, step
     philox.state = state
     w0, w1, w2, w3 = philox.random_raw(4).tolist()
     return w0 | w1 << 64, w2 | w3 << 64 | 1
+
+
+def reader() -> tuple:
+    """The process's reader, built on the first call: the only place that
+    loads numpy.random. The engine calls it before forking its workers, so
+    they inherit the reader instead of each building its own."""
+    global _reader
+    if _reader is None:
+        philox = np.random.Philox(key=0)
+        pcg = np.random.PCG64DXSM(0)
+        _reader = (pcg, np.random.Generator(pcg).random, pcg.state, philox,
+                   {"bit_generator": "Philox", "state": {"key": [0, 0], "counter": [_MASK64] * 4},
+                    "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0})
+    return _reader
 
 
 def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
@@ -109,17 +123,17 @@ def uniforms_at(seed: int, step, firsts, counts) -> np.ndarray:
     2**64, and a jump modulo the period 2**128. The output is C-contiguous
     float64 of shape (3, sum(counts)): column n holds the doubles 3h,
     3h + 1 and 3h + 2 of the n-th counter h read, in rows 0, 1 and 2.
+    Raises ValueError when step, firsts and counts differ in length or a
+    count is negative.
     """
-    global _reader
-    if _reader is None:
-        philox = np.random.Philox(key=0)
-        pcg = np.random.PCG64DXSM(0)
-        _reader = (pcg, np.random.Generator(pcg).random, pcg.state, philox,
-                   {"bit_generator": "Philox", "state": {"key": [0, 0], "counter": [_MASK64] * 4},
-                    "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0})
-    pcg, draw, state = _reader[:3]
-    seed = int(seed) & _MASK64
     counts = [int(n) for n in counts]
+    if not len(step) == len(firsts) == len(counts):
+        raise ValueError(f"step, firsts and counts differ in length: "
+                         f"{len(step)}, {len(firsts)}, {len(counts)}")
+    if min(counts, default=0) < 0:
+        raise ValueError(f"counts must be non-negative, got {min(counts)}")
+    pcg, draw, state = reader()[:3]
+    seed = int(seed) & _MASK64
     out = np.empty((sum(counts), 3))
     end = 0
     key = at = None  # the reader's key, and the counter it stands at

@@ -4,8 +4,12 @@ import json
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
+import threading
+import time
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -636,6 +640,109 @@ class TestSimulate:
         second = simulate(config)
         np.testing.assert_array_equal(first.f_mean, second.f_mean)
         np.testing.assert_array_equal(first.f_stderr, second.f_stderr)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
+                    reason="the engine forks its workers only where os.fork is safe")
+class TestForkedWorkers:
+    """simulate's executor on two workers: a child's exception or death
+    reaches the caller, no child outlives simulate on any way out, and a
+    process with a second thread runs its shares in process instead."""
+
+    CONFIG = dict(histories=200, batches=10)
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        parent = os.getpid()
+
+        def fail(*task):
+            raise ValueError(f"share failed in {os.getpid()}")
+
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        monkeypatch.setattr(engine, "_transport_group", fail)
+        forks = self.count_forks(monkeypatch)
+        with pytest.raises(ValueError, match=r"^share failed in \d+$") as raised:
+            simulate(small_config(**self.CONFIG))
+        assert int(str(raised.value).split()[-1]) != parent  # raised in a child
+        assert len(forks) == 2
+        self.assert_no_child_left()
+
+    def test_a_killed_worker_fails_the_run(self, monkeypatch, tmp_path, capsys):
+        from nonclassical_mc import cli
+
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        monkeypatch.setattr(engine, "_transport_group",
+                            lambda *task: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=f"wait status {signal.SIGKILL}$"):
+            simulate(small_config(**self.CONFIG))
+        self.assert_no_child_left()
+        code = cli.main(["compare", "--model", "sp2", "--histories", "200", "--batches", "10",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert f"wait status {signal.SIGKILL}" in capsys.readouterr().err
+        self.assert_no_child_left()
+
+    def test_an_interrupted_parent_leaves_no_child(self, monkeypatch):
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        monkeypatch.setattr(engine, "_transport_group", lambda *task: time.sleep(60))
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)  # not inherited by the children
+            with pytest.raises(Interrupted):
+                simulate(small_config(**self.CONFIG))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30  # the sleeping children were killed
+        self.assert_no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        config = small_config(kind="sp2", sigma_s=0.9, capture="implicit", histories=2_610,
+                              batches=13, seed=57)
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        alone = simulate(config)
+        forks = self.count_forks(monkeypatch)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            threaded = simulate(config)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == []
+        forked = simulate(config)  # the thread is gone: the same run forks
+        assert len(forks) == 2
+        for result in (threaded, forked):
+            for field in fields(result):
+                np.testing.assert_array_equal(getattr(result, field.name),
+                                              getattr(alone, field.name))
+        self.assert_no_child_left()
 
 
 class TestBatchSlices:

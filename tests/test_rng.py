@@ -122,6 +122,19 @@ class TestUniformsAt:
         np.testing.assert_array_equal(whole, split)
         assert uniforms_at(9, [3, 3], [10, 20], [0, 0]).shape == (3, 0)
 
+    @pytest.mark.parametrize("step, firsts, counts", [([0], [0, 5], [2, 3]),
+                                                      ([0, 1], [0], [2, 3]),
+                                                      ([0, 1], [0, 5], [2])])
+    def test_runs_of_unequal_length_raise(self, step, firsts, counts):
+        # zip would stop at the shortest, leaving columns of the output unwritten
+        with pytest.raises(ValueError, match="differ in length"):
+            uniforms_at(1, step, firsts, counts)
+
+    def test_negative_count_raises(self):
+        # it would silently shorten the output instead
+        with pytest.raises(ValueError, match="non-negative"):
+            uniforms_at(1, [0, 1], [0, 5], [3, -1])
+
     def test_streams_differ(self):
         # another step key or another seed gives other doubles at the same counters
         one = uniforms_at(1, [0], [0], [512])

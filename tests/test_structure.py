@@ -12,7 +12,8 @@ oracles are a closed form and a direct solve, and compare scores against the
 closed form alone: only the reference command runs the solver. The package
 runs on numpy alone: neither importing it nor running any command loads
 scipy, which only the tests and a demo use, as an oracle, nor OpenSSL's
-hashlib beyond what numpy.random loads itself. And src holds
+hashlib beyond what numpy.random loads itself, nor multiprocessing, since
+the engine forks its workers itself. And src holds
 only what a command runs: every function in it is called by some command,
 apart from a short allowlist that gives each entry's reason.
 """
@@ -176,6 +177,30 @@ def test_commands_load_no_openssl(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     assert after_import == after_reference == []
     assert set(after_simulate) <= set(json.loads(bare.stdout))
+
+
+def test_no_multiprocessing_import(tmp_path):
+    """Neither importing the package nor a two-worker simulate loads
+    multiprocessing: the engine forks its workers itself (twice here)."""
+    env = dict(os.environ, NONCLASSICAL_MC_WORKERS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')"
+    script = ("import json, os, sys\n"
+              "import nonclassical_mc\n"
+              f"seen = [{loaded}]\n"
+              "from nonclassical_mc import cli\n"
+              "forks, fork = [], os.fork\n"
+              "os.fork = lambda: forks.append(1) or fork()\n"
+              "code = cli.main(['simulate', '--model', 'sp3', '--histories', '200',"
+              f" '--batches', '10', '--out', {str(tmp_path)!r}])\n"
+              f"seen.append({loaded})\n"
+              "print(json.dumps([code, len(forks), seen]))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    code, forks, (after_import, after_simulate) = json.loads(done.stdout.splitlines()[-1])
+    assert (code, forks) == (0, 2)
+    assert after_import == after_simulate == []
 
 
 def defined_functions():
