@@ -18,9 +18,9 @@ it that starts at or after that run's end only advances the reader over the
 gap; any other run writes its key's start state (cached per key) and jumps
 to its first counter, so no call leaves anything to the next. The reader is
 shared, so concurrent threads must not call ``uniforms_at``; forked worker
-processes each use their copy of the parent's. The transport engine gives each batch in
-a lockstep step one run of counters, keyed by the batch's collision index
-(see ``engine``).
+processes each use their copy of the parent's. The transport engine gives
+each batch in a lockstep step one run of counters, keyed by the batch's
+collision index (see ``engine``).
 
 The start words come from numpy's C Philox. ``philox4x64_block`` is a
 numpy emulation of the same block function, with the counter
