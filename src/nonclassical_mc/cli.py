@@ -33,7 +33,7 @@ from .kernels import CrossSectionSpec, ModelKind, make_model
 from .reference import ConvergenceError, RadialGrid, closed_form, solve_integral_equation
 
 __all__ = ["RunManifest", "cmd_curves", "cmd_simulate", "cmd_reference", "cmd_compare",
-           "allowed_over_3sigma", "allowed_over_5sigma", "compare_verdict", "main"]
+           "compare_verdict", "main"]
 
 VERDICT_ALPHA = 0.01  # false-FAIL rate each verdict leg allows on a correct run
 MIN_SCORES = 100  # scores a shell needs before its z-score counts
@@ -150,12 +150,12 @@ def cmd_curves(manifest: RunManifest) -> int:
     return 0
 
 
-def _tally_metadata(manifest: RunManifest, config: ProblemConfig, result) -> dict:
+def _tally_metadata(command: str, config: ProblemConfig, result) -> dict:
     return {
-        "command": manifest.command,
-        "model": manifest.model,
-        "sigma_t": manifest.sigma_t,
-        "sigma_s": manifest.sigma_s,
+        "command": command,
+        "model": config.kind.value,
+        "sigma_t": config.sigma_t,
+        "sigma_s": config.sigma_s,
         "histories": result.histories,
         "batches": config.batches,
         "seed": config.seed,
@@ -186,7 +186,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
     _warn_capped(result)
     columns = [result.r_edges[:-1], result.r_edges[1:],
                result.f_mean, result.f_stderr, result.n_scores]
-    _write_csv(manifest.out, "tally.csv", _tally_metadata(manifest, config, result),
+    _write_csv(manifest.out, "tally.csv", _tally_metadata("simulate", config, result),
                ["r_lo", "r_hi", "f_mean", "f_stderr", "n_scores"], columns)
     print(f"collisions/history = {_fmt(result.collisions_per_history)} "
           f"+- {_fmt(result.collisions_per_history_se)}")
@@ -285,33 +285,23 @@ def _allowed_over(threshold: float, n_eligible: int, batches: int) -> int:
     return k
 
 
-def allowed_over_3sigma(n_eligible: int, batches: int) -> int:
-    """Allowance of the 3-sigma leg (2 of 64 shells at 100 batches)."""
-    return _allowed_over(3.0, n_eligible, batches)
-
-
-def allowed_over_5sigma(n_eligible: int, batches: int) -> int:
-    """Allowance of the 5-sigma leg (1 of 64 shells at 10 batches, 0 from 20)."""
-    return _allowed_over(5.0, n_eligible, batches)
-
-
 def compare_verdict(z: np.ndarray, n_scores: np.ndarray, batches: int) -> tuple[bool, dict]:
     """PASS/FAIL of per-shell z-scores, with the counts behind it.
 
     Shells with at least MIN_SCORES scores and a finite z are eligible.
     PASS needs at least one eligible shell, at most
-    allowed_over_5sigma(eligible, batches) over |z| = 5, and at most
-    allowed_over_3sigma(eligible, batches) over |z| = 3. On a correct run
+    _allowed_over(5.0, eligible, batches) over |z| = 5, and at most
+    _allowed_over(3.0, eligible, batches) over |z| = 3. On a correct run
     each leg FAILs with probability at most VERDICT_ALPHA (1%). At the
-    defaults of 64 shells and 100 batches the 5-sigma leg allows none and
-    FAILs about 2e-4 of the time.
+    defaults of 64 shells and 100 batches the 3-sigma leg allows 2, and the
+    5-sigma leg none (1 at 10 batches), FAILing about 2e-4 of the time.
     """
     eligible = (n_scores >= MIN_SCORES) & np.isfinite(z)
     n_eligible = int(eligible.sum())
     over3 = int(np.sum(np.abs(z[eligible]) > 3.0))
     over5 = int(np.sum(np.abs(z[eligible]) > 5.0))
-    allowed3 = allowed_over_3sigma(n_eligible, batches)
-    allowed5 = allowed_over_5sigma(n_eligible, batches)
+    allowed3 = _allowed_over(3.0, n_eligible, batches)
+    allowed5 = _allowed_over(5.0, n_eligible, batches)
     passed = n_eligible > 0 and over5 <= allowed5 and over3 <= allowed3
     return passed, {
         "eligible_shells": n_eligible,
@@ -332,8 +322,8 @@ def cmd_compare(manifest: RunManifest) -> int:
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (result.f_mean - f_oracle) / result.f_stderr
     passed, counts = compare_verdict(z, result.n_scores, config.batches)
-    meta = _tally_metadata(manifest, config, result)
-    meta.update({"command": "compare", "oracle_model": oracle_kind, **counts,
+    meta = _tally_metadata("compare", config, result)
+    meta.update({"oracle_model": oracle_kind, **counts,
                  "verdict": "PASS" if passed else "FAIL"})
     columns = [result.r_mid, result.f_mean, result.f_stderr, f_oracle, z]
     _write_csv(manifest.out, "compare.csv", meta,

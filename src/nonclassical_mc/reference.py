@@ -100,10 +100,9 @@ class ConvergenceError(RuntimeError):
     """The oracle solve failed (singular matrix, f not finite, not within
     tolerance of the fixed point, or negative); carries the residual."""
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 def _profile(model: PathLengthModel, u):
@@ -332,6 +331,8 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     below -tol max|f|: A is a Z-matrix and src > 0, so f >= 0 exactly when
     A^-1 >= 0, and a negative f means a supercritical discrete operator
     (the classical quadrature over-integrates its kernel near c = 1).
+    Raises closed_form's ArithmeticError for a mixture that has no closed
+    form, which make_model never builds.
     """
     if model.xs != xs:
         raise ValueError("model was built for a different medium than xs")
@@ -358,9 +359,7 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
         x, y = (z[:, :2] - np.outer(zu, z[-1, :2])).T
         # kappa is read after the three-column solve, which sets the peak
         # memory: read before it, it added 0.25 MB to the 3,072-node peak RSS
-        kappa = _slowest_decay(model) * grid.spacing
-        if not 0.0 < kappa < math.inf:  # a mixture make_model does not build may have none
-            kappa = 0.0
+        kappa = np.min(closed_form(model).decay) * grid.spacing
         # x's tail is eps max|x| noise until refined, which E must not lift
         # above max|x|: step j scales by at most e^{j ln(1/eps)} at r_max
         for step in (1, 2):
@@ -380,16 +379,15 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
         residual = float(np.max(np.abs(src - (product(x) + u * x[-1]) / r)) / np.max(np.abs(f)))
     if not rcond >= EPS:
         raise ConvergenceError(f"oracle matrix is singular (rcond {rcond:.3e}, c={c})",
-                               residual=math.inf, iterations=1)
+                               residual=math.inf)
     if not (np.all(np.isfinite(f)) and residual < tol):
         raise ConvergenceError(
             f"oracle solve left residual {residual:.3e} (rcond {rcond:.3e}, c={c}, tol={tol})",
-            residual=residual, iterations=1,
-        )
+            residual=residual)
     if np.min(f) < -tol * np.max(np.abs(f)):
         raise ConvergenceError(
             f"oracle collision density is negative (min f {np.min(f):.3e}, c={c}): "
-            "the discrete operator is supercritical", residual=residual, iterations=1)
+            "the discrete operator is supercritical", residual=residual)
     return RadialSolution(grid, f, origin_mass, 1, residual, rcond)
 
 
@@ -487,14 +485,6 @@ def _case_root(c: float) -> float:
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (lo, mid) if c * math.atanh(mid) > mid else (mid, hi)
     return hi
-
-
-def _slowest_decay(model: PathLengthModel) -> float:
-    """The smallest decay of closed_form(model), 1/length, read without its
-    balance check: the rate at which the collision density's tail falls."""
-    if model.mu:
-        return model.xs.sigma_t * float(np.min(_mixture_modes(model)[0]))
-    return model.xs.sigma_t * _case_root(model.xs.c)
 
 
 @functools.cache

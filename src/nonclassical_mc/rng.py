@@ -22,9 +22,9 @@ processes each use their copy of the parent's. The transport engine gives
 each batch in a lockstep step one run of counters, keyed by the batch's
 collision index (see ``engine``).
 
-The start words come from numpy's C Philox. ``philox4x64_block`` is a
-numpy emulation of the same block function, with the counter
-(counter, 0, 0, 0); the test suite checks the start derivation against it.
+The start words come from numpy's C Philox. ``philox4x64_block``, a numpy
+emulation of the same block function on the counter (counter, 0, 0, 0),
+is called by no command: its tests check it against the C Philox.
 numpy increments its four-word counter before each block, so a Philox
 whose counter words are all set (block -1, which wraps) and whose buffer is
 empty yields block 0 next.

@@ -1,14 +1,18 @@
 """Shared fixtures."""
 
 import math
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nonclassical_mc
 from nonclassical_mc import CrossSectionSpec, make_model, sample_path
 from nonclassical_mc.rng import uniforms_at
+
+SRC = os.path.dirname(os.path.dirname(nonclassical_mc.__file__))  # holds the package under test
 
 
 @pytest.fixture(scope="session")
@@ -103,3 +107,18 @@ def _empirical_check(model, n, seed, stream_id):
 def empirical_check():
     """empirical_check(model, n, seed, stream_id) -> MomentReport."""
     return _empirical_check
+
+
+def _subprocess_env(**variables):
+    """os.environ plus variables, with SRC first on PYTHONPATH."""
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + ([env["PYTHONPATH"]]
+                                               if env.get("PYTHONPATH") else []))
+    return env
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """subprocess_env(**variables) -> the environment of a Python subprocess
+    that imports the package under test, with variables set."""
+    return _subprocess_env

@@ -2,22 +2,33 @@
 
 Key (seed, step) is a PCG64DXSM stream started from Philox block
 (seed, step; 0), and counter h reads its doubles 3h, 3h + 1 and 3h + 2.
+Nothing here reads the package.
 """
 
 import functools
-
-from nonclassical_mc.rng import philox4x64_block
 
 MASK64 = 2**64 - 1
 MASK128 = 2**128 - 1
 MULTIPLIER = 0xDA942042E4DD58B5  # numpy PCG64DXSM's LCG step and DXSM output
 
 
+def philox_int(counter, key0, key1):
+    """Philox4x64-10 on a full four-word counter, in Python integers: the
+    block's four words."""
+    c = [(counter >> shift) & MASK64 for shift in (0, 64, 128, 192)]
+    k0, k1 = key0 & MASK64, key1 & MASK64
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k0, p1 & MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & MASK64]
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & MASK64, (k1 + 0xBB67AE8584CAA73B) & MASK64
+    return c
+
+
 @functools.cache
 def stream_start(seed, step):
     """(state, inc) of key (seed, step): the block's words as two 128-bit
     integers, low word first, inc forced odd."""
-    w0, w1, w2, w3 = (int(word) for word in philox4x64_block(0, seed & MASK64, step & MASK64))
+    w0, w1, w2, w3 = philox_int(0, seed, step)
     return w0 | w1 << 64, w2 | w3 << 64 | 1
 
 

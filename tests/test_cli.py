@@ -15,8 +15,8 @@ import pytest
 from scipy import special
 
 from nonclassical_mc import CrossSectionSpec, closed_form, make_model
-from nonclassical_mc.cli import (RunManifest, _manifest_from_args, _write_csv, allowed_over_3sigma,
-                                 allowed_over_5sigma, build_parser, compare_verdict, main)
+from nonclassical_mc.cli import (RunManifest, _allowed_over, _manifest_from_args, _write_csv,
+                                 build_parser, compare_verdict, main)
 
 
 def read_csv(path):
@@ -167,6 +167,24 @@ class TestSimulate:
         assert abs(mean - 2.0) <= 4.0 * se
 
 
+@pytest.mark.parametrize("command, name, tail", [
+    ("simulate", "tally.csv", []),
+    # compare adds the oracle, the verdict's counts leg by leg and the verdict
+    ("compare", "compare.csv", ["oracle_model", "eligible_shells", "shells_over_3sigma",
+                                "allowed_over_3sigma", "shells_over_5sigma",
+                                "allowed_over_5sigma", "verdict"])])
+def test_tally_metadata_keys_in_order(tmp_path, command, name, tail):
+    code = run_cli(command, "--model", "sp2", "--sigma-t", "2", "--sigma-s", "0.5",
+                   "--histories", "2000", "--batches", "10", "--out", str(tmp_path))
+    assert code in (0, 2)
+    metadata, _, _ = read_csv(tmp_path / name)
+    assert list(metadata) == ["command", "model", "sigma_t", "sigma_s", "histories", "batches",
+                              "seed", "capture", "collisions_per_history",
+                              "collisions_per_history_se", "zero_length_fraction",
+                              "absorbed_weight_per_history", "faults", "capped", *tail]
+    assert list(metadata.values())[:4] == [command, "sp2", "2", "0.5"]
+
+
 class TestCappedHistories:
     CSV = {"simulate": "tally.csv", "compare": "compare.csv"}
     ARGS = ("--model", "classical", "--sigma-s", "0.99", "--histories", "200", "--batches", "10")
@@ -263,11 +281,11 @@ class TestVerdictRule:
 
     def test_allowance_at_defaults(self):
         # P(|t_99| > 3) = 0.0034, so 64 shells allow 2: P(Binomial > 2) = 0.0014
-        assert allowed_over_3sigma(self.SHELLS, self.BATCHES) == 2
-        assert allowed_over_3sigma(10, self.BATCHES) == 1
-        assert allowed_over_3sigma(0, self.BATCHES) == 0
+        assert _allowed_over(3.0, self.SHELLS, self.BATCHES) == 2
+        assert _allowed_over(3.0, 10, self.BATCHES) == 1
+        assert _allowed_over(3.0, 0, self.BATCHES) == 0
         # fewer batches give fatter t tails and a larger allowance
-        assert allowed_over_3sigma(self.SHELLS, 10) > 2
+        assert _allowed_over(3.0, self.SHELLS, 10) > 2
 
     @pytest.mark.parametrize("threshold", [3.0, 5.0])
     def test_allowances_match_scipy(self, threshold):
@@ -275,14 +293,13 @@ class TestVerdictRule:
         # by scipy's stdtr and bdtrc
         shells = [*range(80), 100, 128, 256, 512, 1_000, 10_000]
         batches = [*range(10, 60), 64, 100, 128, 200, 500, 1_000, 10_000, 1_000_000]
-        allowed = {3.0: allowed_over_3sigma, 5.0: allowed_over_5sigma}[threshold]
         for b in batches:
             p = 2.0 * special.stdtr(b - 1, -threshold)
             for n in shells:
                 k = 0
                 while special.bdtrc(k, n, p) > 0.01:
                     k += 1
-                assert allowed(n, b) == k, (n, b)
+                assert _allowed_over(threshold, n, b) == k, (n, b)
 
     def test_clean_run_passes(self):
         passed, counts = self.verdict(np.zeros(self.SHELLS))
@@ -310,10 +327,10 @@ class TestVerdictRule:
     def test_5sigma_allowance(self):
         # P(|t_9| > 5) = 7.4e-4: with no allowance a correct 64-shell run at
         # 10 batches would FAIL the 5-sigma leg about 4.6% of the time
-        assert allowed_over_5sigma(self.SHELLS, 10) == 1
-        assert allowed_over_5sigma(self.SHELLS, 20) == 0
-        assert allowed_over_5sigma(self.SHELLS, self.BATCHES) == 0
-        assert allowed_over_5sigma(0, 10) == 0
+        assert _allowed_over(5.0, self.SHELLS, 10) == 1
+        assert _allowed_over(5.0, self.SHELLS, 20) == 0
+        assert _allowed_over(5.0, self.SHELLS, self.BATCHES) == 0
+        assert _allowed_over(5.0, 0, 10) == 0
 
     def test_5sigma_leg_at_10_batches(self):
         z = np.zeros(self.SHELLS)
@@ -642,7 +659,7 @@ class TestExitCodes:
         from nonclassical_mc import ConvergenceError
 
         def stalled(*args, **kwargs):
-            raise ConvergenceError("stalled", residual=1.0, iterations=84)
+            raise ConvergenceError("stalled", residual=1.0)
 
         monkeypatch.setattr("nonclassical_mc.cli.solve_integral_equation", stalled)
         assert run_cli("reference", "--model", "sp2", "--sigma-t", "1",

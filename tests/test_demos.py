@@ -1,6 +1,5 @@
 """Smoke test: every narrative script in demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +15,7 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+def test_demo_runs(script, tmp_path, subprocess_env):
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=subprocess_env(),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -276,7 +276,7 @@ class TestTransportGroup:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="pins glibc malloc's dynamic mmap threshold")
-    def test_repeat_group_reuses_heap_memory(self):
+    def test_repeat_group_reuses_heap_memory(self, subprocess_env):
         # a fresh process, so nothing else has moved malloc's thresholds: the
         # second identical group finds its per-step arrays on the heap and
         # faults fewer pages than it takes steps (not one mmap per array)
@@ -298,12 +298,8 @@ before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 engine._transport_group(*task)
 print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, steps]))
 """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(os.path.dirname(engine.__file__))]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
+        done = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=120, check=True)
         faults, steps = json.loads(done.stdout)
         assert steps > 10
         assert faults < steps

@@ -24,7 +24,7 @@ from nonclassical_mc import (
 )
 from nonclassical_mc import reference
 from nonclassical_mc.reference import (_exp1, _first_column, _operator, _profile, _profile_integral,
-                                       _scaled_toeplitz, _slowest_decay)
+                                       _scaled_toeplitz)
 
 ALL_KINDS = list(ModelKind)
 NON_CLASSICAL = [kind for kind in ModelKind if kind is not ModelKind.CLASSICAL]
@@ -258,13 +258,17 @@ class TestClosedForms:
             first_flight = closed_form(make_model(kind, CrossSectionSpec(1.0, 0.0))).density(r)
             np.testing.assert_allclose(exact.density(r), first_flight, rtol=1e-4)
 
-    def test_complex_poles_rejected(self):
+    def test_complex_poles_rejected(self, grid):
         # a mixture with a negative weight is no law make_model builds: its
-        # secular equation has no real root there, and the closed form refuses
+        # secular equation has no real root there, and the closed form
+        # refuses; so does the solver, which reads its decay rate off the
+        # closed form (it once solved on into a negative density)
         xs = CrossSectionSpec(1.0, 0.5)
         bogus = PathLengthModel(ModelKind.SP3, xs, 0.0, mu=(1.0, 2.0), weights=(-1.0, 2.0))
         with pytest.raises(ArithmeticError), np.errstate(invalid="ignore"):
             closed_form(bogus)
+        with pytest.raises(ArithmeticError, match="closed form"):
+            solve_integral_equation(bogus, xs, grid)
 
     def test_sp3_green_value(self, sp3):
         expected = (sp3.A_plus * math.exp(-sp3.lambda_plus)
@@ -447,7 +451,6 @@ class TestSolver:
         with pytest.raises(ConvergenceError) as excinfo:
             solve_integral_equation(model, xs, grid, tol=1e-10)
         assert excinfo.value.residual > 1e-10
-        assert excinfo.value.iterations > 0
 
     def test_non_finite_operator_is_refused(self, grid, monkeypatch):
         xs = CrossSectionSpec(1.0, 0.5)
@@ -466,7 +469,6 @@ class TestSolver:
         with pytest.raises(ConvergenceError) as excinfo:
             solve_integral_equation(make_model("sp3", xs), xs, grid, tol=1e-30)
         assert 1e-30 <= excinfo.value.residual < 1e-12
-        assert excinfo.value.iterations == 1
 
     def test_supercritical_discrete_operator_is_refused(self):
         # at c = 0.9999 on [0, 60] the O(h) quadrature over-integrates the
@@ -539,7 +541,7 @@ class TestScaledProduct:
         model = make_model(kind, xs)
         tau, _ = _operator(model, REFINED, scattering)
         x = REFINED.nodes * solve_integral_equation(model, xs, REFINED).f
-        kappa = _slowest_decay(model) * REFINED.spacing
+        kappa = np.min(closed_form(model).decay) * REFINED.spacing
         assert kappa * REFINED.m <= 72.0
         product = _scaled_toeplitz(tau, kappa)(x)
         bound = toeplitz_direct(np.abs(tau), np.abs(x))
@@ -554,7 +556,7 @@ class TestScaledProduct:
         # of its peak; f matches LAPACK down to there
         xs = CrossSectionSpec(1.0, 0.5)
         model = make_model(kind, xs)
-        assert _slowest_decay(model) * REFINED.r_max > 36.0
+        assert np.min(closed_form(model).decay) * REFINED.r_max > 36.0
         solution = solve_integral_equation(model, xs, REFINED)
         assert solution.residual < 1e-14
         # f falls by 1e-30 to 1e-35 over the domain: below that, rounding

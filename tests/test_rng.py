@@ -1,14 +1,12 @@
 """Random-access streams, checked against numpy and a Python-integer emulation."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emulation import MASK128, MULTIPLIER, counter_uniforms, doubles, jump, stream_start
+from emulation import MASK128, MULTIPLIER, counter_uniforms, doubles, jump, philox_int, stream_start
 from nonclassical_mc import rng
 from nonclassical_mc.rng import philox4x64_block, uniforms_at
 
@@ -33,24 +31,22 @@ class TestPhiloxBlock:
         lanes = philox4x64_block(np.uint64(42), 7, 9)
         assert [int(lane) for lane in lanes] == list(raw)
 
+    @pytest.mark.parametrize("words", [(41, 0, 0, 0), (MASK64, 5, 0, 0), (MASK64,) * 4])
+    def test_python_integers_match_numpy(self, words):
+        # numpy carries its counter's increment through all four words, and
+        # wraps the last block to block 0: so does the Python-integer Philox
+        key = (12345, 678910)
+        bg = np.random.Philox(key=np.array(key, dtype=np.uint64),
+                              counter=np.array(words, dtype=np.uint64))
+        counter = (sum(word << 64 * i for i, word in enumerate(words)) + 1) % 2**256
+        assert philox_int(counter, *key) == bg.random_raw(4).tolist()
+
     def test_vectorized_counters(self):
         counters = np.arange(1, 9, dtype=np.uint64)
         lanes = philox4x64_block(counters, 3, 4)
         for i, ctr in enumerate(counters):
             single = philox4x64_block(ctr, 3, 4)
             assert all(int(lane[i]) == int(s) for lane, s in zip(lanes, single))
-
-
-def philox_int(counter, key0, key1):
-    """Philox4x64-10 on a full four-word counter, in Python integers: the
-    block's four words."""
-    c = [(counter >> shift) & MASK64 for shift in (0, 64, 128, 192)]
-    k0, k1 = key0 & MASK64, key1 & MASK64
-    for _ in range(10):
-        p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
-        c = [(p1 >> 64) ^ c[1] ^ k0, p1 & MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & MASK64]
-        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & MASK64, (k1 + 0xBB67AE8584CAA73B) & MASK64
-    return c
 
 
 def expected_runs(seed, steps, firsts, counts):
@@ -97,6 +93,7 @@ class TestEmulation:
         # inc forced odd: from philox4x64_block, from Python integers, and
         # from the C Philox the reader derives it with
         w = philox_int(0, seed, step)
+        assert [int(word) for word in philox4x64_block(0, seed, step)] == w
         assert stream_start(seed, step) == (w[0] | w[1] << 64, w[2] | w[3] << 64 | 1)
         uniforms_at(seed, [step], [0], [1])  # builds the reader
         assert rng._start(seed, step) == stream_start(seed, step)
@@ -244,13 +241,9 @@ class TestUniformsAt:
             for call in order:
                 np.testing.assert_array_equal(uniforms_at(*call), expected[calls.index(call)])
 
-    def test_reader_is_built_on_first_call(self):
+    def test_reader_is_built_on_first_call(self, subprocess_env):
         # importing the package builds no reader and loads no numpy.random;
         # the first call builds it, and later calls reuse it
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
-                                                      if env.get("PYTHONPATH") else []))
         script = ("import sys, nonclassical_mc\n"
                   "from nonclassical_mc import rng\n"
                   "assert rng._reader is None and 'numpy.random' not in sys.modules\n"
@@ -258,7 +251,8 @@ class TestUniformsAt:
                   "reader = rng._reader\n"
                   "rng.uniforms_at(2, [5], [9], [4])\n"
                   "assert reader is not None and rng._reader is reader\n")
-        subprocess.run([sys.executable, "-c", script], env=env, timeout=120, check=True)
+        subprocess.run([sys.executable, "-c", script], env=subprocess_env(), timeout=120,
+                       check=True)
 
     def test_statistical_sanity(self):
         # row 0 of 64 keys x 4096 counters: mean 1/2, var 1/12, lag-1

@@ -20,7 +20,6 @@ apart from a short allowlist that gives each entry's reason.
 
 import ast
 import json
-import os
 import re
 import subprocess
 import sys
@@ -98,10 +97,8 @@ def test_one_transport_implementation(callee):
     assert callers == {"_transport_group"}
 
 
-def test_import_loads_no_scipy_integrate():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+def test_import_loads_no_scipy_integrate(subprocess_env):
+    env = subprocess_env()
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, nonclassical_mc; print(sorted(m for m in sys.modules"
@@ -130,10 +127,8 @@ COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", COMMANDS)
-def test_no_command_loads_scipy(argv, tmp_path):
-    env = dict(os.environ, NONCLASSICAL_MC_WORKERS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+def test_no_command_loads_scipy(argv, tmp_path, subprocess_env):
+    env = subprocess_env(NONCLASSICAL_MC_WORKERS="1")
     script = ("import json, sys\n"
               "from nonclassical_mc import cli\n"
               "argv = json.loads(sys.argv[1])\n"
@@ -147,16 +142,14 @@ def test_no_command_loads_scipy(argv, tmp_path):
     assert loaded == []
 
 
-def test_commands_load_no_openssl(tmp_path):
+def test_commands_load_no_openssl(tmp_path, subprocess_env):
     """A fresh import of the cli, then a reference run, load none of hashlib,
     _hashlib, ssl or scipy; a one-worker simulate after them loads only
     those that a bare import of numpy.random loads too (its bit generators
     import secrets, and with it hashlib). Hashing rng's keys through hashlib
     would load OpenSSL into every process: 3.6 MB more peak RSS on a
     3,072-node reference."""
-    env = dict(os.environ, NONCLASSICAL_MC_WORKERS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = subprocess_env(NONCLASSICAL_MC_WORKERS="1")
     guarded = ("hashlib", "_hashlib", "ssl", "scipy")
     loaded = f"sorted(m for m in sys.modules if m.split('.')[0] in {guarded!r})"
     out = ["--out", str(tmp_path)]
@@ -179,12 +172,10 @@ def test_commands_load_no_openssl(tmp_path):
     assert set(after_simulate) <= set(json.loads(bare.stdout))
 
 
-def test_no_multiprocessing_import(tmp_path):
+def test_no_multiprocessing_import(tmp_path, subprocess_env):
     """Neither importing the package nor a two-worker simulate loads
     multiprocessing: the engine forks its workers itself (twice here)."""
-    env = dict(os.environ, NONCLASSICAL_MC_WORKERS="2")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = subprocess_env(NONCLASSICAL_MC_WORKERS="2")
     loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')"
     script = ("import json, os, sys\n"
               "import nonclassical_mc\n"
@@ -228,9 +219,8 @@ def defined_functions():
 
 
 UNCALLED_BY_COMMANDS = {
-    ("rng", "philox4x64_block"): "numpy emulation of the Philox block: the tests' oracle "
-                                 "for the streams' start states and the benchmark's "
-                                 "rng.blocks_per_s micro",
+    ("rng", "philox4x64_block"): "numpy emulation of the Philox block, read only by its own "
+                                 "tests and the benchmark's rng.blocks_per_s micro",
     ("rng", "_mulhilo"): "part of philox4x64_block",
     ("kernels", "PathLengthModel.survival"): "public law quantity, the tests' oracle for the "
                                              "sampler's tail; cdf is summed from the "
