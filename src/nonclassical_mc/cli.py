@@ -212,7 +212,7 @@ def cmd_reference(manifest: RunManifest) -> int:
     # truncated domain loses some and the quadrature may add some
     mass_error = abs((1.0 - xs.c) * volume - 1.0)
     g = grid.weights * grid.nodes**2
-    exact = closed_form(model).density(grid.nodes)
+    exact = solution.exact.density(grid.nodes)
     gap = np.sum(g * np.abs(solution.f - exact)) / np.sum(g * exact)
     meta = {
         "command": "reference",

@@ -4,42 +4,53 @@ A history is born at the origin of an isotropic point source, flies a
 distance drawn from the model's path-length law, scores its weight in the
 radial shell containing the collision site, and then either dies (analog
 capture, probability 1 - c) or scatters isotropically with the path-length
-coordinate reset to zero. Zero-length sp2 flights score in the shell
-containing the current position and still roll the absorption test.
+coordinate reset to zero. A law with an atom at s = 0 (sp2) sends a
+scattered history back to the same point with the atom's probability: a
+zero-length flight, after which it collides again without moving. The
+transport folds these collisions into one site visit: K >= 1 collisions at
+one point, all scored in its shell and each with its own absorption test
+or roulette (_site_visits), then a flight from the law's continuous part.
+For an atomless law a site visit is one collision. Only a history's first
+flight, from the source, is drawn from the full law, so it alone can be a
+zero-length flight between two site visits; every other zero-length
+collision happens inside a site.
 
 Every variate comes from the random-access streams of ``rng``: one
 PCG64DXSM stream per key, whose counter h holds three doubles. A batch's
-collision j reads key (seed, j): the r-th live history of the batch,
+site visit j reads key (seed, j): the r-th live history of the batch,
 counting in history order, reads the counter s + r, where s is the id of
-the batch's first history. So a history's first collision reads counter h,
-and a batch of one history reads (seed, j; h) at every collision j. A batch
-reads key j first at its collision j, and which counter a history takes
-there depends only on earlier variates, so given the past the variates of
-collision j are independent and uniform. A counter's three doubles are
-spent on one collision: u[0] gives flight j's cosine to the radius vector
-(at birth for j = 0, after the scatter after that), u[1] the flight
-variate, and u[2] the analog capture test, or in implicit capture the
-roulette test, which decides only for the lanes whose weight falls below
-the cutoff. The result of a run is
-therefore a pure function of (seed, histories, batches) no matter how
-batches are distributed over worker processes (set NONCLASSICAL_MC_WORKERS
-to override the default of all CPUs the process may run on).
+the batch's first history. So a history's first site visit reads counter
+h, and a batch of one history reads (seed, j; h) at every site visit j. A
+batch reads key j first at its site visit j, and which counter a history
+takes there depends only on earlier variates, so given the past the
+variates of site visit j are independent and uniform. A counter's three
+doubles are spent on one site visit: u[0] gives flight j's cosine to the
+radius vector (at birth for j = 0, after the scatter after that), u[1] the
+flight variate, and u[2] the analog capture test, or in implicit capture
+the roulette test, which decides only for the lanes whose weight falls
+below the cutoff; under a law with an atom, u[2] gives the visit's
+collision count and its capture tests and roulettes together. The result
+of a run is therefore a pure function of (seed, histories, batches) no
+matter how batches are distributed over worker processes (set
+NONCLASSICAL_MC_WORKERS to override the default of all CPUs the process
+may run on).
 
 Each worker runs one contiguous range of batches (as many ranges as
-workers, at most one per batch) in a refilling lockstep over collisions,
+workers, at most one per batch) in a refilling lockstep over site visits,
 so the per-step cost is shared. Before each step the lockstep admits the
 next batches in order, each whole, while its width stays within LANES
 histories; a batch wider than LANES joins only an empty lockstep. As
 histories die, lanes free up and later batches join, so the width stays
-near LANES and the step count follows the range's collisions over the
-width. One step thus holds batches at different collision indices, and its
-one ``uniforms_at`` call gives each batch a run of counters under the key
-of its own collision index. The grouping depends on the worker count, but
-the output does not: admission appends batches in order and compaction
-keeps the live lanes in history order, so a batch's counters at each
-collision depend only on its own histories, each (batch, shell) cell
-receives its additions in (collision index, history id) order whatever the
-batch's step-mates are, and per-batch results are reduced in batch order.
+near LANES and the step count follows the range's site visits over the
+width. One step thus holds batches at different site-visit indices, and
+its one ``uniforms_at`` call gives each batch a run of counters under the
+key of its own site-visit index. The grouping depends on the worker
+count, but the output does not: admission appends batches in order and
+compaction keeps the live lanes in history order, so a batch's counters at
+each site visit depend only on its own histories, each (batch, shell) cell
+receives its additions in (site-visit index, history id) order whatever
+the batch's step-mates are, and per-batch results are reduced in batch
+order.
 
 Every worker count goes through one executor, ``_run_shares``. It first
 builds the RNG reader (``rng.reader``, which imports numpy.random), then,
@@ -95,14 +106,19 @@ __all__ = [
     "MAX_COLLISIONS",
 ]
 
-# an analog history is still alive after MAX_COLLISIONS collisions with probability
-# c**MAX_COLLISIONS: about 4.5e-5 at c = 0.9999 and 3.5e-44 at c = 0.999; it is
-# stopped there and counted in `capped`, and its later collisions go unscored
+# the cap on a history's site visits (lockstep steps): one collision each for an
+# atomless law, one or more for sp2, whose zero-length collisions happen inside a
+# site. An analog history of an atomless law is still alive after MAX_COLLISIONS
+# collisions with probability c**MAX_COLLISIONS: about 4.5e-5 at c = 0.9999 and
+# 3.5e-44 at c = 0.999 (an sp2 site visit ends alive with probability
+# c(1 - a)/(1 - c a) < c). A history at the cap is stopped and counted in
+# `capped`, and its later collisions go unscored
 MAX_COLLISIONS = 100_000
 WEIGHT_CUTOFF = 0.01
 ROULETTE_SURVIVAL = 0.1
 WORKERS_ENV = "NONCLASSICAL_MC_WORKERS"
 LANES = 16_384  # lockstep width cap, near a 1e4-history batch, so peak memory does not grow
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 
 @dataclass(frozen=True)
@@ -181,6 +197,78 @@ def _radius_after(r, s, u0):
     return np.sqrt(along * along + s * s * (4.0 * u0 * (1.0 - u0)))
 
 
+def _site_visits(xi, c, log_q, log_c, atom, w):
+    """The collisions of each lane's site visit, all read from its double xi.
+
+    After a collision the history stays at the site, a zero-length flight,
+    with probability q (c atom under analog capture, atom under implicit,
+    where every collision scatters), so the extra collisions
+    K - 1 = floor(ln(1 - xi) / ln q) are geometric, and what xi has left,
+    v = (1 - (1 - xi) / q^(K - 1)) / (1 - q), is uniform on [0, 1) and
+    independent of K. Under analog capture the visit ends in absorption when
+    v < (1 - c) / (1 - q), that is when ln(1 - xi) - (K - 1) ln q > ln c,
+    and in a flight otherwise. Under implicit capture w is the weight each
+    lane arrives with, and collision i of the visit scores w c^(i - 1); a
+    lane whose weight stays at or above WEIGHT_CUTOFF leaves with w c^K, the
+    others play each collision's roulette (_roulettes).
+
+    Returns per lane the collisions made k (floats), whether the history
+    leaves in a flight, and under implicit capture the sum of its
+    collisions' weights and the weight it leaves with (None under analog).
+    """
+    log_left = np.log1p(-xi)
+    extra = np.floor(log_left / log_q)
+    k = extra + 1.0
+    if w is None:
+        return k, log_left - extra * log_q <= log_c, None, None
+    leave = w * c**k
+    score = (w - leave) / (1.0 - c)
+    alive = np.ones(k.size, dtype=bool)
+    slow = np.flatnonzero(leave < WEIGHT_CUTOFF)
+    if slow.size:
+        v = -np.expm1(log_left.take(slow) - extra.take(slow) * log_q) / (1.0 - atom)
+        k[slow], alive[slow], score[slow], leave[slow] = _roulettes(
+            w.take(slow), k.take(slow), v, c, log_c)
+    return k, alive, score, leave
+
+
+def _roulettes(w, left, v, c, log_c):
+    """Implicit-capture visits of `left` collisions from weight w, with the
+    roulette of every collision whose weight falls below WEIGHT_CUTOFF.
+
+    The roulettes a visit survives, floor(ln(1 - v) / ln ROULETTE_SURVIVAL),
+    are geometric and read from v, uniform and independent of the visit's
+    length. Each lane walks from roulette to roulette: collisions up to the
+    first whose weight w c^j falls below the cutoff, then death there, or
+    the weight divided by ROULETTE_SURVIVAL and the collisions left. Returns
+    the collisions made, whether the history lives, the sum of their
+    weights and the weight left, per lane.
+    """
+    lives = np.floor(np.log1p(-np.clip(v, 0.0, _BELOW_ONE)) / math.log(ROULETTE_SURVIVAL))
+    k = np.zeros(w.size)
+    score = np.zeros(w.size)
+    alive = np.ones(w.size, dtype=bool)
+    walking = np.arange(w.size)
+    while walking.size:
+        wa, todo = w[walking], left[walking]
+        j = np.ones(walking.size)  # collisions to the first below the cutoff
+        far = np.flatnonzero(wa * c >= WEIGHT_CUTOFF)  # so c > 0 and wa > 0 there
+        j[far] += np.floor(np.log(WEIGHT_CUTOFF / wa[far]) / log_c)
+        np.minimum(j, todo, out=j)
+        end = wa * c**j
+        score[walking] += (wa - end) / (1.0 - c)
+        k[walking] += j
+        todo -= j
+        left[walking] = todo
+        roulette = end < WEIGHT_CUTOFF
+        dead = roulette & (lives[walking] == 0.0)
+        alive[walking[dead]] = False
+        lives[walking] -= roulette
+        w[walking] = np.where(roulette, end / ROULETTE_SURVIVAL, end)
+        walking = walking[(todo > 0.0) & ~dead]
+    return k, alive, score, w
+
+
 _heap_prepared = False
 
 
@@ -201,22 +289,25 @@ def _prepare_heap() -> None:
 
 
 def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
-                     r_max: float, shells: int, capture: str, max_collisions: int) -> dict:
-    """Run consecutive batches in one refilling lockstep over collisions.
+                     r_max: float, shells: int, capture: str, max_visits: int) -> dict:
+    """Run consecutive batches in one refilling lockstep over site visits.
 
     Batch b holds the sizes[b] histories that follow those of batch b - 1,
     the first starting at history start_id. Before each step the kernel
     admits the next batches in order, each whole, while the width stays
     within LANES (a batch wider than LANES only into an empty lockstep);
-    a batch admitted at step t takes its collision j at step t + j. Every
+    a batch admitted at step t takes its site visit j at step t + j. Every
     lane carries its batch index, counted from the oldest batch in the
     lockstep. Each step makes one ``uniforms_at`` call with one run of
-    counters per batch, keyed by the batch's collision index (module
+    counters per batch, keyed by the batch's site-visit index (module
     docstring); lanes stay sorted by batch and history, so the call's
-    columns line up with the lanes. One counter is used per collision, plus
-    one per faulted flight, and a batch's histories still live after
-    max_collisions collisions are capped. Collisions score on the grid
-    np.linspace(0, r_max, shells + 1).
+    columns line up with the lanes. One counter is used per site visit,
+    plus one per faulted flight, and a batch's histories still live after
+    max_visits site visits are capped. A step samples the flights of the
+    lanes already in the lockstep from the law's continuous part, and
+    under a law with an atom those of its newborn lanes, the last ones, in
+    a second ``sample_path`` call from the full law. Collisions score on
+    the grid np.linspace(0, r_max, shells + 1).
 
     Returns per-batch arrays by name, in batch order, for _finalize.
     """
@@ -238,12 +329,20 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
     admitted = np.zeros(nb, dtype=np.int64)  # the step each batch joins at
     live = np.zeros(nb, dtype=np.int64)  # live histories per batch
     batch = np.zeros(0, dtype=np.intp)
+    atom = model.atom_at_zero
+    leaving = model.continuous_part  # the law of every flight but a newborn's
+    if atom:
+        # extra collisions at a site come with probability q each: c atom under
+        # analog capture, atom under implicit (q = 0 at c = 0 reads as the
+        # smallest float, whose log makes every site one collision)
+        log_q = math.log(max(c * atom if analog else atom, sys.float_info.min))
+        log_c = math.log(c) if c else -math.inf
     births = [0.0] if analog else [0.0, 1.0]  # radius, then weight (analog weights are all 1)
     lanes = [np.zeros(0) for _ in births]
     lo = hi = 0  # the lockstep holds batches lo .. hi - 1
     step = 0
     while True:
-        width, joined = batch.size, hi
+        width, joined, new = batch.size, hi, 0
         while hi < nb and (width == 0 or width + sizes[hi] <= LANES):
             width += sizes[hi]
             hi += 1
@@ -259,7 +358,16 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         held = slice(lo, hi)
         nh = hi - lo
         u = uniforms_at(seed, step - admitted[held], firsts[held], live[held])
-        s = sample_path(model, u[1])
+        if atom and new:
+            # the newborn lanes, the last ones, fly the full law: a history born
+            # at the origin collides there first with probability atom
+            born = sample_path(model, u[1][-new:])
+            s = born if new == width else np.concatenate([sample_path(leaving, u[1][:-new]),
+                                                          born])
+            out["zero_length"][held] += np.bincount(
+                batch[-new:].take(np.flatnonzero(born == 0.0)), minlength=nh)
+        else:
+            s = sample_path(leaving, u[1])
         lanes[0] = _radius_after(lanes[0], s, u[0])
         xi = u[2]
         ok = np.isfinite(lanes[0])
@@ -269,9 +377,19 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
             live[held] -= faulted
             batch, xi, s, *lanes = (a[ok] for a in (batch, xi, s, *lanes))
         radius = lanes[0]
-        out["collisions"][held] += live[held]
-        out["zero_length"][held] += np.bincount(batch.take(np.flatnonzero(s == 0.0)),
-                                                minlength=nh)
+        if atom:
+            k, alive, score, leave = _site_visits(xi, c, log_q, log_c, atom,
+                                                  None if analog else lanes[1])
+            if not analog:
+                lanes[1] = leave
+            collided = np.bincount(batch, k, minlength=nh).astype(np.int64)
+            out["collisions"][held] += collided
+            out["zero_length"][held] += collided - live[held]
+        else:
+            out["collisions"][held] += live[held]
+            out["zero_length"][held] += np.bincount(batch.take(np.flatnonzero(s == 0.0)),
+                                                    minlength=nh)
+            score = None if analog else lanes[1]
         # the uniform grid's shell, estimated within one of the true index (at
         # most shells, as r < r_max) and corrected against the edges: exactly
         # searchsorted(edges, r, "right") - 1
@@ -283,19 +401,24 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         shell += r >= edges[shell + 1]
         cell = scored * shells + shell
         cells = slice(lo * shells, hi * shells)
-        out["scores"][cells] += np.bincount(cell, minlength=nh * shells)
-        step += 1
-        if analog:
-            alive = xi >= 1.0 - c
+        if atom:  # a site scores each of its k collisions
+            out["scores"][cells] += np.bincount(cell, k if hit is None else k.take(hit),
+                                                nh * shells).astype(np.int64)
         else:
-            w = lanes[1]
-            np.add.at(out["weight"][cells], cell, w if hit is None else w.take(hit))
-            out["absorbed_weight"][held] += np.bincount(batch, w * (1.0 - c), minlength=nh)
-            lanes[1] = w = w * c
-            # roulette below the cutoff (a loser's weight is boosted too, then dropped)
-            need = w < WEIGHT_CUTOFF
-            alive = ~need | (xi < ROULETTE_SURVIVAL)
-            np.divide(w, ROULETTE_SURVIVAL, out=w, where=need)
+            out["scores"][cells] += np.bincount(cell, minlength=nh * shells)
+        step += 1
+        if not analog:
+            np.add.at(out["weight"][cells], cell, score if hit is None else score.take(hit))
+            out["absorbed_weight"][held] += np.bincount(batch, score * (1.0 - c), minlength=nh)
+        if not atom:  # a site visit has set alive and the weight already
+            if analog:
+                alive = xi >= 1.0 - c
+            else:
+                lanes[1] = w = lanes[1] * c
+                # roulette below the cutoff (a loser's weight is boosted too, then dropped)
+                need = w < WEIGHT_CUTOFF
+                alive = ~need | (xi < ROULETTE_SURVIVAL)
+                np.divide(w, ROULETTE_SURVIVAL, out=w, where=need)
         survivors = live[held]
         if not alive.all():
             idx = np.flatnonzero(alive)
@@ -304,10 +427,10 @@ def _transport_group(model: PathLengthModel, seed: int, start_id: int, sizes,
         if analog:
             out["absorbed_weight"][held] += live[held] - survivors
         live[held] = survivors
-        if step - admitted[lo] >= max_collisions:
+        if step - admitted[lo] >= max_visits:
             # admission order makes the batches at the cap the oldest ones, and
             # their histories the first lanes
-            done = slice(lo, lo + np.searchsorted(admitted[held], step - max_collisions, "right"))
+            done = slice(lo, lo + np.searchsorted(admitted[held], step - max_visits, "right"))
             out["capped"][done] += live[done]
             cut = int(live[done].sum())
             live[done] = 0

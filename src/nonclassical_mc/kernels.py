@@ -120,6 +120,18 @@ class PathLengthModel:
     mu: tuple[float, ...] = ()
     weights: tuple[float, ...] = ()
 
+    @property
+    def continuous_part(self) -> "PathLengthModel":
+        """The law of a flight that is not zero-length: atom 0, the weights
+        divided by 1 - atom (the very tuples the sampler keys its quantile
+        table by, so no second table is built). An atomless law is its own
+        continuous part."""
+        if not self.atom_at_zero:
+            return self
+        scale = 1.0 - self.atom_at_zero
+        return PathLengthModel(kind=self.kind, xs=self.xs, atom_at_zero=0.0, mu=self.mu,
+                               weights=tuple(w / scale for w in self.weights))
+
     def density(self, s):
         """Continuous part of p(s) (1/length); the sp2 atom is excluded.
 

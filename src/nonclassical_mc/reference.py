@@ -283,7 +283,9 @@ class RadialSolution:
     solve_integral_equation reads ||A||_1 off an unscaled FFT product and
     ||A^-1||_1 off a second right-hand side of the same solve, exactly but
     for the last node while A^-1 >= 0, which solve_integral_equation
-    checks as f >= 0.
+    checks as f >= 0. exact is the law's closed_form, whose slowest decay
+    scales the refinement's residuals, kept for the caller to check f
+    against.
     """
 
     grid: RadialGrid
@@ -292,6 +294,7 @@ class RadialSolution:
     iterations: int
     residual: float
     rcond: float
+    exact: ClosedForm
 
     def volume_integral(self) -> float:
         """4 pi integral f r^2 dr over the grid plus the origin mass."""
@@ -342,7 +345,7 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
     origin_mass = atom / (1.0 - atom * c)
     src = (c * origin_mass + 1.0) * (model.density(r) / (4.0 * math.pi * r * r))
     if c == 0.0:
-        return RadialSolution(grid, src, origin_mass, 0, 0.0, 1.0)
+        return RadialSolution(grid, src, origin_mass, 0, 0.0, 1.0, closed_form(model))
     tau, u = _operator(model, grid, c)
     # A's off-diagonal entries are <= 0 and its diagonal is positive, so
     # ||A||_1 is the largest column sum of |A| = 2 diag(A) - A. While the
@@ -359,7 +362,8 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
         x, y = (z[:, :2] - np.outer(zu, z[-1, :2])).T
         # kappa is read after the three-column solve, which sets the peak
         # memory: read before it, it added 0.25 MB to the 3,072-node peak RSS
-        kappa = np.min(closed_form(model).decay) * grid.spacing
+        exact = closed_form(model)
+        kappa = np.min(exact.decay) * grid.spacing
         # x's tail is eps max|x| noise until refined, which E must not lift
         # above max|x|: step j scales by at most e^{j ln(1/eps)} at r_max
         for step in (1, 2):
@@ -388,7 +392,7 @@ def solve_integral_equation(model: PathLengthModel, xs: CrossSectionSpec,
         raise ConvergenceError(
             f"oracle collision density is negative (min f {np.min(f):.3e}, c={c}): "
             "the discrete operator is supercritical", residual=residual)
-    return RadialSolution(grid, f, origin_mass, 1, residual, rcond)
+    return RadialSolution(grid, f, origin_mass, 1, residual, rcond, exact)
 
 
 CONTINUUM_NODES = 256  # Gauss-Legendre nodes on the classical law's continuum

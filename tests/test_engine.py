@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import signal
 import subprocess
 import sys
@@ -39,53 +40,110 @@ def small_config(**overrides):
     return ProblemConfig(**params)
 
 
+def _elementwise(f, *args):
+    """f with its last argument in a one-element array, the others scalars,
+    as the kernel broadcasts them, so the ufunc takes the kernel's array
+    path, not numpy's scalar one."""
+    return float(f(*args[:-1], np.array([args[-1]]))[0])
+
+
 class ScalarHistory:
-    """One history, transported collision by collision from the doubles it is given.
+    """One history, transported site visit by site visit from the doubles it is given.
 
     A counter's double 0 gives the flight's cosine to the radius vector,
-    double 1 the flight variate and double 2 the capture or roulette
-    test. The radius follows the kernel's recurrence in the
-    kernel's order of operations, so the two agree bit for bit. The flight
-    length comes from engine.sample_path, looked up at call time, so a
-    sampler a test patches in applies to both paths. Records the radius and weight of every scored
-    collision, the flight lengths, the absorbed weight and how the history
-    ended (end: None while live, then "done", "fault" or "capped").
+    double 1 the flight variate and double 2 the capture or roulette test;
+    under a law with an atom, double 2 gives the visit's collisions and how
+    it ends (engine._site_visits), and every flight but the first comes
+    from the law's continuous part. The radius and the visit follow the
+    kernel's recurrences in the kernel's order of operations, so the two
+    agree bit for bit. The flight length comes from engine.sample_path,
+    looked up at call time, so a sampler a test patches in applies to both
+    paths. Records the radius, collisions and summed weight of every site
+    visit, the flight lengths, the collision and zero-length flight counts,
+    the absorbed weight and how the history ended (end: None while live,
+    then "done", "fault" or "capped").
     """
 
-    def __init__(self, model, capture, max_collisions):
-        self.model, self.capture, self.max_collisions = model, capture, max_collisions
+    def __init__(self, model, capture, max_visits):
+        self.model, self.capture, self.max_visits = model, capture, max_visits
         self.r = 0.0
         self.weight, self.absorbed = 1.0, 0.0
-        self.radii, self.weights, self.flights = [], [], []
+        self.sites, self.flights = [], []  # sites: (radius, collisions, weight scored)
+        self.collisions = self.zero_length = 0
         self.end = None
 
-    def collide(self, u):
-        c = self.model.xs.c
-        s = float(engine.sample_path(self.model, u[1]))
+    def visit(self, u):
+        model = self.model
+        atom = model.atom_at_zero
+        law = model.continuous_part if atom and self.flights else model
+        s = float(engine.sample_path(law, u[1]))
         along = self.r + s * (2.0 * u[0] - 1.0)
         radius = math.sqrt(along * along + s * s * (4.0 * u[0] * (1.0 - u[0])))
         if not math.isfinite(radius):
             self.end = "fault"
             return
         self.r = radius
-        self.radii.append(radius)
-        self.weights.append(self.weight)
+        self.zero_length += s == 0.0 and (not atom or not self.flights)
         self.flights.append(s)
-        if self.capture == "analog":
-            if u[2] < 1.0 - c:
-                self.absorbed += self.weight
-                self.end = "done"
-                return
-        else:
-            self.absorbed += self.weight * (1.0 - c)
-            self.weight *= c
-            if self.weight < WEIGHT_CUTOFF:
-                if u[2] >= ROULETTE_SURVIVAL:
-                    self.end = "done"
-                    return
-                self.weight /= ROULETTE_SURVIVAL
-        if len(self.flights) >= self.max_collisions:
+        k, alive, score, leave = self.site(u[2]) if atom else self.collision(u[2])
+        self.sites.append((radius, k, score))
+        self.collisions += k
+        self.zero_length += k - 1
+        if self.capture == "implicit":
+            self.absorbed += score * (1.0 - model.xs.c)
+            self.weight = leave
+        elif not alive:
+            self.absorbed += 1.0
+        if not alive:
+            self.end = "done"
+        elif len(self.flights) >= self.max_visits:
             self.end = "capped"
+
+    def collision(self, xi):
+        """A collision of an atomless law: (1, alive, weight scored, weight left)."""
+        c, w = self.model.xs.c, self.weight
+        if self.capture == "analog":
+            return 1, xi >= 1.0 - c, 1.0, 1.0
+        leave = w * c
+        if leave < WEIGHT_CUTOFF:
+            return 1, xi < ROULETTE_SURVIVAL, w, leave / ROULETTE_SURVIVAL
+        return 1, True, w, leave
+
+    def site(self, xi):
+        """A site visit of a law with an atom: (collisions, alive, weight
+        scored, weight left), the kernel's arithmetic on one lane."""
+        c, atom, w = self.model.xs.c, self.model.atom_at_zero, self.weight
+        analog = self.capture == "analog"
+        log_q = math.log(max(c * atom if analog else atom, sys.float_info.min))
+        log_c = math.log(c) if c else -math.inf
+        log_left = _elementwise(np.log1p, -xi)
+        extra = float(math.floor(log_left / log_q))
+        k = extra + 1.0
+        if analog:
+            return int(k), log_left - extra * log_q <= log_c, k, 1.0
+        leave = w * _elementwise(np.power, c, k)
+        if leave >= WEIGHT_CUTOFF:
+            return int(k), True, (w - leave) / (1.0 - c), leave
+        v = -_elementwise(np.expm1, log_left - extra * log_q) / (1.0 - atom)
+        v = min(max(v, 0.0), 1.0 - 2.0**-53)
+        lives = math.floor(_elementwise(np.log1p, -v) / math.log(ROULETTE_SURVIVAL))
+        done = score = 0.0
+        while True:
+            j = 1.0
+            if w * c >= WEIGHT_CUTOFF:
+                j += math.floor(_elementwise(np.log, WEIGHT_CUTOFF / w) / log_c)
+            j = min(j, k - done)
+            end = w * _elementwise(np.power, c, j)
+            score += (w - end) / (1.0 - c)
+            done += j
+            if end < WEIGHT_CUTOFF:
+                if lives == 0:
+                    return int(done), False, score, end
+                lives -= 1
+                end /= ROULETTE_SURVIVAL
+            w = end
+            if done == k:
+                return int(done), True, score, w
 
 
 def walk_3d(model, rng, n, collisions):
@@ -130,16 +188,16 @@ def exact_radius(r, s, u0):
     return float(Fraction(root, square.denominator * scale))
 
 
-def run_history(model, seed, h, capture="analog", max_collisions=MAX_COLLISIONS):
-    """Scalar oracle for a one-history batch: collision j of history h reads
-    counter h of key (seed, j). Returns (radii, weights, flights, absorbed, end)."""
-    history = ScalarHistory(model, capture, max_collisions)
+def run_history(model, seed, h, capture="analog", max_visits=MAX_COLLISIONS):
+    """Scalar oracle for a one-history batch: site visit j of history h reads
+    counter h of key (seed, j). Returns the finished ScalarHistory."""
+    history = ScalarHistory(model, capture, max_visits)
     while history.end is None:
-        history.collide(counter_uniforms(seed, len(history.flights), h))
-    return history.radii, history.weights, history.flights, history.absorbed, history.end
+        history.visit(counter_uniforms(seed, len(history.flights), h))
+    return history
 
 
-def history_loop(model, seed, start_id, sizes, r_max, shells, capture, max_collisions):
+def history_loop(model, seed, start_id, sizes, r_max, shells, capture, max_visits):
     """The per-batch sums _transport_group returns, replayed one history at a time.
 
     Step-major: at step j, the r-th live history of the batch starting at
@@ -148,13 +206,13 @@ def history_loop(model, seed, start_id, sizes, r_max, shells, capture, max_colli
     nb = len(sizes)
     edges = np.linspace(0.0, r_max, shells + 1)
     starts = [start_id + sum(sizes[:b]) for b in range(nb)]
-    batches = [[ScalarHistory(model, capture, max_collisions) for _ in range(size)]
+    batches = [[ScalarHistory(model, capture, max_visits) for _ in range(size)]
                for size in sizes]
     step = 0
     while any(h.end is None for batch in batches for h in batch):
         for first, batch in zip(starts, batches):
             for r, history in enumerate([h for h in batch if h.end is None]):
-                history.collide(counter_uniforms(seed, step, first + r))
+                history.visit(counter_uniforms(seed, step, first + r))
         step += 1
     out = {name: np.zeros(nb, dtype=np.int64) for name in (
         "histories", "collisions", "zero_length", "faults", "capped")}
@@ -162,15 +220,14 @@ def history_loop(model, seed, start_id, sizes, r_max, shells, capture, max_colli
                absorbed_weight=np.zeros(nb))
     for b, batch in enumerate(batches):
         for history in batch:
-            for radius, weight in zip(history.radii, history.weights):
+            for radius, k, score in history.sites:
                 shell = int(np.searchsorted(edges, radius, side="right")) - 1
                 if shell < shells:
-                    out["weight"][b, shell] += weight
-                    out["scores"][b, shell] += 1
-            flights = history.flights
+                    out["weight"][b, shell] += k if capture == "analog" else score
+                    out["scores"][b, shell] += k
             out["histories"][b] += 1
-            out["collisions"][b] += len(flights)
-            out["zero_length"][b] += flights.count(0.0)
+            out["collisions"][b] += history.collisions
+            out["zero_length"][b] += history.zero_length
             out["absorbed_weight"][b] += history.absorbed
             out["faults"][b] += history.end == "fault"
             out["capped"][b] += history.end == "capped"
@@ -307,26 +364,214 @@ print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, s
 
 class TestRunHistory:
     def test_sp2_zero_length_scores_at_same_radius(self):
-        # consecutive collisions of a history share the exact float radius
-        # iff the connecting flight had length zero; the fraction of such
-        # flights is the 4/9 atom
+        # a site visit's k collisions share its exact float radius, and
+        # consecutive sites share it iff the flight between them had length
+        # zero, which only a newborn's flight from the full law can have; the
+        # fraction of zero-length flights over all collisions is the 4/9 atom
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         repeats = 0
         near_misses = 0
         pairs = 0
         zero_flights = 0
         for h in range(1500):
-            radii, _, flights, _, _ = run_history(model, 5, h)
+            history = run_history(model, 5, h)
+            radii = [r for r, k, _ in history.sites for _ in range(k)]
             gaps = np.abs(np.diff([0.0] + radii))  # born at the origin
             pairs += gaps.size
             repeats += int(np.sum(gaps == 0.0))
             near_misses += int(np.sum((gaps > 0.0) & (gaps < 1e-13)))
-            zero_flights += flights.count(0.0)
+            zero_flights += history.zero_length
+            assert history.zero_length == history.collisions - len(history.sites) + (
+                history.flights[0] == 0.0)
         assert near_misses == 0          # zero-length flights never drift
         assert repeats == zero_flights   # radius repeats exactly when s == 0
         p = repeats / pairs
         se = math.sqrt(p * (1.0 - p) / pairs)
         assert abs(p - 4.0 / 9.0) <= 4.0 * se
+
+
+def unfolded_walk(model, capture, rng, sizes, r_max, shells):
+    """The per-collision walk the site visits fold, as per-batch sums.
+
+    Every flight comes from the full law, atom included, and every
+    collision is scored, then absorbed (analog capture) or weighted by c and
+    rouletted below WEIGHT_CUTOFF (implicit capture): the kernel before the
+    fold, one lockstep step per collision, with variates from rng.
+    """
+    c, analog, nb = model.xs.c, capture == "analog", len(sizes)
+    edges = np.linspace(0.0, r_max, shells + 1)
+    batch = np.repeat(np.arange(nb), sizes)
+    r, w = np.zeros(batch.size), np.ones(batch.size)
+    out = {"collisions": np.zeros(nb), "zero_length": np.zeros(nb),
+           "absorbed_weight": np.zeros(nb), "weight": np.zeros((nb, shells))}
+    while batch.size:
+        u = rng.random((3, batch.size))
+        s = engine.sample_path(model, u[1])
+        r = engine._radius_after(r, s, u[0])
+        out["collisions"] += np.bincount(batch, minlength=nb)
+        out["zero_length"] += np.bincount(batch[s == 0.0], minlength=nb)
+        shell = np.searchsorted(edges, r, side="right") - 1
+        on = shell < shells
+        np.add.at(out["weight"], (batch[on], shell[on]), w[on])
+        if analog:
+            alive = u[2] >= 1.0 - c
+            out["absorbed_weight"] += np.bincount(batch[~alive], minlength=nb)
+        else:
+            out["absorbed_weight"] += np.bincount(batch, w * (1.0 - c), minlength=nb)
+            w = w * c
+            need = w < WEIGHT_CUTOFF
+            alive = ~need | (u[2] < ROULETTE_SURVIVAL)
+            w = np.where(need, w / ROULETTE_SURVIVAL, w)
+        batch, r, w = batch[alive], r[alive], w[alive]
+    return out
+
+
+def in_law_z(folded, unfolded, sizes):
+    """Two-sample z-scores, from the spread of the per-batch values, of the
+    collisions per history, the zero-length fraction, the absorbed weight per
+    history and each shell's weight per history (shells every batch of both
+    runs scored in)."""
+    histories = np.asarray(sizes, dtype=float)
+    values = {}
+    for name, run in (("folded", folded), ("unfolded", unfolded)):
+        values[name] = {
+            "collisions": run["collisions"] / histories,
+            "zero_length": run["zero_length"] / run["collisions"],
+            "absorbed": run["absorbed_weight"] / histories,
+            "shells": run["weight"] / histories[:, None],
+        }
+    eligible = (folded["weight"] > 0.0).all(axis=0) & (unfolded["weight"] > 0.0).all(axis=0)
+    z = {}
+    for key in values["folded"]:
+        a, b = values["folded"][key], values["unfolded"][key]
+        if key == "shells":
+            a, b = a[:, eligible], b[:, eligible]
+        diff = a.mean(axis=0) - b.mean(axis=0)
+        se = np.hypot(a.std(axis=0, ddof=1), b.std(axis=0, ddof=1)) / math.sqrt(len(sizes))
+        z[key] = np.abs(np.divide(diff, se, out=np.zeros_like(diff), where=diff != 0.0))
+    assert eligible.sum() >= 8
+    return {key: float(np.max(value)) for key, value in z.items()}
+
+
+class TestSiteVisitsInLaw:
+    """The folded kernel against the per-collision walk, within statistics:
+    collisions per history, zero-length fraction, absorbed weight and shell
+    tallies of sp2. c <= 0.1 under implicit capture puts several roulettes
+    inside one site."""
+
+    BOUND = 4.5
+    HISTORIES = {0.0: 40_000, 0.1: 40_000, 0.9: 20_000, 0.99: 4_000}
+
+    def z_scores(self, c, capture, seed=1):
+        model = make_model("sp2", CrossSectionSpec(1.0, c))
+        sizes = [self.HISTORIES[c] // 40] * 40
+        folded = _transport_group(model, seed, 0, sizes, 10.0, 16, capture, MAX_COLLISIONS)
+        assert folded["faults"].sum() == folded["capped"].sum() == 0
+        unfolded = unfolded_walk(model, capture, np.random.default_rng(seed), sizes, 10.0, 16)
+        return in_law_z(folded, unfolded, sizes)
+
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    @pytest.mark.parametrize("c", [0.0, 0.1, 0.9, 0.99])
+    def test_folded_kernel_has_the_walks_law(self, c, capture):
+        z = self.z_scores(c, capture)
+        assert max(z.values()) <= self.BOUND, z
+
+    @pytest.mark.parametrize("c", [0.1, 0.9])
+    def test_counting_the_drawn_collisions_is_caught(self, c, monkeypatch):
+        # a history that dies at a roulette inside a site made fewer
+        # collisions than the site drew; a kernel that counts the drawn ones
+        # reads too many collisions and zero-length flights
+        real = engine._roulettes
+
+        def drawn(w, left, v, c, log_c):
+            k = left.copy()
+            return (k, *real(w, left, v, c, log_c)[1:])
+
+        monkeypatch.setattr(engine, "_roulettes", drawn)
+        z = self.z_scores(c, "implicit")
+        assert max(z["collisions"], z["zero_length"]) > 2.0 * self.BOUND, z
+
+
+class NumpyCalls:
+    """Stands in for the engine's numpy module and records the name of each
+    function or ufunc method called through it, in order."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, np.ufunc):
+            return self.Ufunc(attr, self.names)
+        if callable(attr) and not isinstance(attr, type):
+            return self.recorded(name, attr)
+        return attr
+
+    def recorded(self, name, func):
+        def call(*args, **kwargs):
+            self.names.append(name)
+            return func(*args, **kwargs)
+        return call
+
+    class Ufunc:
+        def __init__(self, ufunc, names):
+            self.ufunc, self.names = ufunc, names
+
+        def __call__(self, *args, **kwargs):
+            self.names.append(self.ufunc.__name__)
+            return self.ufunc(*args, **kwargs)
+
+        def __getattr__(self, method):
+            return NumpyCalls.recorded(self, f"{self.ufunc.__name__}.{method}",
+                                       getattr(self.ufunc, method))
+
+
+# the numpy calls of one lockstep step of an atomless law, as before the fold:
+# the radius, the fault check (and count), the zero-length count, the shell
+# picks, the score count, then the capture or roulette and the compaction,
+# and the cap
+ATOMLESS_STEP = {
+    "analog": r"sqrt isfinite( bincount)? flatnonzero bincount( flatnonzero)? bincount"
+              r"( flatnonzero bincount)?( searchsorted)?",
+    "implicit": r"sqrt isfinite( bincount)? flatnonzero bincount( flatnonzero)? bincount"
+                r" add\.at bincount divide( flatnonzero bincount)?( searchsorted)?",
+}
+
+
+class TestAtomlessLawsKeepTheirStep:
+    @pytest.mark.parametrize("capture", ["analog", "implicit"])
+    @pytest.mark.parametrize("kind", ["classical", "diffusion", "sp3", "sp2"])
+    def test_numpy_calls_per_step(self, kind, capture, monkeypatch):
+        # an atomless law's step samples its own law once and makes today's
+        # numpy calls, with no site arithmetic (no log1p of u[2]); sp2's
+        # steps, the check that the probe sees the fold, make it
+        calls = NumpyCalls()
+        marks, laws = [], []
+        real_uniforms, real_sample = engine.uniforms_at, engine.sample_path
+
+        def marked(*args):
+            marks.append(len(calls.names))
+            return real_uniforms(*args)
+
+        def sampled(law, xi):
+            laws.append(law)
+            return np.where(xi > 0.995, np.inf, real_sample(law, xi))  # some faults
+
+        monkeypatch.setattr(engine, "uniforms_at", marked)
+        monkeypatch.setattr(engine, "sample_path", sampled)
+        monkeypatch.setattr(engine, "np", calls)
+        model = make_model(kind, CrossSectionSpec(1.0, 0.9))
+        out = _transport_group(model, 1, 0, [300] * 5, 10.0, 16, capture, 40)
+        assert out["faults"].sum() > 0 and out["capped"].sum() > 0
+        bounds = marks + [len(calls.names)]
+        steps = [" ".join(calls.names[a:b]) for a, b in zip(bounds, bounds[1:])]
+        if model.atom_at_zero:
+            assert all("log1p" in step for step in steps)
+            return
+        assert len(laws) == len(steps)
+        assert all(law is model for law in laws)
+        for step in steps:
+            assert re.fullmatch(ATOMLESS_STEP[capture], step), step
 
 
 class TestRadialChain:
@@ -407,11 +652,11 @@ class TestScalarVectorEquivalence:
         model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
         out = _transport_group(model, 9, 40, [1] * 60, *GRID, capture, MAX_COLLISIONS)
         for b in range(60):
-            radii, weights, flights, absorbed, _ = run_history(model, 9, 40 + b, capture)
-            assert out["collisions"][b] == len(flights)
-            assert out["zero_length"][b] == flights.count(0.0)
-            assert out["absorbed_weight"][b] == pytest.approx(absorbed, rel=1e-12)
-            assert out["scores"][b].sum() == sum(r < GRID[0] for r in radii)
+            history = run_history(model, 9, 40 + b, capture)
+            assert out["collisions"][b] == history.collisions
+            assert out["zero_length"][b] == history.zero_length
+            assert out["absorbed_weight"][b] == pytest.approx(history.absorbed, rel=1e-12)
+            assert out["scores"][b].sum() == sum(k for r, k, _ in history.sites if r < GRID[0])
 
     def test_simulate_equals_manual_history_loop(self):
         config = small_config(histories=500, batches=10)
@@ -431,9 +676,10 @@ class TestStreamLayout:
     @staticmethod
     def count_reads(monkeypatch):
         """Record uniforms_at calls, the (key, first, count) of each run they
-        read and the (key, counter) pairs; fault the flights with xi > 0.995."""
+        read, the (key, counter) pairs and the sizes of the sample_path calls
+        after each; fault the flights with xi > 0.995."""
         real_uniforms, real_sample = engine.uniforms_at, engine.sample_path
-        counts = {"calls": 0, "steps": 0, "runs": [], "counters": []}
+        counts = {"calls": 0, "runs": [], "counters": [], "sampled": []}
 
         def counting_uniforms(seed, step, firsts, lengths):
             out = real_uniforms(seed, step, firsts, lengths)
@@ -441,12 +687,13 @@ class TestStreamLayout:
                     for key, first, n in zip(np.broadcast_to(step, len(lengths)), firsts, lengths)]
             counts["calls"] += 1
             counts["runs"].append(runs)
+            counts["sampled"].append([])
             counts["counters"] += [(key, first + r) for key, first, n in runs for r in range(n)]
             assert out.shape == (3, sum(lengths))
             return out
 
         def faulting_sample(model, xi):
-            counts["steps"] += 1
+            counts["sampled"][-1].append(np.size(xi))
             return np.where(xi > 0.995, np.inf, real_sample(model, xi))
 
         monkeypatch.setattr(engine, "uniforms_at", counting_uniforms)
@@ -457,29 +704,41 @@ class TestStreamLayout:
     def test_one_counter_per_collision(self, capture, monkeypatch):
         # one uniforms_at call per lockstep step; the k-th step a batch takes
         # part in reads key k; every flight reads one counter's three doubles,
-        # a faulted flight included, and no (key, counter) is read twice
-        assert self.steps_joined(capture, monkeypatch) == [0, 0, 0]
+        # a faulted flight included, and no (key, counter) is read twice. A
+        # step of sp3 is one collision, a step of sp2 one site visit
+        for kind in ("sp3", "sp2"):
+            assert self.steps_joined(kind, capture, monkeypatch) == [0, 0, 0]
 
     @pytest.mark.parametrize("capture", ["analog", "implicit"])
     def test_one_counter_per_collision_staggered(self, capture, monkeypatch):
         # under 1000 lanes no two of the batches start together
         monkeypatch.setattr(engine, "LANES", 1000)
-        joined = self.steps_joined(capture, monkeypatch)
-        assert 0 == joined[0] < joined[1] < joined[2]
+        for kind in ("sp3", "sp2"):
+            joined = self.steps_joined(kind, capture, monkeypatch)
+            assert 0 == joined[0] < joined[1] < joined[2]
 
-    def steps_joined(self, capture, monkeypatch):
+    def steps_joined(self, kind, capture, monkeypatch):
         """Transport three batches, check their counters and keys, and return
         the step each batch first took part in."""
         counts = self.count_reads(monkeypatch)
-        model = make_model("sp2", CrossSectionSpec(1.0, 0.9))
-        out = _transport_group(model, 3, 40, [700, 650, 650], *GRID, capture, 30)
+        model = make_model(kind, CrossSectionSpec(1.0, 0.9))
+        out = _transport_group(model, 3, 40, [700, 650, 650], *GRID, capture, 20)
         assert (out["faults"] > 0).all()
         assert (out["capped"] > 0).all()
         read = counts["counters"]
-        assert len(set(read)) == len(read) == out["collisions"].sum() + out["faults"].sum()
-        assert counts["calls"] == counts["steps"]
+        assert len(set(read)) == len(read) == sum(map(sum, counts["sampled"]))
+        visits = len(read) - out["faults"].sum()
+        if model.atom_at_zero:  # a visit makes one collision or more
+            assert out["collisions"].sum() > visits
+        else:
+            assert out["collisions"].sum() == visits
         taken = {}  # the (step, key) of each call a batch has counters in, by first counter
-        for step, runs in enumerate(counts["runs"]):
+        for step, (runs, sampled) in enumerate(zip(counts["runs"], counts["sampled"])):
+            assert sum(sampled) == sum(n for _, _, n in runs)
+            # a step of a law with an atom samples its newborn lanes apart
+            newborn = sum(n for key, _, n in runs if key == 0 and n)
+            assert len(sampled) == 1 + bool(model.atom_at_zero and newborn
+                                            and newborn < sum(sampled))
             for key, first, n in runs:
                 if n:
                     taken.setdefault(first, []).append((step, key))
