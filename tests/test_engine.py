@@ -492,6 +492,14 @@ class TestSiteVisitsInLaw:
         assert max(z["collisions"], z["zero_length"]) > 2.0 * self.BOUND, z
 
 
+def _recorded(names, name, func):
+    """func, appending name to names at each call."""
+    def call(*args, **kwargs):
+        names.append(name)
+        return func(*args, **kwargs)
+    return call
+
+
 class NumpyCalls:
     """Stands in for the engine's numpy module and records the name of each
     function or ufunc method called through it, in order."""
@@ -504,14 +512,8 @@ class NumpyCalls:
         if isinstance(attr, np.ufunc):
             return self.Ufunc(attr, self.names)
         if callable(attr) and not isinstance(attr, type):
-            return self.recorded(name, attr)
+            return _recorded(self.names, name, attr)
         return attr
-
-    def recorded(self, name, func):
-        def call(*args, **kwargs):
-            self.names.append(name)
-            return func(*args, **kwargs)
-        return call
 
     class Ufunc:
         def __init__(self, ufunc, names):
@@ -522,8 +524,8 @@ class NumpyCalls:
             return self.ufunc(*args, **kwargs)
 
         def __getattr__(self, method):
-            return NumpyCalls.recorded(self, f"{self.ufunc.__name__}.{method}",
-                                       getattr(self.ufunc, method))
+            return _recorded(self.names, f"{self.ufunc.__name__}.{method}",
+                             getattr(self.ufunc, method))
 
 
 # the numpy calls of one lockstep step of an atomless law, as before the fold:
