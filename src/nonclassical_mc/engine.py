@@ -65,6 +65,12 @@ another in the calling process instead for one worker, where os.fork is
 missing, on macOS (whose system libraries are not safe after a fork), and
 while another Python thread is alive, since forking a threaded process can
 copy a lock that a thread holds. The output is the same either way.
+Imported before numpy, the package loads numpy's OpenBLAS with one thread
+unless OPENBLAS_NUM_THREADS is set (see ``__init__``): the parallelism is
+these processes, the BLAS calls are vector-sized, and an idle OpenBLAS
+pool spins a CPU for about 0.1 s after loading, so the parent forks its
+workers from a one-thread process. Untested with MKL or Accelerate builds
+of numpy, which ignore the variable.
 
 The source, the scattering and the tally are spherically symmetric, so a
 history carries only its radius (``_radius_after``), and under implicit

@@ -110,8 +110,10 @@ def empirical_check():
 
 
 def _subprocess_env(**variables):
-    """os.environ plus variables, with SRC first on PYTHONPATH."""
-    env = dict(os.environ, **variables)
+    """os.environ plus variables (a None value removes one), with SRC first
+    on PYTHONPATH."""
+    env = {name: value for name, value in dict(os.environ, **variables).items()
+           if value is not None}
     env["PYTHONPATH"] = os.pathsep.join([SRC] + ([env["PYTHONPATH"]]
                                                if env.get("PYTHONPATH") else []))
     return env
@@ -120,5 +122,6 @@ def _subprocess_env(**variables):
 @pytest.fixture(scope="session")
 def subprocess_env():
     """subprocess_env(**variables) -> the environment of a Python subprocess
-    that imports the package under test, with variables set."""
+    that imports the package under test, with variables set (or removed,
+    where a value is None)."""
     return _subprocess_env

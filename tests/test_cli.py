@@ -9,6 +9,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -430,6 +432,21 @@ class TestReference:
         w[-1] /= 2.0
         expected = np.sum(w * r * r * np.abs(f - exact)) / np.sum(w * r * r * exact)
         assert gap == pytest.approx(expected, rel=1e-6)  # f is written to 9 digits
+
+    def test_output_does_not_depend_on_the_blas_pool(self, tmp_path, subprocess_env):
+        # above about 10,000 nodes the solver's BLAS dots run threaded when
+        # OpenBLAS has a pool, and the residual's last bits then depend on
+        # the host's CPU count; the package loads OpenBLAS with one thread
+        written = []
+        for preset in (None, "1"):
+            out = tmp_path / f"threads-{preset}"
+            subprocess.run([sys.executable, "-m", "nonclassical_mc.cli", "reference",
+                            "--model", "sp3", "--sigma-s", "0.99", "--oracle-rmax", "60",
+                            "--oracle-nodes", "24576", "--out", str(out)],
+                           env=subprocess_env(OPENBLAS_NUM_THREADS=preset),
+                           capture_output=True, timeout=120, check=True)
+            written.append((out / "reference.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_singular_oracle_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("nonclassical_mc.reference._operator",

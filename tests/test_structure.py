@@ -13,7 +13,9 @@ closed form alone: only the reference command runs the solver. The package
 runs on numpy alone: neither importing it nor running any command loads
 scipy, which only the tests and a demo use, as an oracle, nor OpenSSL's
 hashlib beyond what numpy.random loads itself, nor multiprocessing, since
-the engine forks its workers itself. And src holds
+the engine forks its workers itself. For the same reason, imported before
+numpy the package loads numpy's OpenBLAS with no thread pool, and leaves
+the environment as it found it. And src holds
 only what a command runs: every function in it is called by some command,
 apart from a short allowlist that gives each entry's reason.
 """
@@ -192,6 +194,45 @@ def test_no_multiprocessing_import(tmp_path, subprocess_env):
     code, forks, (after_import, after_simulate) = json.loads(done.stdout.splitlines()[-1])
     assert (code, forks) == (0, 2)
     assert after_import == after_simulate == []
+
+
+ENVIRON_PROBE = ("import json, os\n"
+                 "before = dict(os.environ)\n"
+                 "{imports}\n"
+                 "tasks = '/proc/self/task'\n"
+                 "print(json.dumps([len(os.listdir(tasks)) if os.path.isdir(tasks) else None,"
+                 " dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+
+
+def probe_environ(subprocess_env, imports, preset=None):
+    """[OS threads (None without /proc), os.environ unchanged,
+    OPENBLAS_NUM_THREADS] after imports, in a fresh interpreter whose
+    OPENBLAS_NUM_THREADS is preset (None: unset)."""
+    done = subprocess.run([sys.executable, "-c", ENVIRON_PROBE.format(imports=imports)],
+                          env=subprocess_env(OPENBLAS_NUM_THREADS=preset),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_starts_no_blas_pool(subprocess_env):
+    """Imported first, the package loads OpenBLAS with one thread, so no
+    idle pool spins beside the forked workers; on a host with 2 or more CPUs
+    a bare import of numpy starts one pool thread per extra CPU."""
+    threads, unchanged, pinned = probe_environ(subprocess_env, "import nonclassical_mc")
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert (threads, unchanged, pinned) == (1, True, None)
+
+
+@pytest.mark.parametrize("imports, preset", [
+    pytest.param("import nonclassical_mc", None, id="package-first"),
+    pytest.param("import nonclassical_mc", "2", id="user-set"),
+    pytest.param("import numpy; import nonclassical_mc", None, id="numpy-first"),
+])
+def test_import_leaves_the_environment(subprocess_env, imports, preset):
+    """The pin is gone from os.environ after the import, so subprocesses
+    started later are unaffected, and a user's own value wins."""
+    assert probe_environ(subprocess_env, imports, preset)[1:] == [True, preset]
 
 
 def defined_functions():
